@@ -31,15 +31,15 @@ from .inequality import (
     ge_finite,
 )
 from .pipeline import (
+    METHODS,
     DecompositionReport,
     HierarchyNode,
+    assemble,
     bw_ratio,
     fit_hierarchy,
     ge_surface,
     relative_difference,
-    run_mixture,
-    run_proposed,
-    run_separate,
+    run,
 )
 from .sim import LeafSpec, RegionSpec, SyntheticSpec, compare_methods, generate
 
@@ -70,10 +70,10 @@ __all__ = [
     "solve_raking",
     "HierarchyNode",
     "DecompositionReport",
+    "METHODS",
     "fit_hierarchy",
-    "run_proposed",
-    "run_separate",
-    "run_mixture",
+    "assemble",
+    "run",
     "bw_ratio",
     "relative_difference",
     "ge_surface",

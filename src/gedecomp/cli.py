@@ -166,16 +166,10 @@ def cmd_pipeline(args) -> int:
     else:
         phi = manifest.phi_policy()
 
-    levels = ("subregion",) if args.method == "mixture" else pipeline.LEVELS
-    fitted = pipeline.fit_hierarchy(manifest.root, mcmc, levels=levels, workers=args.workers)
+    fitted = pipeline.fit_hierarchy(manifest.root, mcmc, levels=pipeline.METHODS[args.method])
     out = _out_dir(args)
     for theta in thetas:
-        if args.method == "proposed":
-            report = pipeline.assemble_proposed(fitted, theta, phi)
-        elif args.method == "separate":
-            report = pipeline.assemble_separate(fitted, theta)
-        else:
-            report = pipeline.assemble_mixture(fitted, theta)
+        report = pipeline.assemble(fitted, theta, args.method, phi)
         tag = _theta_tag(theta)
         dataio.save_report(out / f"report_theta_{tag}.json", report)
         dataio.write_region_csv(out / f"regions_theta_{tag}.csv", report)
@@ -279,13 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pipe = sub.add_parser("pipeline", help="multilevel decomposition from a manifest")
     p_pipe.add_argument("--manifest", required=True)
-    p_pipe.add_argument("--method", choices=("proposed", "separate", "mixture"), default="proposed")
+    p_pipe.add_argument("--method", choices=tuple(pipeline.METHODS), default="proposed")
     p_pipe.add_argument("--theta", type=float, action="append", help="override manifest theta list")
     p_pipe.add_argument("--phi", help="uniform, raking, or file:PATH (override manifest)")
     p_pipe.add_argument("--iters", type=int)
     p_pipe.add_argument("--burnin", type=int)
     p_pipe.add_argument("--seed", type=int)
-    p_pipe.add_argument("--workers", type=int, default=1)
     p_pipe.add_argument("--out", required=True)
     p_pipe.set_defaults(func=cmd_pipeline)
 

@@ -1,32 +1,35 @@
 """Multilevel decomposition pipeline over a country/region/subregion tree.
 
-The proposed method runs in six steps: fit the country, estimate the
-between-region term from region mean incomes, benchmark the region
-estimates against the country total, fit the subregions, estimate each
-region's between-subregion term, and benchmark the subregion estimates
-against each region's constrained value.  The assembled identity
+Every parent gets the same step: its between term comes from its children's
+mean incomes, and a per-method rule then sets the children's GE.  One walk
+down the tree applies that step at the country and at each region:
 
-    total = sum_j w_j * within_j + sum_j w_j * between_j + between
+- ``proposed`` benchmarks the children against the parent's value (the
+  country's fit, then each region's constrained value), so the assembled
+  identity
 
-then holds exactly.  The separate method skips the benchmarking and reports
-the two residuals instead; the mixture method fits only the leaves and
-builds every higher level from the mixture identity.
+      total = sum_j w_j * within_j + sum_j w_j * between_j + between
+
+  holds exactly;
+- ``separate`` keeps the Bayes values and reports the two residuals;
+- ``mixture`` fits only the leaves and builds every higher level from the
+  mixture identity, within + between of the level below.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import benchmark
-from .distributions import make_family
+from .distributions import _gb2_ge_vec, _require_positive
 from .grouped import (
     GroupedSample,
     McmcConfig,
     PosteriorDraws,
+    PosteriorSummary,
     config_for_unit,
     fit,
     posterior_ge,
@@ -41,13 +44,10 @@ __all__ = [
     "SubregionRow",
     "DecompositionReport",
     "PipelineError",
+    "METHODS",
     "fit_hierarchy",
-    "assemble_proposed",
-    "assemble_separate",
-    "assemble_mixture",
-    "run_proposed",
-    "run_separate",
-    "run_mixture",
+    "assemble",
+    "run",
     "bw_ratio",
     "relative_difference",
     "ge_surface",
@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 LEVELS = ("country", "region", "subregion")
+
+#: The estimation methods, each with the levels it fits.
+METHODS = {"proposed": LEVELS, "separate": LEVELS, "mixture": ("subregion",)}
 
 
 class PipelineError(RuntimeError):
@@ -126,37 +129,25 @@ class FittedHierarchy:
             raise PipelineError(f"node {node_id!r} has not been fitted") from None
 
 
-def fit_hierarchy(
-    root: HierarchyNode,
-    mcmc: McmcConfig,
-    levels: tuple[str, ...] = LEVELS,
-    workers: int = 1,
-) -> FittedHierarchy:
+def fit_hierarchy(root: HierarchyNode, mcmc: McmcConfig, levels: tuple[str, ...] = LEVELS) -> FittedHierarchy:
     """Fit every node at the requested levels.
 
-    Per-node seeds derive from mcmc.seed and the node id, so fits are
-    independent and may run concurrently; results are keyed by id and do
-    not depend on worker count.
+    Per-node seeds derive from mcmc.seed and the node id, so each fit is
+    independent of which other nodes are fitted.
     """
     validate_tree(root)
-    nodes = [node for node in root.walk() if node.level in levels]
-
-    def fit_node(node: HierarchyNode) -> tuple[str, PosteriorDraws]:
-        cfg = config_for_unit(mcmc, mcmc.seed, node.id)
+    draws = {}
+    for node in root.walk():
+        if node.level not in levels:
+            continue
         sample = node.data
         if sample.unit != node.id:
             sample = GroupedSample(sample.boundaries, sample.counts, node.id)
         try:
-            return node.id, fit(node.family, sample, cfg)
+            draws[node.id] = fit(node.family, sample, config_for_unit(mcmc, mcmc.seed, node.id))
         except Exception as exc:
             raise PipelineError(f"node {node.id!r}: {exc}") from exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(fit_node, nodes))
-    else:
-        results = dict(map(fit_node, nodes))
-    return FittedHierarchy(root=root, draws=results, mcmc=mcmc)
+    return FittedHierarchy(root=root, draws=draws, mcmc=mcmc)
 
 
 @dataclass(frozen=True)
@@ -245,179 +236,111 @@ def _solve_policy(problem: benchmark.BenchmarkProblem, phi, custom) -> benchmark
     return benchmark.solve_uniform(problem)
 
 
-def _flag(flags: list[str], unit: str, theta: float, summary) -> None:
+def _usable(node: HierarchyNode, theta: float, flags: list[str], summary: PosteriorSummary) -> PosteriorSummary:
+    """Flag a summary with excluded draws; fail when no draw is usable."""
     if summary.unreliable:
         flags.append(
-            f"{unit}: {summary.n_excluded}/{summary.n_draws} draws outside the moment window at theta={theta:g}"
+            f"{node.level} {node.id}: {summary.n_excluded}/{summary.n_draws} draws outside the moment window at theta={theta:g}"
         )
+    if math.isnan(summary.value):
+        raise PipelineError(f"{node.level} {node.id}: no posterior draw inside the moment window at theta={theta:g}")
+    return summary
 
 
-def _region_inputs(fitted: FittedHierarchy, theta: float, flags: list[str]):
-    """Shares, posterior means, and Bayes GE summaries for every region."""
-    root = fitted.root
-    regions = root.children
-    lam = np.array([r.population / root.population for r in regions])
+def _shares(parent: HierarchyNode) -> np.ndarray:
+    return np.array([c.population / parent.population for c in parent.children])
+
+
+def _children(fitted: FittedHierarchy, parent: HierarchyNode, theta: float, flags: list[str]):
+    """Population shares, posterior mean incomes and Bayes GE summaries of a parent's children."""
     mu = []
-    ge_b = []
-    for region in regions:
-        draws = fitted.require(region.id)
-        mu_summary = posterior_mean_income(draws)
-        ge_summary = posterior_ge(draws, theta)
-        _flag(flags, f"region {region.id}", theta, mu_summary)
-        _flag(flags, f"region {region.id}", theta, ge_summary)
-        mu.append(mu_summary.value)
-        ge_b.append(ge_summary)
-    return regions, lam, np.array(mu), ge_b
-
-
-def _subregion_inputs(fitted: FittedHierarchy, region: HierarchyNode, theta: float, flags: list[str]):
-    subs = region.children
-    lam = np.array([s.population / region.population for s in subs])
-    mu = []
-    ge_b = []
-    for sub in subs:
-        draws = fitted.require(sub.id)
-        mu_summary = posterior_mean_income(draws)
-        ge_summary = posterior_ge(draws, theta)
-        _flag(flags, f"subregion {sub.id}", theta, mu_summary)
-        _flag(flags, f"subregion {sub.id}", theta, ge_summary)
-        mu.append(mu_summary.value)
-        ge_b.append(ge_summary)
-    return subs, lam, np.array(mu), ge_b
+    ge = []
+    for child in parent.children:
+        draws = fitted.require(child.id)
+        mu.append(_usable(child, theta, flags, posterior_mean_income(draws)).value)
+        ge.append(_usable(child, theta, flags, posterior_ge(draws, theta)))
+    return _shares(parent), np.array(mu), ge
 
 
 def _bw(between_sub: float, within_sub: float) -> float | None:
     return between_sub / within_sub if within_sub > 0.0 else None
 
 
-def assemble_proposed(fitted: FittedHierarchy, theta: float, phi="uniform") -> DecompositionReport:
-    """Steps 1-6 of the proposed method on an already fitted hierarchy."""
+def _step(method: str, phi, parent: HierarchyNode, be, bayes: np.ndarray, target):
+    """The method's rule at one parent.
+
+    Returns the children's reported GE, their negativity flags, the
+    weighted within term and the parent's residual.  ``proposed``
+    benchmarks the children against the parent's value; ``separate`` keeps
+    the Bayes values and reports what they leave unexplained; ``mixture``
+    keeps them and builds the parent from them, so it has no residual.
+    """
+    if method == "proposed":
+        custom = _phi_vector(phi, [c.id for c in parent.children])
+        problem = benchmark.BenchmarkProblem(
+            bayes=bayes, weights=be.weights, target=target, between=be.between, loss_weights=custom
+        )
+        sol = _solve_policy(problem, phi, custom)
+        values, negative = sol.constrained, sol.negative
+    else:
+        values, negative = bayes, bayes < 0.0
+    within = float(be.weights @ values)
+    residual = float(target - be.between - within) if method == "separate" else 0.0
+    return values, negative, within, residual
+
+
+def _method_levels(method: str) -> tuple[str, ...]:
+    try:
+        return METHODS[method]
+    except KeyError:
+        raise PipelineError(f"unknown method {method!r}; expected one of {list(METHODS)}") from None
+
+
+def assemble(fitted: FittedHierarchy, theta: float, method: str, phi="uniform") -> DecompositionReport:
+    """The multilevel decomposition at theta by one of METHODS.
+
+    The between term at each parent comes from its children's mean
+    incomes; the method's rule (see _step) then sets the children's
+    reported GE.  phi is used by ``proposed`` only.
+    """
+    _method_levels(method)
+    mixture = method == "mixture"
     flags: list[str] = []
     root = fitted.root
-
-    # step 1: country benchmark
-    ge_hat = posterior_ge(fitted.require(root.id), theta)
-    _flag(flags, f"country {root.id}", theta, ge_hat)
-
-    # step 2: between-region term from region mean incomes
-    regions, lam, mu, ge_bayes = _region_inputs(fitted, theta, flags)
-    be = between_from_means(lam, mu, theta)
-    bayes = np.array([g.value for g in ge_bayes])
-
-    # step 3: benchmark the region estimates against the country total
-    ids = [r.id for r in regions]
-    custom = _phi_vector(phi, ids)
-    problem = benchmark.BenchmarkProblem(
-        bayes=bayes, weights=be.weights, target=ge_hat.value, between=be.between, loss_weights=custom
-    )
-    sol = _solve_policy(problem, phi, custom)
-
-    region_rows = []
-    sub_rows = []
-    sum_w_between = 0.0
-    sum_w_within = 0.0
-    for j, region in enumerate(regions):
-        # step 4: subregion fits and the region's between-subregion term
-        subs, sub_lam, sub_mu, sub_ge = _subregion_inputs(fitted, region, theta, flags)
-        be_j = between_from_means(sub_lam, sub_mu, theta)
-        sub_bayes = np.array([g.value for g in sub_ge])
-
-        # step 5: benchmark subregions against the region's constrained value
-        sub_ids = [s.id for s in subs]
-        sub_custom = _phi_vector(phi, sub_ids)
-        sub_problem = benchmark.BenchmarkProblem(
-            bayes=sub_bayes,
-            weights=be_j.weights,
-            target=float(sol.constrained[j]),
-            between=be_j.between,
-            loss_weights=sub_custom,
-        )
-        sub_sol = _solve_policy(sub_problem, phi, sub_custom)
-        within_j = float(be_j.weights @ sub_sol.constrained)
-
-        w_j = float(be.weights[j])
-        sum_w_between += w_j * be_j.between
-        sum_w_within += w_j * within_j
-        region_rows.append(
-            RegionRow(
-                id=region.id,
-                share=float(lam[j]),
-                mean_income=float(mu[j]),
-                income_share=float(be.income_shares[j]),
-                weight=w_j,
-                ge_bayes=float(bayes[j]),
-                ge_bayes_sd=ge_bayes[j].sd,
-                excluded_draws=ge_bayes[j].n_excluded,
-                ge_cb=float(sol.constrained[j]),
-                between_sub=float(be_j.between),
-                within_sub=within_j,
-                subresidual=0.0,
-                bw_ratio=_bw(float(be_j.between), within_j),
-                negative=bool(sol.negative[j]),
+    if not mixture:
+        total = _usable(root, theta, flags, posterior_ge(fitted.require(root.id), theta))
+        lam, mu, region_ge = _children(fitted, root, theta, flags)
+    leaves = []
+    for region in root.children:
+        sub_lam, sub_mu, sub_ge = _children(fitted, region, theta, flags)
+        leaves.append((sub_lam, sub_mu, sub_ge, between_from_means(sub_lam, sub_mu, theta)))
+    if mixture:
+        # each region is the known-weight mixture of its subregions
+        lam = _shares(root)
+        mu = np.array([be_j.mean for *_, be_j in leaves])
+        region_ge = [
+            PosteriorSummary(
+                value=float(be_j.weights @ np.array([g.value for g in sub_ge])) + be_j.between,
+                sd=None,
+                n_draws=0,
+                n_excluded=0,
             )
-        )
-        for k, sub in enumerate(subs):
-            sub_rows.append(
-                SubregionRow(
-                    id=sub.id,
-                    region=region.id,
-                    share=float(sub_lam[k]),
-                    mean_income=float(sub_mu[k]),
-                    income_share=float(be_j.income_shares[k]),
-                    weight=float(be_j.weights[k]),
-                    ge_bayes=float(sub_bayes[k]),
-                    ge_bayes_sd=sub_ge[k].sd,
-                    excluded_draws=sub_ge[k].n_excluded,
-                    ge_cb=float(sub_sol.constrained[k]),
-                    negative=bool(sub_sol.negative[k]),
-                )
-            )
+            for _, _, sub_ge, be_j in leaves
+        ]
 
-    # step 6: assembled multilevel decomposition
-    return DecompositionReport(
-        method="proposed",
-        theta=theta,
-        phi_policy=phi if isinstance(phi, str) else "custom",
-        seed=fitted.mcmc.seed,
-        iterations=fitted.mcmc.iterations,
-        burnin=fitted.mcmc.burnin,
-        ge_total=ge_hat.value,
-        ge_total_sd=ge_hat.sd,
-        between=be.between,
-        sum_weighted_between_sub=sum_w_between,
-        sum_weighted_within_sub=sum_w_within,
-        residual_region=0.0,
-        residual_subregion=0.0,
-        regions=tuple(region_rows),
-        subregions=tuple(sub_rows),
-        flags=tuple(flags),
-    )
-
-
-def assemble_separate(fitted: FittedHierarchy, theta: float) -> DecompositionReport:
-    """Same fits, no benchmarking; the two decomposition residuals are reported."""
-    flags: list[str] = []
-    root = fitted.root
-    ge_hat = posterior_ge(fitted.require(root.id), theta)
-    _flag(flags, f"country {root.id}", theta, ge_hat)
-
-    regions, lam, mu, ge_bayes = _region_inputs(fitted, theta, flags)
     be = between_from_means(lam, mu, theta)
-    bayes = np.array([g.value for g in ge_bayes])
-    residual_region = float(ge_hat.value - be.between - be.weights @ bayes)
+    bayes = np.array([g.value for g in region_ge])
+    cb, negative, within, residual_region = _step(method, phi, root, be, bayes, None if mixture else total.value)
 
     region_rows = []
     sub_rows = []
     sum_w_between = 0.0
     sum_w_within = 0.0
     residual_subregion = 0.0
-    for j, region in enumerate(regions):
-        subs, sub_lam, sub_mu, sub_ge = _subregion_inputs(fitted, region, theta, flags)
-        be_j = between_from_means(sub_lam, sub_mu, theta)
+    for j, region in enumerate(root.children):
+        sub_lam, sub_mu, sub_ge, be_j = leaves[j]
         sub_bayes = np.array([g.value for g in sub_ge])
-        within_j = float(be_j.weights @ sub_bayes)
-        subres_j = float(bayes[j] - be_j.between - within_j)
-
+        sub_cb, sub_negative, within_j, subres_j = _step(method, phi, region, be_j, sub_bayes, float(cb[j]))
         w_j = float(be.weights[j])
         sum_w_between += w_j * be_j.between
         sum_w_within += w_j * within_j
@@ -430,17 +353,17 @@ def assemble_separate(fitted: FittedHierarchy, theta: float) -> DecompositionRep
                 income_share=float(be.income_shares[j]),
                 weight=w_j,
                 ge_bayes=float(bayes[j]),
-                ge_bayes_sd=ge_bayes[j].sd,
-                excluded_draws=ge_bayes[j].n_excluded,
-                ge_cb=float(bayes[j]),
+                ge_bayes_sd=region_ge[j].sd,
+                excluded_draws=region_ge[j].n_excluded,
+                ge_cb=float(cb[j]),
                 between_sub=float(be_j.between),
                 within_sub=within_j,
                 subresidual=subres_j,
                 bw_ratio=_bw(float(be_j.between), within_j),
-                negative=bool(bayes[j] < 0.0),
+                negative=bool(negative[j]),
             )
         )
-        for k, sub in enumerate(subs):
+        for k, sub in enumerate(region.children):
             sub_rows.append(
                 SubregionRow(
                     id=sub.id,
@@ -452,20 +375,20 @@ def assemble_separate(fitted: FittedHierarchy, theta: float) -> DecompositionRep
                     ge_bayes=float(sub_bayes[k]),
                     ge_bayes_sd=sub_ge[k].sd,
                     excluded_draws=sub_ge[k].n_excluded,
-                    ge_cb=float(sub_bayes[k]),
-                    negative=bool(sub_bayes[k] < 0.0),
+                    ge_cb=float(sub_cb[k]),
+                    negative=bool(sub_negative[k]),
                 )
             )
 
     return DecompositionReport(
-        method="separate",
+        method=method,
         theta=theta,
-        phi_policy="none",
+        phi_policy=(phi if isinstance(phi, str) else "custom") if method == "proposed" else "none",
         seed=fitted.mcmc.seed,
         iterations=fitted.mcmc.iterations,
         burnin=fitted.mcmc.burnin,
-        ge_total=ge_hat.value,
-        ge_total_sd=ge_hat.sd,
+        ge_total=within + be.between if mixture else total.value,
+        ge_total_sd=None if mixture else total.sd,
         between=be.between,
         sum_weighted_between_sub=sum_w_between,
         sum_weighted_within_sub=sum_w_within,
@@ -477,111 +400,9 @@ def assemble_separate(fitted: FittedHierarchy, theta: float) -> DecompositionRep
     )
 
 
-def assemble_mixture(fitted: FittedHierarchy, theta: float) -> DecompositionReport:
-    """Finite-mixture method: leaves are fitted, higher levels are assembled.
-
-    Each region is the known-weight mixture of its subregion distributions
-    and the country the mixture of the regions, so every level's value is
-    within + between of the level below and the identity holds by
-    construction.
-    """
-    flags: list[str] = []
-    root = fitted.root
-    regions = root.children
-    lam = np.array([r.population / root.population for r in regions])
-
-    region_ge = []
-    region_mu = []
-    region_rows_partial = []
-    sub_rows = []
-    for region in regions:
-        subs, sub_lam, sub_mu, sub_ge = _subregion_inputs(fitted, region, theta, flags)
-        be_j = between_from_means(sub_lam, sub_mu, theta)
-        sub_bayes = np.array([g.value for g in sub_ge])
-        within_j = float(be_j.weights @ sub_bayes)
-        ge_j = within_j + float(be_j.between)
-        mu_j = be_j.mean
-        region_ge.append(ge_j)
-        region_mu.append(mu_j)
-        region_rows_partial.append((region, be_j, within_j, ge_j, mu_j))
-        for k, sub in enumerate(subs):
-            sub_rows.append(
-                SubregionRow(
-                    id=sub.id,
-                    region=region.id,
-                    share=float(sub_lam[k]),
-                    mean_income=float(sub_mu[k]),
-                    income_share=float(be_j.income_shares[k]),
-                    weight=float(be_j.weights[k]),
-                    ge_bayes=float(sub_bayes[k]),
-                    ge_bayes_sd=sub_ge[k].sd,
-                    excluded_draws=sub_ge[k].n_excluded,
-                    ge_cb=float(sub_bayes[k]),
-                    negative=bool(sub_bayes[k] < 0.0),
-                )
-            )
-
-    be = between_from_means(lam, np.array(region_mu), theta)
-    sum_w_between = 0.0
-    sum_w_within = 0.0
-    region_rows = []
-    for j, (region, be_j, within_j, ge_j, mu_j) in enumerate(region_rows_partial):
-        w_j = float(be.weights[j])
-        sum_w_between += w_j * float(be_j.between)
-        sum_w_within += w_j * within_j
-        region_rows.append(
-            RegionRow(
-                id=region.id,
-                share=float(lam[j]),
-                mean_income=float(mu_j),
-                income_share=float(be.income_shares[j]),
-                weight=w_j,
-                ge_bayes=float(ge_j),
-                ge_bayes_sd=None,
-                excluded_draws=0,
-                ge_cb=float(ge_j),
-                between_sub=float(be_j.between),
-                within_sub=within_j,
-                subresidual=0.0,
-                bw_ratio=_bw(float(be_j.between), within_j),
-                negative=bool(ge_j < 0.0),
-            )
-        )
-
-    ge_total = float(be.weights @ np.array(region_ge) + be.between)
-    return DecompositionReport(
-        method="mixture",
-        theta=theta,
-        phi_policy="none",
-        seed=fitted.mcmc.seed,
-        iterations=fitted.mcmc.iterations,
-        burnin=fitted.mcmc.burnin,
-        ge_total=ge_total,
-        ge_total_sd=None,
-        between=be.between,
-        sum_weighted_between_sub=sum_w_between,
-        sum_weighted_within_sub=sum_w_within,
-        residual_region=0.0,
-        residual_subregion=0.0,
-        regions=tuple(region_rows),
-        subregions=tuple(sub_rows),
-        flags=tuple(flags),
-    )
-
-
-def run_proposed(root: HierarchyNode, theta: float, mcmc: McmcConfig, phi="uniform") -> DecompositionReport:
-    """Fit all levels and assemble the proposed-method decomposition."""
-    return assemble_proposed(fit_hierarchy(root, mcmc), theta, phi)
-
-
-def run_separate(root: HierarchyNode, theta: float, mcmc: McmcConfig) -> DecompositionReport:
-    """Fit all levels and report the unbenchmarked decomposition with residuals."""
-    return assemble_separate(fit_hierarchy(root, mcmc), theta)
-
-
-def run_mixture(root: HierarchyNode, theta: float, mcmc: McmcConfig) -> DecompositionReport:
-    """Fit leaves only and assemble the finite-mixture decomposition."""
-    return assemble_mixture(fit_hierarchy(root, mcmc, levels=("subregion",)), theta)
+def run(root: HierarchyNode, theta: float, mcmc: McmcConfig, method: str, phi="uniform") -> DecompositionReport:
+    """Fit the levels the method uses and assemble its decomposition at theta."""
+    return assemble(fit_hierarchy(root, mcmc, levels=_method_levels(method)), theta, method, phi)
 
 
 def bw_ratio(report: DecompositionReport, region_id: str) -> float | None:
@@ -627,14 +448,17 @@ def ge_surface(family: str, a_values, q_values, b: float, thetas) -> list[GeSurf
         raise ValueError("parameter surfaces are defined for the 'sm' family")
     a_values = np.asarray(a_values, dtype=float)
     q_values = np.asarray(q_values, dtype=float)
-    surfaces = []
-    for theta in thetas:
-        values = np.full((len(q_values), len(a_values)), np.nan)
-        for i, qv in enumerate(q_values):
-            for j, av in enumerate(a_values):
-                params = make_family("sm", [av, b, qv])
-                window_low, window_high = params.moment_window
-                if window_high > 1.0 and window_low < theta < window_high:
-                    values[i, j] = params.ge(theta)
-        surfaces.append(GeSurface(theta=float(theta), b=float(b), a_values=a_values, q_values=q_values, values=values))
-    return surfaces
+    for name, values in (("a", a_values), ("b", (b,)), ("q", q_values)):
+        for value in values:
+            _require_positive(name, value)
+    a, q = np.meshgrid(a_values, q_values)
+    return [
+        GeSurface(
+            theta=float(theta),
+            b=float(b),
+            a_values=a_values,
+            q_values=q_values,
+            values=_gb2_ge_vec(theta, a, b, np.ones_like(a), q)[0],
+        )
+        for theta in thetas
+    ]

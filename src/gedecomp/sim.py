@@ -17,14 +17,7 @@ import numpy as np
 from .distributions import FamilyParams
 from .grouped import GroupedSample, McmcConfig, derive_seed
 from .inequality import decompose_finite, ge_finite
-from .pipeline import (
-    DecompositionReport,
-    HierarchyNode,
-    assemble_mixture,
-    assemble_proposed,
-    assemble_separate,
-    fit_hierarchy,
-)
+from .pipeline import METHODS, DecompositionReport, HierarchyNode, assemble, fit_hierarchy
 
 __all__ = [
     "LeafSpec",
@@ -318,11 +311,8 @@ def compare_methods(spec: SyntheticSpec, thetas, mcmc: McmcConfig, phi="uniform"
     reports: dict[tuple[str, float], DecompositionReport] = {}
     for theta in thetas:
         truth = data.multilevel_truth(theta)
-        for report in (
-            assemble_proposed(fitted, theta, phi),
-            assemble_separate(fitted, theta),
-            assemble_mixture(fitted, theta),
-        ):
+        for method in METHODS:
+            report = assemble(fitted, theta, method, phi)
             reports[(report.method, float(theta))] = report
             rows.extend(_report_rows(report, truth))
     return MethodComparison(rows=tuple(rows), reports=reports)

@@ -33,7 +33,7 @@ from gedecomp.grouped import (
     posterior_mean_income,
 )
 from gedecomp.inequality import between_from_means, decompose_finite
-from gedecomp.pipeline import assemble_proposed, fit_hierarchy
+from gedecomp.pipeline import assemble, fit_hierarchy
 from gedecomp.sim import LeafSpec, RegionSpec, SyntheticSpec, generate
 
 from conftest import (
@@ -167,7 +167,7 @@ def test_criterion_4_benchmark_exactness():
         custom_phi = {node.id: 0.5 + (hash(node.id) % 5) / 4.0 for node in data.root.walk()}
         for theta in thetas:
             for phi in ("uniform", "raking", custom_phi):
-                report = assemble_proposed(fitted, theta, phi)
+                report = assemble(fitted, theta, "proposed", phi)
                 scale = max(1.0, abs(report.ge_total))
                 w = np.array([r.weight for r in report.regions])
                 cb = np.array([r.ge_cb for r in report.regions])

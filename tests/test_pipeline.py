@@ -7,19 +7,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gedecomp as g
+from gedecomp.distributions import MomentExistenceError, ParameterDomainError
 from gedecomp.grouped import GroupedSample, McmcConfig, PosteriorDraws
 from gedecomp.pipeline import (
     FittedHierarchy,
     HierarchyNode,
     PipelineError,
-    assemble_mixture,
-    assemble_proposed,
-    assemble_separate,
+    assemble,
     bw_ratio,
     fit_hierarchy,
     ge_surface,
     relative_difference,
-    run_proposed,
+    run,
 )
 from gedecomp.sim import LeafSpec, RegionSpec, SyntheticSpec, generate
 
@@ -112,7 +111,7 @@ def test_fit_errors_carry_node_id():
 # ---------------------------------------------------------------------------
 
 def test_degenerate_hierarchy_all_levels_equal_benchmark():
-    report = run_proposed(degenerate_tree(), 1.0, McmcConfig(iterations=400, burnin=100, seed=1))
+    report = run(degenerate_tree(), 1.0, McmcConfig(iterations=400, burnin=100, seed=1), "proposed")
     assert report.between == 0.0
     assert report.regions[0].between_sub == 0.0
     assert_allclose(report.regions[0].ge_cb, report.ge_total, rtol=1e-12)
@@ -124,7 +123,7 @@ def test_degenerate_hierarchy_all_levels_equal_benchmark():
 @pytest.mark.parametrize("theta", [-1.0, 0.0, 1.0, 2.0])
 def test_nested_exactness(small_fitted, theta):
     data, fitted = small_fitted
-    report = assemble_proposed(fitted, theta)
+    report = assemble(fitted, theta, "proposed")
     scale = max(1.0, abs(report.ge_total))
     # region-level constraint
     w = np.array([r.weight for r in report.regions])
@@ -144,7 +143,7 @@ def test_nested_exactness(small_fitted, theta):
 def test_proposed_accuracy_against_truth(small_fitted):
     data, fitted = small_fitted
     for theta in (0.0, 1.0):
-        report = assemble_proposed(fitted, theta)
+        report = assemble(fitted, theta, "proposed")
         truth = data.multilevel_truth(theta)
         assert abs(report.ge_total - truth.ge_total) / truth.ge_total < 0.15
         for row in report.regions:
@@ -153,19 +152,21 @@ def test_proposed_accuracy_against_truth(small_fitted):
 
 def test_phi_policies(small_fitted):
     _, fitted = small_fitted
-    uniform = assemble_proposed(fitted, 1.0, "uniform")
-    raking = assemble_proposed(fitted, 1.0, "raking")
+    uniform = assemble(fitted, 1.0, "proposed", "uniform")
+    raking = assemble(fitted, 1.0, "proposed", "raking")
     shifts = np.array([r.ge_cb - r.ge_bayes for r in uniform.regions])
     assert_allclose(shifts, shifts[0] * np.ones(len(shifts)), rtol=1e-9)
     factors = np.array([r.ge_cb / r.ge_bayes for r in raking.regions])
     assert_allclose(factors, factors[0] * np.ones(len(factors)), rtol=1e-9)
     ids = [r.id for r in uniform.regions] + [s.id for s in uniform.subregions]
-    custom = assemble_proposed(fitted, 1.0, {i: 1.0 for i in ids})
+    custom = assemble(fitted, 1.0, "proposed", {i: 1.0 for i in ids})
     assert abs(custom.identity_gap) < 1e-12
     with pytest.raises(PipelineError):
-        assemble_proposed(fitted, 1.0, {"r1": 1.0})  # missing ids
+        assemble(fitted, 1.0, "proposed", {"r1": 1.0})  # missing ids
     with pytest.raises(PipelineError):
-        assemble_proposed(fitted, 1.0, "bogus")
+        assemble(fitted, 1.0, "proposed", "bogus")
+    with pytest.raises(PipelineError):
+        assemble(fitted, 1.0, "bogus")  # unknown method
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +176,7 @@ def test_phi_policies(small_fitted):
 @pytest.mark.parametrize("theta", [-1.0, 0.0, 1.0, 2.0])
 def test_separate_accounting_reconstructs(small_fitted, theta):
     _, fitted = small_fitted
-    report = assemble_separate(fitted, theta)
+    report = assemble(fitted, theta, "separate")
     # residual_subregion aggregates the per-region subresiduals
     w = np.array([r.weight for r in report.regions])
     subres = np.array([r.subresidual for r in report.regions])
@@ -191,8 +192,8 @@ def test_separate_residual_signs_with_misspecified_leaves(small_fitted):
     # (positive residual at theta = -1), upper-tail overestimated (negative
     # residual at theta = 2)
     _, fitted = small_fitted
-    assert assemble_separate(fitted, -1.0).residual_subregion > 0.0
-    assert assemble_separate(fitted, 2.0).residual_subregion < 0.0
+    assert assemble(fitted, -1.0, "separate").residual_subregion > 0.0
+    assert assemble(fitted, 2.0, "separate").residual_subregion < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +226,7 @@ def test_mixture_identical_leaves_collapse():
     params = g.LN(0.4, 0.36)
     fitted = build_fitted_tree([params] * 4, [1000.0] * 4, region_split=(2, 2))
     for theta in (-1.0, 0.0, 1.0, 2.0):
-        report = assemble_mixture(fitted, theta)
+        report = assemble(fitted, theta, "mixture")
         assert report.between == 0.0
         assert all(r.between_sub == 0.0 for r in report.regions)
         assert_allclose(report.ge_total, params.ge(theta), rtol=1e-12)
@@ -235,7 +236,7 @@ def test_mixture_identical_leaves_collapse():
 def test_mixture_two_ln_leaves_vs_monte_carlo():
     p1, p2 = g.LN(0.0, 0.25), g.LN(1.0, 0.25)
     fitted = build_fitted_tree([p1, p2], [1000.0, 1000.0], region_split=(2,))
-    report = assemble_mixture(fitted, 1.0)
+    report = assemble(fitted, 1.0, "mixture")
     rng = np.random.default_rng(77)
     n = 1_000_000
     x = np.concatenate([p1.sample(n // 2, rng), p2.sample(n // 2, rng)])
@@ -247,7 +248,7 @@ def test_mixture_two_ln_leaves_vs_monte_carlo():
 def test_mixture_from_fits_holds_identity(small_fitted):
     _, fitted = small_fitted
     for theta in (-1.0, 0.0, 1.0, 2.0):
-        report = assemble_mixture(fitted, theta)
+        report = assemble(fitted, theta, "mixture")
         assert abs(report.identity_gap) < 1e-12 * max(1.0, abs(report.ge_total))
         assert report.ge_total_sd is None
 
@@ -255,8 +256,8 @@ def test_mixture_from_fits_holds_identity(small_fitted):
 def test_mixture_differs_from_country_fit_on_heavy_lower_tail(small_fitted):
     # misspecified LN leaves vs the flexible country fit: visible gap at theta=-1
     _, fitted = small_fitted
-    mixture = assemble_mixture(fitted, -1.0)
-    proposed = assemble_proposed(fitted, -1.0)
+    mixture = assemble(fitted, -1.0, "mixture")
+    proposed = assemble(fitted, -1.0, "proposed")
     assert abs(mixture.ge_total - proposed.ge_total) / proposed.ge_total > 0.05
 
 
@@ -277,13 +278,34 @@ def test_unreliable_draw_flags_surface_in_report():
     draws = dict(fitted.draws)
     draws["s0"] = bad_draws
     fitted = FittedHierarchy(root=fitted.root, draws=draws, mcmc=fitted.mcmc)
-    report = assemble_mixture(fitted, 2.0)
+    report = assemble(fitted, 2.0, "mixture")
     assert any("s0" in flag for flag in report.flags)
+
+
+def test_unit_without_usable_draws_fails_loudly():
+    # at theta = 1 every retained draw of the region's SM fit lies outside
+    # the moment window, so its posterior mean and GE do not exist
+    brackets = [0.0, 1.0, 2.0, 3.0, 5.0, np.inf]
+    region_counts = [60.0, 130.0, 160.0, 110.0, 480.0]
+    s1 = HierarchyNode("s1", "subregion", 400.0, "sm",
+                       GroupedSample(brackets, [10.0, 10.0, 10.0, 10.0, 400.0], "s1"))
+    s2 = HierarchyNode("s2", "subregion", 600.0, "ln",
+                       GroupedSample(brackets, [50.0, 120.0, 150.0, 100.0, 80.0], "s2"))
+    region = HierarchyNode("r", "region", 1000.0, "sm", GroupedSample(brackets, region_counts, "r"), (s1, s2))
+    country = HierarchyNode("c", "country", 1000.0, "gb2", GroupedSample(brackets, region_counts, "c"), (region,))
+    fitted = fit_hierarchy(country, McmcConfig(iterations=2000, burnin=500, seed=1))
+    for method in ("proposed", "separate"):
+        with pytest.raises(PipelineError, match=r"region r: .*theta=1$"):
+            assemble(fitted, 1.0, method)
+    # the mixture reads only the leaves: give one leaf the region's draws
+    fitted = FittedHierarchy(root=country, draws=dict(fitted.draws, s2=fitted.draws["r"]), mcmc=fitted.mcmc)
+    with pytest.raises(PipelineError, match=r"subregion s2: .*theta=1$"):
+        assemble(fitted, 1.0, "mixture")
 
 
 def test_bw_ratio_lookup(small_fitted):
     _, fitted = small_fitted
-    report = assemble_proposed(fitted, 1.0)
+    report = assemble(fitted, 1.0, "proposed")
     row = report.regions[0]
     assert bw_ratio(report, row.id) == pytest.approx(row.between_sub / row.within_sub)
     assert bw_ratio(report, row.id) == row.bw_ratio
@@ -293,7 +315,7 @@ def test_bw_ratio_lookup(small_fitted):
 
 def test_bw_ratio_hand_value():
     assert_allclose(0.004 / 0.26, 0.0153846, rtol=1e-5)  # reference arithmetic
-    report = run_proposed(degenerate_tree(), 0.0, McmcConfig(iterations=300, burnin=80, seed=2))
+    report = run(degenerate_tree(), 0.0, McmcConfig(iterations=300, burnin=80, seed=2), "proposed")
     assert report.regions[0].bw_ratio == 0.0  # single subregion: between_sub = 0
 
 
@@ -310,18 +332,35 @@ def test_relative_difference():
 # parameter surfaces
 # ---------------------------------------------------------------------------
 
+def pointwise_surface(a_values, q_values, b, theta) -> np.ndarray:
+    """Reference surface, one SM(a, b, q).ge(theta) per cell, NaN where GE does not exist."""
+    values = np.full((len(q_values), len(a_values)), np.nan)
+    for i, qv in enumerate(q_values):
+        for j, av in enumerate(a_values):
+            try:
+                values[i, j] = g.SM(av, b, qv).ge(theta)
+            except MomentExistenceError:
+                pass
+    return values
+
+
 def test_surface_matches_pointwise_ge_and_monotone():
     a_values = np.linspace(1.5, 4.0, 8)
     q_values = np.linspace(1.5, 4.0, 8)
     for surface in ge_surface("sm", a_values, q_values, 3.0, (-1.0, 0.0, 1.0, 2.0)):
-        for i, qv in enumerate(q_values):
-            for j, av in enumerate(a_values):
-                assert_allclose(surface.values[i, j], g.SM(av, 3.0, qv).ge(surface.theta), rtol=1e-12)
+        np.testing.assert_array_equal(surface.values, pointwise_surface(a_values, q_values, 3.0, surface.theta))
         # GE decreases along both parameter axes on this grid
         assert np.all(np.diff(surface.values, axis=0) < 0.0)
         assert np.all(np.diff(surface.values, axis=1) < 0.0)
         # thin tails at the top corner mean low inequality
         assert surface.values[-1, -1] < 0.12
+    # a grid crossing the moment-window edges: NaN in the same cells
+    a_values = np.linspace(0.3, 4.0, 13)
+    q_values = np.linspace(0.3, 4.0, 11)
+    for surface in ge_surface("sm", a_values, q_values, 3.0, (-2.0, -1.0, 0.0, 1e-10, 1.0, 2.0, 5.0)):
+        reference = pointwise_surface(a_values, q_values, 3.0, surface.theta)
+        assert 0 < np.isnan(reference).sum() < reference.size
+        np.testing.assert_array_equal(surface.values, reference)
 
 
 def test_surface_lower_tail_sensitivity():
@@ -338,19 +377,21 @@ def test_surface_masks_inadmissible_cells():
     assert math.isnan(theta_neg.values[0, 0])  # theta below -a
     with pytest.raises(ValueError):
         ge_surface("ln", [1.0], [1.0], 3.0, (0.0,))
+    for a_values, q_values, b in (([2.0, 0.0], [2.0], 3.0), ([2.0], [-1.0], 3.0),
+                                  ([2.0], [2.0], np.inf), ([np.nan], [2.0], 3.0)):
+        with pytest.raises(ParameterDomainError):
+            ge_surface("sm", a_values, q_values, b, (1.0,))
 
 
 # ---------------------------------------------------------------------------
 # determinism and seed isolation
 # ---------------------------------------------------------------------------
 
-def test_pipeline_deterministic_and_workers_invariant(small_fitted):
+def test_pipeline_deterministic(small_fitted):
     data, fitted = small_fitted
     again = fit_hierarchy(data.root, FAST_MCMC)
-    threaded = fit_hierarchy(data.root, FAST_MCMC, workers=4)
     for node_id, draws in fitted.draws.items():
         assert np.array_equal(draws.draws, again.draws[node_id].draws)
-        assert np.array_equal(draws.draws, threaded.draws[node_id].draws)
 
 
 def test_sibling_fits_unaffected_by_added_node():

@@ -5,7 +5,7 @@ import pytest
 
 import gedecomp as g
 from gedecomp.grouped import McmcConfig
-from gedecomp.pipeline import assemble_proposed
+from gedecomp.pipeline import assemble
 from gedecomp.sim import (
     LeafSpec,
     MethodComparison,
@@ -167,7 +167,7 @@ def test_estimator_consistency_over_doubling():
             fitted = g.fit_hierarchy(data.root, McmcConfig(iterations=1200, burnin=300, seed=seed))
             for theta in thetas:
                 truth = data.multilevel_truth(theta)
-                report = assemble_proposed(fitted, theta)
+                report = assemble(fitted, theta, "proposed")
                 per_seed.append(abs(report.ge_total - truth.ge_total) / truth.ge_total)
         errors[s] = np.mean(per_seed)
     assert errors[0] > errors[1] > errors[2]
