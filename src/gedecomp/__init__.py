@@ -19,6 +19,7 @@ from .grouped import (
     McmcConfig,
     PosteriorDraws,
     fit,
+    fit_batch,
     log_likelihood,
     log_prior,
     posterior_ge,
@@ -55,6 +56,7 @@ __all__ = [
     "McmcConfig",
     "PosteriorDraws",
     "fit",
+    "fit_batch",
     "log_likelihood",
     "log_prior",
     "posterior_ge",

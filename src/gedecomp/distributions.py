@@ -28,6 +28,7 @@ __all__ = [
     "MomentExistenceError",
     "theta_kind",
     "make_family",
+    "make_batch",
     "family_dim",
     "family_param_names",
     "ge_over_draws",
@@ -328,12 +329,11 @@ class LN:
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        if self.sigma2 == 0.0:
+        if np.ndim(self.sigma2) == 0 and self.sigma2 == 0.0:
             return np.where(x >= math.exp(self.xi), 1.0, 0.0)
-        sigma = math.sqrt(self.sigma2)
         pos = x > 0
         with np.errstate(divide="ignore"):
-            z = (np.log(np.where(pos, x, 1.0)) - self.xi) / sigma
+            z = (np.log(np.where(pos, x, 1.0)) - self.xi) / np.sqrt(self.sigma2)
         out = np.where(pos, special.ndtr(z), 0.0)
         return np.where(np.isposinf(x), 1.0, out)
 
@@ -380,6 +380,20 @@ def make_family(tag: str, vector) -> FamilyParams:
     except KeyError:
         raise ParameterDomainError(f"unknown family tag {tag!r}; expected one of {sorted(FAMILIES)}") from None
     return cls.from_vector(vector)
+
+
+def make_batch(tag: str, matrix: np.ndarray) -> FamilyParams:
+    """Parameters of K units of one family from a native-order (K, d) matrix.
+
+    Each field is a (K, 1) column, so ``cdf`` broadcasts over a leading unit
+    axis: x of shape (K, n) gives one row of n values per unit.  The fields
+    are not validated one by one; the caller checks the matrix once.  Every
+    row must lie in the family's domain, with LN's sigma2 > 0.
+    """
+    cls = FAMILIES[tag]
+    params = object.__new__(cls)
+    vars(params).update(zip(cls.param_names, matrix.T[:, :, None]))
+    return params
 
 
 def family_dim(tag: str) -> int:

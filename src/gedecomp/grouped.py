@@ -6,6 +6,12 @@ location gets an improper flat prior.  The sampler walks log-transformed
 positive parameters (the lognormal location stays on its natural scale) and
 may adapt its proposal during burn-in only, so retained draws always come
 from a fixed kernel.
+
+Units of one family and bracket count are fitted together (``fit_batch``):
+one lockstep random walk over a (K, d) state, with one vectorised log
+density per iteration for all K units.  Each unit keeps its own random
+stream, step sizes and adaptation, so its draws are those of the same unit
+fitted alone (``fit`` is the batch of one).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .distributions import (
     family_dim,
     family_param_names,
     ge_over_draws,
-    make_family,
+    make_batch,
     mean_over_draws,
 )
 
@@ -36,6 +42,7 @@ __all__ = [
     "log_likelihood",
     "log_prior",
     "fit",
+    "fit_batch",
     "posterior_ge",
     "posterior_mean_income",
     "random_walk_chain",
@@ -154,22 +161,28 @@ class PosteriorSummary:
         return self.n_excluded > UNRELIABLE_FRACTION * self.n_draws
 
 
-def log_likelihood(params: FamilyParams, data: GroupedSample) -> float:
+def log_likelihood(params: FamilyParams, data: GroupedSample) -> float | np.ndarray:
     """Grouped-data log likelihood sum_g y_g * log(F(c_g) - F(c_{g-1})).
 
     The open top bracket uses 1 - F(c_{G-1}) exactly.  A bracket with
     positive count but zero model probability yields -inf, never an
     exception; zero-count brackets contribute nothing.
+
+    Also takes K units at once: parameters from ``make_batch`` with data
+    whose boundaries are (K, G+1) and counts (K, G); the result is then one
+    log likelihood per unit.
     """
-    interior = data.boundaries[1:-1]
-    cdf_vals = params.cdf(interior)
-    probs = np.diff(np.concatenate(([0.0], cdf_vals, [1.0])))
+    cdf_vals = params.cdf(data.boundaries[..., 1:-1])
+    cum = np.zeros(cdf_vals.shape[:-1] + (cdf_vals.shape[-1] + 2,))
+    cum[..., 1:-1] = cdf_vals
+    cum[..., -1] = 1.0
+    probs = cum[..., 1:] - cum[..., :-1]
     y = data.counts
     active = y > 0.0
-    if np.any(probs[active] <= 0.0):
-        return -math.inf
-    with np.errstate(divide="ignore"):
-        return float(np.sum(y[active] * np.log(probs[active])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a (rounded) negative probability counts as zero: its term is -inf
+        ll = np.where(active, y * np.log(np.maximum(probs, 0.0)), 0.0).sum(axis=-1)
+    return ll if ll.ndim else float(ll)
 
 
 def _ig11_logpdf(x: float) -> float:
@@ -195,80 +208,118 @@ _COV_REFRESH = 100
 _TARGET_RATE = 0.3
 
 
+def _draw_window(rngs, z_rows, log_u: np.ndarray) -> None:
+    """Fill each unit's next n normal vectors and log uniforms.
+
+    z_rows[k] holds unit k's n (d,) output rows and log_u is (n, K).  Unit
+    k reads its own stream in the order of a chain run alone: one
+    standard_normal(d), then one uniform, every iteration.
+    """
+    for k, (rng, rows) in enumerate(zip(rngs, z_rows)):
+        normal, uniform = rng.standard_normal, rng.random
+        u = []
+        for row in rows:
+            normal(out=row)
+            u.append(uniform())
+        log_u[:, k] = list(map(math.log, u))
+
+
 def random_walk_chain(
     log_density,
     start: np.ndarray,
     step_sizes: np.ndarray,
     iterations: int,
     burnin: int,
-    rng: np.random.Generator,
+    rngs,
     adapt: bool = True,
-) -> tuple[np.ndarray, float]:
-    """Gaussian random-walk Metropolis chain.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian random-walk Metropolis chains for K units in lockstep.
 
-    With adapt=True the proposal is tuned during burn-in: per-parameter
-    steps are rescaled toward ~30% acceptance, and from mid-burn-in on the
-    proposal covariance is estimated from the chain history (the ridge-shaped
-    posteriors of heavy-tailed income fits mix far too slowly under diagonal
-    proposals).  The kernel is frozen once burn-in ends, so retained draws
-    come from a fixed-kernel chain.
+    start and step_sizes are (K, d); log_density maps a (K, d) state to K
+    log densities, and rngs holds one Generator per unit.  The units share
+    only the loop: each reads its own stream and keeps its own proposal.
 
-    Returns (retained draws, post-burn-in acceptance rate).
+    With adapt=True each unit's proposal is tuned during burn-in: its
+    per-parameter steps are rescaled toward ~30% acceptance, and from
+    mid-burn-in on its proposal covariance is estimated from its own chain
+    history (the ridge-shaped posteriors of heavy-tailed income fits mix far
+    too slowly under diagonal proposals).  The kernel is frozen once burn-in
+    ends, so retained draws come from a fixed-kernel chain.
+
+    Returns (retained draws (K, iterations - burnin, d), post-burn-in
+    acceptance rate per unit).
     """
-    start = np.asarray(start, dtype=float)
-    d = len(start)
-    t = start.copy()
-    lp = float(log_density(t))
-    if not math.isfinite(lp):
-        raise ValueError("log density is not finite at the starting point")
+    t = np.array(start, dtype=float)
+    n_units, d = t.shape
+    lp = log_density(t)
+    if not np.all(np.isfinite(lp)):
+        raise ValueError(f"log density is not finite at the starting point of row {np.argmin(np.isfinite(lp))}")
 
-    steps = np.asarray(step_sizes, dtype=float).copy()
-    scale = 1.0
-    chol = None
+    steps = np.array(step_sizes, dtype=float)
+    scale = np.ones((n_units, 1))
+    chol = np.zeros((n_units, d, d))
+    has_chol = np.zeros(n_units, dtype=bool)
+    n_chol = 0
     cov_phase_start = max(burnin // 2, 2 * _ADAPT_WINDOW) if adapt else iterations
-    history = np.empty((burnin, d)) if (adapt and burnin > 0) else None
+    history = np.empty((n_units, burnin, d)) if (adapt and burnin > 0) else None
 
-    kept = np.empty((iterations - burnin, d))
-    accepted_window = 0
-    accepted_kept = 0
+    kept = None
+    accepted_window = np.zeros(n_units, dtype=np.int64)
+    accepted_kept = np.zeros(n_units, dtype=np.int64)
+    z_window = np.empty((_ADAPT_WINDOW, n_units, d))
+    log_u_window = np.empty((_ADAPT_WINDOW, n_units))
+    z_rows = [list(z_window[:, k]) for k in range(n_units)]
 
     for i in range(iterations):
-        z = rng.standard_normal(d)
-        proposal = t + steps * z if chol is None else t + scale * (chol @ z)
-        lp_prop = float(log_density(proposal))
-        if math.log(rng.uniform()) < lp_prop - lp:
-            t = proposal
-            lp = lp_prop
-            if i >= burnin:
-                accepted_kept += 1
-            else:
-                accepted_window += 1
-
-        if i < burnin:
-            if history is not None:
-                history[i] = t
-            if adapt:
-                if (i + 1) % _ADAPT_WINDOW == 0:
-                    rate = accepted_window / _ADAPT_WINDOW
-                    accepted_window = 0
-                    factor = float(np.clip(math.exp(0.66 * (rate - _TARGET_RATE)), 0.5, 2.0))
-                    if chol is None:
-                        steps *= factor
-                    else:
-                        scale = float(np.clip(scale * factor, 0.1, 10.0))
-                if i + 1 >= cov_phase_start and (i + 1) % _COV_REFRESH == 0:
-                    window = history[(i + 1) // 2 : i + 1]
-                    cov = np.cov(window.T).reshape(d, d)
-                    cov += 1e-12 * np.eye(d) * max(1.0, np.trace(cov))
-                    try:
-                        chol = np.linalg.cholesky((2.38**2 / d) * cov)
-                    except np.linalg.LinAlgError:
-                        pass
+        j = i % _ADAPT_WINDOW
+        if j == 0:
+            n = min(_ADAPT_WINDOW, iterations - i)
+            _draw_window(rngs, [rows[:n] for rows in z_rows], log_u_window[:n])
+        z = z_window[j]
+        if n_chol == 0:
+            proposal = t + steps * z
         else:
-            kept[i - burnin] = t
+            rotated = t + scale * np.matmul(chol, z[:, :, None])[:, :, 0]
+            proposal = rotated if n_chol == n_units else np.where(has_chol[:, None], rotated, t + steps * z)
+        lp_prop = log_density(proposal)
+        accept = log_u_window[j] < lp_prop - lp
+        if accept.any():
+            t = np.where(accept[:, None], proposal, t)
+            lp = np.where(accept, lp_prop, lp)
 
-    acc_rate = accepted_kept / max(iterations - burnin, 1)
-    return kept, acc_rate
+        if i >= burnin:
+            if kept is None:
+                history = None  # freed before the retained draws are allocated
+                kept = np.empty((n_units, iterations - burnin, d))
+            kept[:, i - burnin] = t
+            accepted_kept += accept
+            continue
+        accepted_window += accept
+        if history is not None:
+            history[:, i] = t
+        if not adapt:
+            continue
+        if (i + 1) % _ADAPT_WINDOW == 0:
+            for k in range(n_units):
+                rate = int(accepted_window[k]) / _ADAPT_WINDOW
+                factor = float(np.clip(math.exp(0.66 * (rate - _TARGET_RATE)), 0.5, 2.0))
+                if has_chol[k]:
+                    scale[k] = float(np.clip(scale[k, 0] * factor, 0.1, 10.0))
+                else:
+                    steps[k] *= factor
+            accepted_window[:] = 0
+        if i + 1 >= cov_phase_start and (i + 1) % _COV_REFRESH == 0:
+            for k in range(n_units):
+                cov = np.cov(history[k, (i + 1) // 2 : i + 1].T).reshape(d, d)
+                cov += 1e-12 * np.eye(d) * max(1.0, np.trace(cov))
+                try:
+                    chol[k] = np.linalg.cholesky((2.38**2 / d) * cov)
+                except np.linalg.LinAlgError:
+                    continue
+                has_chol[k] = True
+            n_chol = int(has_chol.sum())
+
+    return kept, accepted_kept / max(iterations - burnin, 1)
 
 
 def _bracket_quantile(data: GroupedSample, prob: float) -> float | None:
@@ -331,24 +382,26 @@ def _to_chain_space(family: str, params_vec: np.ndarray) -> np.ndarray:
 
 
 def _from_chain_space(family: str, t: np.ndarray) -> np.ndarray:
+    """Natural parameters of chain states stacked along the last axis."""
+    natural = np.exp(t)
     if family == "ln":
-        return np.array([t[0], math.exp(t[1])])
-    return np.exp(t)
+        natural[..., 0] = t[..., 0]
+    return natural
 
 
-def _chain_log_jacobian(family: str, t: np.ndarray) -> float:
-    # change of variables for the log-transformed positive parameters
-    if family == "ln":
-        return float(t[1])
-    return float(np.sum(t))
+def _chain_log_prior(family: str, t: np.ndarray, natural: np.ndarray) -> np.ndarray:
+    """log_prior plus the log Jacobian of the log transform, per chain state.
 
-
-def fit(family: str, data: GroupedSample, config: McmcConfig) -> PosteriorDraws:
-    """Posterior sampling for one unit's grouped data.
-
-    Deterministic given config.seed.  Raises UnderIdentifiedError when the
-    family has more parameters than free bracket cells.
+    For a positive parameter x = exp(t) the IG(1, 1) term -2 log x - 1/x and
+    the Jacobian term t add up to -(t + 1/x).
     """
+    if family == "ln":
+        return -(t[:, 1] + 1.0 / natural[:, 1])
+    return -(t + 1.0 / natural).sum(axis=1)
+
+
+def _check_unit(family: str, data: GroupedSample, config: McmcConfig) -> None:
+    """Raise when a unit cannot be fitted, before any sampling."""
     if family not in FAMILIES:
         raise ParameterDomainError(f"unknown family tag {family!r}")
     dim = family_dim(family)
@@ -356,54 +409,103 @@ def fit(family: str, data: GroupedSample, config: McmcConfig) -> PosteriorDraws:
         raise UnderIdentifiedError(
             f"{family} needs at least {dim + 1} brackets, got {data.n_brackets}"
         )
+    if config.step_sizes is not None and len(config.step_sizes) != dim:
+        raise ValueError(f"expected {dim} step sizes for family {family!r}, got {len(config.step_sizes)}")
 
-    boundaries_interior = data.boundaries[1:-1]
 
-    def log_density(t: np.ndarray) -> float:
+@dataclass(frozen=True)
+class _SampleStack:
+    """Boundaries (K, G+1) and counts (K, G) of K samples, for log_likelihood."""
+
+    boundaries: np.ndarray
+    counts: np.ndarray
+
+
+def _chain_log_density(family: str, samples):
+    """Log posterior of K samples with G brackets each, as a map (K, d) -> (K,).
+
+    Row k is a chain state of unit k.  Rows off the parameter domain
+    (non-finite or nonpositive natural parameters, LN's sigma2 = 0) get
+    -inf, found from the whole matrix at once.
+    """
+    stack = _SampleStack(
+        np.array([data.boundaries for data in samples]), np.array([data.counts for data in samples])
+    )
+    # open lower bounds of the natural parameters
+    lower = np.array([-math.inf, 0.0]) if family == "ln" else np.zeros(family_dim(family))
+
+    def log_density(t: np.ndarray) -> np.ndarray:
         natural = _from_chain_space(family, t)
-        if not np.all(np.isfinite(natural)):
-            return -math.inf
-        try:
-            params = make_family(family, natural)
-        except ParameterDomainError:
-            return -math.inf
-        if isinstance(params, LN) and params.sigma2 == 0.0:
-            return -math.inf  # fitting rejects the degenerate case
-        ll = log_likelihood(params, data)
-        if not math.isfinite(ll):
-            return -math.inf
-        return ll + log_prior(params) + _chain_log_jacobian(family, t)
+        inside = (natural > lower) & (natural < math.inf)
+        if inside.all():
+            ll = log_likelihood(make_batch(family, natural), stack)
+        else:
+            ok = np.logical_and.reduce(inside, axis=1)
+            natural = np.where(ok[:, None], natural, 1.0)
+            ll = np.where(ok, log_likelihood(make_batch(family, natural), stack), -math.inf)
+        # fmax turns NaN (a cdf that failed at extreme parameters) into -inf
+        return np.fmax(ll + _chain_log_prior(family, t, natural), -math.inf)
 
-    start_natural = _initial_guess(family, data)
-    start = _to_chain_space(family, start_natural)
-    if not math.isfinite(log_density(start)):
-        start = _to_chain_space(family, np.ones(dim) if family != "ln" else np.array([0.0, 1.0]))
-    steps = np.asarray(config.step_sizes if config.step_sizes is not None else [0.1] * dim, dtype=float)
-    if len(steps) != dim:
-        raise ValueError(f"expected {dim} step sizes for family {family!r}, got {len(steps)}")
+    return log_density
 
-    rng = np.random.default_rng(config.seed)
-    chain, acc_rate = random_walk_chain(
-        log_density,
-        start,
-        steps,
-        config.iterations,
-        config.burnin,
-        rng,
-        adapt=config.adapt,
-    )
-    if family == "ln":
-        draws = np.column_stack([chain[:, 0], np.exp(chain[:, 1])])
-    else:
-        draws = np.exp(chain)
-    return PosteriorDraws(
-        family=family,
-        unit=data.unit,
-        draws=draws,
-        param_names=family_param_names(family),
-        acceptance_rate=acc_rate,
-        config=config,
-    )
+
+def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
+    """Posterior sampling for K units of one family in one lockstep chain.
+
+    The units need the same number of brackets, and their configs may differ
+    only in seed and step_sizes.  Each unit's draws equal those of
+    ``fit(family, sample, config)``: the batch shares the loop and the
+    vectorised log density, not the randomness or the adaptation.  Raises
+    UnderIdentifiedError when the family has more parameters than free
+    bracket cells, and ValueError naming the unit whose log density is not
+    finite at its start.
+    """
+    samples, configs = list(samples), list(configs)
+    if not samples or len(samples) != len(configs):
+        raise ValueError("need one config per sample, and at least one sample")
+    for data, config in zip(samples, configs):
+        _check_unit(family, data, config)
+    shared = {(c.iterations, c.burnin, c.adapt) for c in configs}
+    if len(shared) > 1:
+        raise ValueError("configs in one batch may differ only in seed and step_sizes")
+    if len({data.n_brackets for data in samples}) > 1:
+        raise ValueError("samples in one batch need the same number of brackets")
+    iterations, burnin, adapt = shared.pop()
+    dim = family_dim(family)
+    log_density = _chain_log_density(family, samples)
+    start = np.array([_to_chain_space(family, _initial_guess(family, data)) for data in samples])
+    bad = ~np.isfinite(log_density(start))
+    if bad.any():
+        start[bad] = _to_chain_space(family, np.ones(dim) if family != "ln" else np.array([0.0, 1.0]))
+        for k in np.flatnonzero(bad & ~np.isfinite(log_density(start))):
+            raise ValueError(f"unit {samples[k].unit!r}: log density is not finite at the starting point")
+    steps = np.array([c.step_sizes if c.step_sizes is not None else [0.1] * dim for c in configs], dtype=float)
+
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    draws, acc_rates = random_walk_chain(log_density, start, steps, iterations, burnin, rngs, adapt=adapt)
+    # to natural parameters in place, so the batch never holds its draws twice
+    positive = draws[..., 1] if family == "ln" else draws
+    np.exp(positive, out=positive)
+    return [
+        PosteriorDraws(
+            family=family,
+            unit=data.unit,
+            draws=draws[k],
+            param_names=family_param_names(family),
+            acceptance_rate=float(acc_rates[k]),
+            config=config,
+        )
+        for k, (data, config) in enumerate(zip(samples, configs))
+    ]
+
+
+def fit(family: str, data: GroupedSample, config: McmcConfig) -> PosteriorDraws:
+    """Posterior sampling for one unit's grouped data (a batch of one).
+
+    Deterministic given config.seed.  Raises UnderIdentifiedError when the
+    family has more parameters than free bracket cells.
+    """
+    return fit_batch(family, [data], [config])[0]
 
 
 def _summarize(values: np.ndarray, ok: np.ndarray) -> PosteriorSummary:

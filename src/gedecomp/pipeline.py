@@ -24,14 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import benchmark
-from .distributions import _gb2_ge_vec, _require_positive
+from .distributions import _gb2_ge_vec, _require_positive, theta_kind
 from .grouped import (
     GroupedSample,
     McmcConfig,
     PosteriorDraws,
     PosteriorSummary,
+    _check_unit,
     config_for_unit,
     fit,
+    fit_batch,
     posterior_ge,
     posterior_mean_income,
 )
@@ -132,22 +134,42 @@ class FittedHierarchy:
 def fit_hierarchy(root: HierarchyNode, mcmc: McmcConfig, levels: tuple[str, ...] = LEVELS) -> FittedHierarchy:
     """Fit every node at the requested levels.
 
-    Per-node seeds derive from mcmc.seed and the node id, so each fit is
-    independent of which other nodes are fitted.
+    Nodes of one family and bracket count share one lockstep chain
+    (grouped.fit_batch); a node alone in its group goes through grouped.fit,
+    the same chain as a batch of one, so per-unit instrumentation of ``fit``
+    still sees it.  Per-node seeds derive from mcmc.seed and the node id,
+    and a node's draws do not depend on its batch-mates, so each fit is
+    independent of which other nodes are fitted.  Every node is checked in
+    walk order before any sampling; a failure while sampling names the
+    batch's family, and the node if it is a start failure.
     """
     validate_tree(root)
-    draws = {}
+    batches: dict[tuple[str, int], list] = {}
     for node in root.walk():
         if node.level not in levels:
             continue
         sample = node.data
         if sample.unit != node.id:
             sample = GroupedSample(sample.boundaries, sample.counts, node.id)
+        config = config_for_unit(mcmc, mcmc.seed, node.id)
         try:
-            draws[node.id] = fit(node.family, sample, config_for_unit(mcmc, mcmc.seed, node.id))
+            _check_unit(node.family, sample, config)
         except Exception as exc:
             raise PipelineError(f"node {node.id!r}: {exc}") from exc
-    return FittedHierarchy(root=root, draws=draws, mcmc=mcmc)
+        batches.setdefault((node.family, sample.n_brackets), []).append((sample, config))
+    draws = {}
+    for (family, _), members in batches.items():
+        samples, configs = zip(*members)
+        try:
+            if len(members) == 1:
+                fits = [fit(family, samples[0], configs[0])]
+            else:
+                fits = fit_batch(family, samples, configs)
+        except Exception as exc:
+            raise PipelineError(f"{family} fit: {exc}") from exc
+        draws.update((d.unit, d) for d in fits)
+    ordered = {node.id: draws[node.id] for node in root.walk() if node.id in draws}
+    return FittedHierarchy(root=root, draws=ordered, mcmc=mcmc)
 
 
 @dataclass(frozen=True)
@@ -303,6 +325,7 @@ def assemble(fitted: FittedHierarchy, theta: float, method: str, phi="uniform") 
     incomes; the method's rule (see _step) then sets the children's
     reported GE.  phi is used by ``proposed`` only.
     """
+    theta_kind(theta)  # rejects a non-finite theta
     _method_levels(method)
     mixture = method == "mixture"
     flags: list[str] = []
@@ -446,6 +469,9 @@ def ge_surface(family: str, a_values, q_values, b: float, thetas) -> list[GeSurf
     """
     if family != "sm":
         raise ValueError("parameter surfaces are defined for the 'sm' family")
+    thetas = [float(theta) for theta in thetas]
+    for theta in thetas:
+        theta_kind(theta)  # rejects a non-finite theta
     a_values = np.asarray(a_values, dtype=float)
     q_values = np.asarray(q_values, dtype=float)
     for name, values in (("a", a_values), ("b", (b,)), ("q", q_values)):
@@ -454,7 +480,7 @@ def ge_surface(family: str, a_values, q_values, b: float, thetas) -> list[GeSurf
     a, q = np.meshgrid(a_values, q_values)
     return [
         GeSurface(
-            theta=float(theta),
+            theta=theta,
             b=float(b),
             a_values=a_values,
             q_values=q_values,

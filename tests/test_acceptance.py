@@ -28,7 +28,7 @@ from gedecomp.grouped import (
     GroupedSample,
     McmcConfig,
     derive_seed,
-    fit,
+    fit_batch,
     posterior_ge,
     posterior_mean_income,
 )
@@ -271,8 +271,7 @@ def test_criterion_6_closed_forms_vs_oracles():
 
 def test_criterion_7_bias_direction_and_benchmark_gain():
     n_regions = 5
-    rd_plain = {-1.0: [], 2.0: []}
-    rd_bench = {-1.0: [], 2.0: []}
+    trials = []
     for seed in range(10):
         rng = np.random.default_rng(seed)
         truths = [
@@ -292,12 +291,25 @@ def test_criterion_7_bias_direction_and_benchmark_gain():
             for j, x in enumerate(xs)
         ]
         country = GroupedSample(bounds, np.histogram(pooled, bins=bounds)[0].astype(float), "c")
-        shares = pops / pops.sum()
+        trials.append((seed, samples, country, pops / pops.sum()))
 
-        country_draws = fit("gb2", country, McmcConfig(seed=derive_seed(seed, "country")))
-        sm_draws = [fit("sm", s, McmcConfig(seed=derive_seed(seed, "sm" + s.unit))) for s in samples]
-        ln_draws = [fit("ln", s, McmcConfig(seed=derive_seed(seed, "ln" + s.unit))) for s in samples]
+    # every fit of one family runs in one lockstep batch; draws equal single fits
+    country_fits = fit_batch(
+        "gb2", [country for _, _, country, _ in trials],
+        [McmcConfig(seed=derive_seed(seed, "country")) for seed, *_ in trials],
+    )
+    family_fits = {}
+    for family in ("sm", "ln"):
+        draws = fit_batch(
+            family, [s for _, samples, _, _ in trials for s in samples],
+            [McmcConfig(seed=derive_seed(seed, family + s.unit)) for seed, samples, _, _ in trials for s in samples],
+        )
+        family_fits[family] = [draws[i : i + n_regions] for i in range(0, len(draws), n_regions)]
 
+    rd_plain = {-1.0: [], 2.0: []}
+    rd_bench = {-1.0: [], 2.0: []}
+    for i, (_, _, _, shares) in enumerate(trials):
+        country_draws, sm_draws, ln_draws = country_fits[i], family_fits["sm"][i], family_fits["ln"][i]
         for theta in (-1.0, 2.0):
             benchmark_total = posterior_ge(country_draws, theta).value
 
@@ -342,22 +354,26 @@ def test_criterion_7_bias_direction_and_benchmark_gain():
 def test_criterion_8_parameter_recovery():
     rng = np.random.default_rng(2024)
     n = 50_000
-    sm_errors = []
-    for trial in range(20):
-        truth = SM(rng.uniform(1.6, 3.0), rng.uniform(2.5, 7.0), rng.uniform(1.2, 2.6))
-        x = truth.sample(n, np.random.default_rng(1_000 + trial))
-        data = quantile_bracket_sample(x, 10, f"sm{trial}")
-        draws = fit("sm", data, McmcConfig(seed=trial))
-        sm_errors.append(np.abs(draws.param_means() - truth.to_vector()) / truth.to_vector())
-    sm_mean = np.array(sm_errors).mean(axis=0)
 
-    ln_errors = []
-    for trial in range(20):
-        truth = LN(rng.uniform(0.5, 1.8), rng.uniform(0.2, 0.8))
-        x = truth.sample(n, np.random.default_rng(2_000 + trial))
-        data = quantile_bracket_sample(x, 10, f"ln{trial}")
-        draws = fit("ln", data, McmcConfig(seed=trial))
-        ln_errors.append(np.abs(draws.param_means() - truth.to_vector()) / np.abs(truth.to_vector()))
+    def recovery_errors(family, draw_truth, sample_seed):
+        # the 20 trials of one family run as one lockstep batch
+        truths, samples = [], []
+        for trial in range(20):
+            truth = draw_truth()
+            x = truth.sample(n, np.random.default_rng(sample_seed + trial))
+            truths.append(truth)
+            samples.append(quantile_bracket_sample(x, 10, f"{family}{trial}"))
+        fits = fit_batch(family, samples, [McmcConfig(seed=trial) for trial in range(20)])
+        return [
+            np.abs(draws.param_means() - truth.to_vector()) / np.abs(truth.to_vector())
+            for draws, truth in zip(fits, truths)
+        ]
+
+    sm_errors = recovery_errors(
+        "sm", lambda: SM(rng.uniform(1.6, 3.0), rng.uniform(2.5, 7.0), rng.uniform(1.2, 2.6)), 1_000
+    )
+    sm_mean = np.array(sm_errors).mean(axis=0)
+    ln_errors = recovery_errors("ln", lambda: LN(rng.uniform(0.5, 1.8), rng.uniform(0.2, 0.8)), 2_000)
     ln_mean = np.array(ln_errors).mean(axis=0)
 
     ok = bool(np.all(sm_mean < 0.05) and np.all(ln_mean < 0.05))

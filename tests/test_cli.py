@@ -158,6 +158,16 @@ def test_surface_command(tmp_path, capsys):
     assert any(row[3] != "" and float(row[3]) > 0 for row in cells)
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_surface_rejects_nonfinite_theta(tmp_path, capsys, theta):
+    out_dir = tmp_path / "surf"
+    code = main(["surface", "--a-num", "3", "--q-num", "3", "--theta", "1", "--theta", theta, "--out", str(out_dir)])
+    doc = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert doc["error"] == "ValueError" and "finite" in doc["message"]
+    assert not (out_dir / "surface.csv").exists()
+
+
 def test_structured_error_and_exit_code(tmp_path, capsys):
     code = main(["pipeline", "--manifest", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()

@@ -1,21 +1,25 @@
 """Grouped likelihood, priors, and the random-walk MH sampler."""
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import gedecomp as g
-from gedecomp.distributions import LN, SM
+from gedecomp.distributions import LN, SM, make_batch, make_family
 from gedecomp.grouped import (
     GroupedSample,
     McmcConfig,
     PosteriorDraws,
     UnderIdentifiedError,
+    _chain_log_density,
     config_for_unit,
     derive_seed,
     fit,
+    fit_batch,
     log_likelihood,
     log_prior,
     posterior_ge,
@@ -86,6 +90,45 @@ def test_loglik_zero_count_brackets_contribute_nothing():
     assert_allclose(log_likelihood(dist, data), 3.0 * math.log(1.0), atol=1e-15)
 
 
+def test_loglik_batch_matches_each_unit():
+    inf = np.inf
+    samples = [
+        GroupedSample([0, 1, 2, 3, 5, 8, inf], [2.0, 4.0, 6.0, 5.0, 2.0, 1.0]),
+        GroupedSample([0, 0.5, 2, 4, 6, 9, inf], [0.0, 4.0, 0.0, 5.0, 2.0, 3.0]),  # zero counts
+        GroupedSample([0, 1, 2, 3, 5, 1e17, inf], [5.0, 0.0, 0.0, 0.0, 0.0, 5.0]),  # -inf at unit shapes
+    ]
+    stack = SimpleNamespace(boundaries=np.array([x.boundaries for x in samples]),
+                            counts=np.array([x.counts for x in samples]))
+    for tag, rows in (("gb2", [[2.0, 3.0, 0.8, 1.5], [1.5, 4.0, 1.2, 2.0], [1.0, 1.0, 1.0, 1.0]]),
+                      ("sm", [[2.0, 3.0, 1.5], [1.5, 4.0, 2.0], [1.0, 1.0, 1.0]]),
+                      ("ln", [[1.0, 0.5], [0.2, 0.3], [0.0, 1.0]])):
+        matrix = np.array(rows)
+        batched = log_likelihood(make_batch(tag, matrix), stack)
+        single = [log_likelihood(make_family(tag, row), x) for row, x in zip(matrix, samples)]
+        assert batched.shape == (3,)
+        assert_allclose(batched, single, rtol=1e-13)
+        assert batched[2] == -math.inf
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+def test_chain_log_density_rejects_rows_off_the_domain():
+    inf = np.inf
+    # all mass in one bracket: a = inf puts all model mass there too, so the
+    # likelihood alone would be finite
+    one_bracket = GroupedSample([0, 1, 2, 3, 5, 8, inf], [0.0, 0.0, 5.0, 0.0, 0.0, 0.0])
+    density = _chain_log_density("gb2", [one_bracket] * 4)
+    t = np.log(np.tile([2.0, 2.5, 1.0, 1.5], (4, 1)))
+    t[1, 0] = 800.0  # a = inf
+    t[2, 1] = -800.0  # b = 0
+    t[3, 3] = np.nan
+    lp = density(t)
+    assert math.isfinite(lp[0])
+    assert np.all(lp[1:] == -math.inf)
+    assert lp[0] == _chain_log_density("gb2", [one_bracket])(t[:1])[0]
+    ln = _chain_log_density("ln", [one_bracket] * 2)(np.array([[1.0, 0.0], [1.0, -800.0]]))  # sigma2 = 0
+    assert math.isfinite(ln[0]) and ln[1] == -math.inf
+
+
 def test_loglik_count_scaling():
     dist = SM(2.0, 3.0, 1.5)
     data = quantile_bracket_sample(dist, 5_000, 8, seed=1)
@@ -150,39 +193,92 @@ def test_prior_flat_in_ln_location():
 # ---------------------------------------------------------------------------
 
 def test_chain_normal_target_conjugate_mean():
-    log_density = lambda t: -0.5 * ((t[0] - 3.0) / 2.0) ** 2
+    log_density = lambda t: -0.5 * ((t[:, 0] - 3.0) / 2.0) ** 2
     draws, rate = random_walk_chain(
-        log_density, np.array([0.0]), np.array([1.0]), 20_000, 4_000, np.random.default_rng(0)
+        log_density, np.array([[0.0]]), np.array([[1.0]]), 20_000, 4_000, [np.random.default_rng(0)]
     )
+    assert draws.shape == (1, 16_000, 1)
     assert abs(draws.mean() - 3.0) < 0.15
     assert abs(draws.std() - 2.0) < 0.2
-    assert 0.1 < rate < 0.6
+    assert 0.1 < rate[0] < 0.6
 
 
 def test_chain_beta_target_mean():
     def log_density(t):
-        x = t[0]
-        if not 0.0 < x < 1.0:
-            return -math.inf
-        return 4.0 * math.log(x) + 2.0 * math.log1p(-x)  # Beta(5, 3)
+        x = t[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where((0.0 < x) & (x < 1.0), 4.0 * np.log(x) + 2.0 * np.log1p(-x), -math.inf)  # Beta(5, 3)
 
     draws, _ = random_walk_chain(
-        log_density, np.array([0.5]), np.array([0.2]), 20_000, 4_000, np.random.default_rng(1)
+        log_density, np.array([[0.5]]), np.array([[0.2]]), 20_000, 4_000, [np.random.default_rng(1)]
     )
     assert abs(draws.mean() - 5.0 / 8.0) < 0.02
 
 
 def test_chain_without_adaptation_keeps_fixed_kernel():
-    log_density = lambda t: -0.5 * float(t @ t)
+    log_density = lambda t: -0.5 * (t * t).sum(axis=1)
     draws, _ = random_walk_chain(
-        log_density, np.zeros(2), np.array([0.8, 0.8]), 5_000, 1_000, np.random.default_rng(2), adapt=False
+        log_density, np.zeros((1, 2)), np.array([[0.8, 0.8]]), 5_000, 1_000, [np.random.default_rng(2)], adapt=False
     )
-    assert abs(draws.mean(axis=0)).max() < 0.2
+    assert abs(draws[0].mean(axis=0)).max() < 0.2
+
+
+def test_chain_rows_match_chains_run_alone():
+    # a correlated Gaussian per row, so the covariance adaptation engages
+    centres = np.array([[1.0, -2.0], [0.0, 5.0], [3.0, 3.0]])
+    precision = np.array([[[2.0, 1.8], [1.8, 2.0]], [[1.0, 0.0], [0.0, 4.0]], [[5.0, -2.0], [-2.0, 1.0]]])
+
+    def density_of(rows):
+        def log_density(t):  # elementwise per row, so a row's value cannot depend on the others
+            r0, r1 = (t - centres[rows]).T
+            p = precision[rows]
+            return -0.5 * (p[:, 0, 0] * r0 * r0 + 2.0 * p[:, 0, 1] * r0 * r1 + p[:, 1, 1] * r1 * r1)
+        return log_density
+
+    starts = np.zeros((3, 2))
+    steps = np.array([[0.1, 0.1], [0.5, 0.2], [1.0, 1.0]])
+    seeds = (7, 8, 9)
+    for adapt in (True, False):
+        together, rates = random_walk_chain(
+            density_of([0, 1, 2]), starts, steps, 1_200, 400, [np.random.default_rng(s) for s in seeds], adapt
+        )
+        for k in range(3):
+            alone, rate = random_walk_chain(
+                density_of([k]), starts[k : k + 1], steps[k : k + 1], 1_200, 400, [np.random.default_rng(seeds[k])], adapt
+            )
+            assert np.array_equal(together[k], alone[0])
+            assert rates[k] == rate[0]
+
+
+def test_chain_reads_each_stream_in_single_chain_order():
+    # a flat density accepts every proposal, so without adaptation each row is
+    # its start plus the cumulated steps * normals of its own stream, read as
+    # one standard_normal(d) and then one uniform per iteration; the burn-in
+    # spans two adaptation windows and a covariance refresh, which adapt=False
+    # must skip
+    starts = np.array([[0.0, 1.0, 2.0], [5.0, -1.0, 0.5]])
+    steps = np.array([[0.1, 0.2, 0.3], [1.0, 1.0, 1.0]])
+    seeds = (3, 4)
+    draws, rates = random_walk_chain(
+        lambda t: np.zeros(len(t)), starts, steps, 230, 120, [np.random.default_rng(s) for s in seeds], adapt=False
+    )
+    assert np.array_equal(rates, [1.0, 1.0])
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        t = starts[k]
+        expected = []
+        for _ in range(230):
+            t = t + steps[k] * rng.standard_normal(3)
+            rng.uniform()
+            expected.append(t)
+        assert np.array_equal(draws[k], np.array(expected[120:]))
 
 
 def test_chain_rejects_bad_start():
     with pytest.raises(ValueError):
-        random_walk_chain(lambda t: -math.inf, np.zeros(1), np.ones(1), 100, 10, np.random.default_rng(0))
+        random_walk_chain(
+            lambda t: np.full(len(t), -math.inf), np.zeros((1, 1)), np.ones((1, 1)), 100, 10, [np.random.default_rng(0)]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +302,23 @@ def test_fit_under_identification():
     # 3 free cells support the 3-parameter family
     draws = fit("sm", data, McmcConfig(iterations=200, burnin=50, seed=0))
     assert draws.n_draws == 150
+
+
+def test_fit_batch_checks_its_units():
+    inf = np.inf
+    good = GroupedSample([0, 1, 2, inf], [3.0, 4.0, 3.0], "good")
+    # all mass beyond where the start's cdf rounds to 1: -inf at both starts
+    stuck = GroupedSample([0, 1, 1e17, inf], [5.0, 0.0, 5.0], "stuck")
+    cfg = McmcConfig(iterations=200, burnin=50)
+    with pytest.raises(ValueError, match="unit 'stuck'"):
+        fit_batch("ln", [good, stuck], [cfg, replace(cfg, seed=1)])
+    with pytest.raises(ValueError, match="same number of brackets"):
+        fit_batch("ln", [good, GroupedSample([0, 1, 2, 3, inf], [1.0, 1.0, 1.0, 1.0], "four")], [cfg, cfg])
+    with pytest.raises(ValueError, match="one config per sample"):
+        fit_batch("ln", [good, good], [cfg])
+    with pytest.raises(UnderIdentifiedError):
+        fit_batch("gb2", [good], [cfg])
+    assert [d.unit for d in fit_batch("ln", [good, good], [cfg, replace(cfg, seed=1)])] == ["good", "good"]
 
 
 def test_fit_rejects_unknown_family():

@@ -1,6 +1,7 @@
 """Multilevel pipeline: nested exactness, residual accounting, diagnostics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import gedecomp as g
 from gedecomp.distributions import MomentExistenceError, ParameterDomainError
-from gedecomp.grouped import GroupedSample, McmcConfig, PosteriorDraws
+from gedecomp.grouped import GroupedSample, McmcConfig, PosteriorDraws, config_for_unit, fit, fit_batch
 from gedecomp.pipeline import (
     FittedHierarchy,
     HierarchyNode,
@@ -96,7 +97,7 @@ def test_duplicate_ids_rejected():
         fit_hierarchy(country, FAST_MCMC)
 
 
-def test_fit_errors_carry_node_id():
+def test_fit_errors_carry_node_id(monkeypatch):
     # a 4-bracket sample cannot identify the 4-parameter family
     short = GroupedSample([0.0, 1.0, 2.0, 3.0, np.inf], [1.0, 2.0, 2.0, 1.0], "leaf9")
     leaf = HierarchyNode("leaf9", "subregion", 100.0, "gb2", short)
@@ -104,6 +105,38 @@ def test_fit_errors_carry_node_id():
     country = HierarchyNode("c9", "country", 100.0, "gb2", toy_sample("c9"), (region,))
     with pytest.raises(PipelineError, match="leaf9"):
         fit_hierarchy(country, FAST_MCMC, levels=("subregion",))
+
+    def country_over(leaves):
+        pop = sum(l.population for l in leaves)
+        region = HierarchyNode("reg8", "region", pop, "sm", toy_sample("reg8"), tuple(leaves))
+        return HierarchyNode("c8", "country", pop, "gb2", toy_sample("c8"), (region,))
+
+    def gb2_leaf(node_id, sample=None):
+        return HierarchyNode(node_id, "subregion", 100.0, "gb2", sample or toy_sample(node_id))
+
+    # an under-identified gb2 leaf among well-posed gb2 siblings
+    tree = country_over([gb2_leaf("ok1"), gb2_leaf("leaf9", short), gb2_leaf("ok2")])
+    with pytest.raises(PipelineError, match="leaf9") as info:
+        fit_hierarchy(tree, FAST_MCMC, levels=("subregion",))
+    assert "ok1" not in str(info.value) and "ok2" not in str(info.value)
+    # a leaf whose log density is -inf at both starts, inside one batch: its
+    # top bracket lies where the start's cdf rounds to 1
+    stuck = GroupedSample([0.0, 1.0, 2.0, 3.0, 5.0, 1e17, np.inf], [5.0, 0.0, 0.0, 0.0, 0.0, 5.0], "leaf7")
+    tree = country_over([gb2_leaf("ok1"), gb2_leaf("leaf7", stuck), gb2_leaf("ok2")])
+    with pytest.raises(PipelineError, match="leaf7") as info:
+        fit_hierarchy(tree, FAST_MCMC, levels=("subregion",))
+    assert "ok1" not in str(info.value) and "ok2" not in str(info.value)
+    # the same leaf alone in its group, fitted through fit
+    with pytest.raises(PipelineError, match="leaf7"):
+        fit_hierarchy(country_over([gb2_leaf("leaf7", stuck)]), FAST_MCMC, levels=("subregion",))
+
+    # a failure of any type while sampling a batch is a PipelineError
+    def failing_batch(family, samples, configs):
+        raise FloatingPointError("overflow")
+
+    monkeypatch.setattr(g.pipeline, "fit_batch", failing_batch)
+    with pytest.raises(PipelineError, match="gb2 fit: overflow"):
+        fit_hierarchy(country_over([gb2_leaf("ok1"), gb2_leaf("ok2")]), FAST_MCMC, levels=("subregion",))
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +336,16 @@ def test_unit_without_usable_draws_fails_loudly():
         assemble(fitted, 1.0, "mixture")
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_nonfinite_theta_rejected_by_every_method(small_fitted, theta):
+    _, fitted = small_fitted
+    for method in ("proposed", "separate", "mixture"):
+        with pytest.raises(ValueError, match="must be finite"):
+            assemble(fitted, theta, method)
+    with pytest.raises(ValueError, match="must be finite"):
+        ge_surface("sm", [2.0], [2.0], 3.0, (1.0, theta))
+
+
 def test_bw_ratio_lookup(small_fitted):
     _, fitted = small_fitted
     report = assemble(fitted, 1.0, "proposed")
@@ -392,6 +435,46 @@ def test_pipeline_deterministic(small_fitted):
     again = fit_hierarchy(data.root, FAST_MCMC)
     for node_id, draws in fitted.draws.items():
         assert np.array_equal(draws.draws, again.draws[node_id].draws)
+
+
+def test_batched_fits_equal_fits_run_alone(small_fitted):
+    data, fitted = small_fitted
+    for node in data.root.walk():
+        alone = fit(node.family, node.data, config_for_unit(FAST_MCMC, FAST_MCMC.seed, node.id))
+        assert np.array_equal(fitted.draws[node.id].draws, alone.draws)
+        assert fitted.draws[node.id].acceptance_rate == alone.acceptance_rate
+
+
+def test_sibling_order_leaves_draws_unchanged(small_fitted):
+    data, fitted = small_fitted
+    root = data.root
+    regions = tuple(
+        HierarchyNode(r.id, r.level, r.population, r.family, r.data, r.children[::-1])
+        for r in root.children[::-1]
+    )
+    flipped = HierarchyNode(root.id, root.level, root.population, root.family, root.data, regions)
+    again = fit_hierarchy(flipped, FAST_MCMC)
+    for node_id, draws in fitted.draws.items():
+        assert np.array_equal(draws.draws, again.draws[node_id].draws)
+        assert draws.acceptance_rate == again.draws[node_id].acceptance_rate
+
+
+def test_mixed_batch_equals_fits_run_alone(small_fitted):
+    data, _ = small_fitted
+    samples = [leaf.data for region in data.root.children for leaf in region.children]
+    steps = (None, (0.05, 0.2, 0.1), (0.3, 0.3, 0.3), None)
+    for base in (McmcConfig(600, 200), McmcConfig(600, 200, adapt=False), McmcConfig(300, 0)):
+        configs = [replace(base, seed=40 + k, step_sizes=steps[k]) for k in range(len(samples))]
+        batch = fit_batch("sm", samples, configs)
+        for sample, config, draws in zip(samples, configs, batch):
+            alone = fit("sm", sample, config)
+            assert draws.unit == sample.unit and draws.config == config
+            assert np.array_equal(draws.draws, alone.draws)
+            assert draws.acceptance_rate == alone.acceptance_rate
+    with pytest.raises(ValueError, match="seed and step_sizes"):
+        fit_batch("sm", samples[:2], [McmcConfig(600, 200), McmcConfig(700, 200)])
+    with pytest.raises(ValueError, match="seed and step_sizes"):
+        fit_batch("sm", samples[:2], [McmcConfig(600, 200), McmcConfig(600, 200, adapt=False)])
 
 
 def test_sibling_fits_unaffected_by_added_node():
