@@ -18,14 +18,18 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, pipeline, sim
+from .distributions import FAMILIES, theta_kind
 from .grouped import McmcConfig, fit, posterior_ge, posterior_mean_income
 from .inequality import decompose_finite, ge_finite
 
 DEFAULT_THETAS = (-1.0, 0.0, 1.0, 2.0)
 
 
-def _theta_list(args) -> tuple[float, ...]:
-    return tuple(args.theta) if args.theta else DEFAULT_THETAS
+def _theta_list(args, default=DEFAULT_THETAS) -> tuple[float, ...]:
+    thetas = tuple(args.theta) if args.theta else default
+    for theta in thetas:
+        theta_kind(theta)  # rejects a non-finite theta
+    return thetas
 
 
 def _theta_tag(theta: float) -> str:
@@ -49,15 +53,6 @@ def _mcmc_from_args(args) -> McmcConfig:
     return McmcConfig(iterations=args.iters, burnin=args.burnin, adapt=not args.no_adapt, seed=args.seed)
 
 
-def _phi_from_args(args):
-    spec = args.phi
-    if spec in ("uniform", "raking"):
-        return spec, spec
-    if spec.startswith("file:"):
-        return spec, dataio.load_phi_csv(spec[len("file:"):])
-    raise ValueError(f"--phi must be uniform, raking, or file:PATH (got {spec!r})")
-
-
 def _summary_dict(summary) -> dict:
     return {
         "value": summary.value,
@@ -69,6 +64,7 @@ def _summary_dict(summary) -> dict:
 
 
 def cmd_fit(args) -> int:
+    thetas = _theta_list(args)
     sample = dataio.parse_grouped_csv(args.data, scale=args.scale_counts)
     draws = fit(args.family, sample, _mcmc_from_args(args))
     means = draws.param_means()
@@ -83,7 +79,7 @@ def cmd_fit(args) -> int:
         "posterior_mean": {name: float(means[i]) for i, name in enumerate(draws.param_names)},
         "posterior_sd": {name: float(sds[i]) for i, name in enumerate(draws.param_names)},
         "mean_income": _summary_dict(posterior_mean_income(draws)),
-        "ge": {f"{theta:g}": _summary_dict(posterior_ge(draws, theta)) for theta in _theta_list(args)},
+        "ge": {f"{theta:g}": _summary_dict(posterior_ge(draws, theta)) for theta in thetas},
     }
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
@@ -160,11 +156,11 @@ def cmd_pipeline(args) -> int:
         adapt=base.adapt,
         seed=args.seed if args.seed is not None else base.seed,
     )
-    thetas = tuple(args.theta) if args.theta else manifest.thetas
-    if args.phi is not None:
-        _, phi = _phi_from_args(args)
-    else:
-        phi = manifest.phi_policy()
+    thetas = _theta_list(args, manifest.thetas)
+    phi = manifest.phi_policy()
+    if args.phi is not None:  # overrides the manifest; a file path is relative to the working directory
+        spec, values = dataio.resolve_phi(args.phi, Path())
+        phi = values if values is not None else spec
 
     fitted = pipeline.fit_hierarchy(manifest.root, mcmc, levels=pipeline.METHODS[args.method])
     out = _out_dir(args)
@@ -192,7 +188,7 @@ def cmd_simulate(args) -> int:
         node_files[node.id] = rel
     manifest = dataio.Manifest(
         root=data.root,
-        thetas=tuple(args.theta) if args.theta else DEFAULT_THETAS,
+        thetas=_theta_list(args),
         phi="uniform",
         phi_values=None,
         mcmc=McmcConfig(seed=spec.seed),
@@ -217,11 +213,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    thetas = _theta_list(args)
     spec = dataio.load_synthetic_spec(args.spec)
-    comparison = sim.compare_methods(spec, _theta_list(args), _mcmc_from_args(args))
+    comparison = sim.compare_methods(spec, thetas, _mcmc_from_args(args))
     out = _out_dir(args)
     dataio.write_comparison_csv(out / "comparison.csv", comparison)
-    for theta in _theta_list(args):
+    for theta in thetas:
         print(dataio.render_comparison(comparison, theta))
         print()
     return 0
@@ -257,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit one unit's grouped counts")
-    p_fit.add_argument("--family", required=True, choices=("gb2", "sm", "ln"))
+    p_fit.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p_fit.add_argument("--data", required=True, help="grouped-count CSV (lower,upper,count)")
     p_fit.add_argument("--scale-counts", type=float, default=1.0)
     p_fit.add_argument("--theta", type=float, action="append")
@@ -296,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_surf = sub.add_parser("surface", help="GE over an (a, q) parameter grid")
-    p_surf.add_argument("--family", choices=("sm",), default="sm")
     p_surf.add_argument("--b", type=float, default=3.0)
     p_surf.add_argument("--a-min", type=float, default=1.5)
     p_surf.add_argument("--a-max", type=float, default=4.0)

@@ -36,6 +36,7 @@ __all__ = [
     "load_manifest",
     "write_manifest",
     "load_phi_csv",
+    "resolve_phi",
     "report_to_dict",
     "report_from_dict",
     "save_report",
@@ -164,7 +165,8 @@ def load_phi_csv(path) -> dict[str, float]:
     return values
 
 
-def _resolve_phi(phi_spec: str, base: Path) -> tuple[str, dict[str, float] | None]:
+def resolve_phi(phi_spec: str, base: Path) -> tuple[str, dict[str, float] | None]:
+    """Parse a phi policy (uniform | raking | file:PATH under base): the policy, and a file's weights or None."""
     if phi_spec in ("uniform", "raking"):
         return phi_spec, None
     if phi_spec.startswith("file:"):
@@ -204,7 +206,7 @@ def load_manifest(path) -> Manifest:
         adapt=bool(mcmc_raw.get("adapt", True)),
         seed=seed,
     )
-    phi, phi_values = _resolve_phi(phi_spec, base)
+    phi, phi_values = resolve_phi(phi_spec, base)
 
     seen: dict[str, dict] = {}
     for spec in node_specs:

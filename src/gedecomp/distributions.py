@@ -2,8 +2,9 @@
 
 Each family provides the cdf, density, theta-order moments, closed-form
 generalized-entropy values (with the mean-log-deviation and Theil limits),
-and seeded sampling.  The Singh-Maddala family is the GB2 family with its
-first shape parameter fixed at 1 and shares the same internal formulas.
+and seeded sampling.  Singh-Maddala is the GB2 with p fixed at 1 (McDonald
+1984): ``SM`` subclasses ``GB2`` and keeps only its algebraic cdf.  Each
+family class states its parameter layout (``param_names``, ``n_real``).
 
 All gamma-function arithmetic is kept in log space so large shape values do
 not overflow.
@@ -12,7 +13,7 @@ not overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "ParameterDomainError",
     "MomentExistenceError",
     "theta_kind",
+    "family_class",
     "make_family",
     "make_batch",
     "family_dim",
@@ -162,8 +164,27 @@ def _ln_ge_vec(theta, sigma2):
     return vals, np.ones(sigma2.shape, dtype=bool)
 
 
+class _Family:
+    """Layout and vector round trip shared by the family classes."""
+
+    tag: ClassVar[str]
+    param_names: ClassVar[tuple[str, ...]]  # native order
+    #: how many leading parameters range over the reals; the rest are positive
+    n_real: ClassVar[int] = 0
+
+    def to_vector(self) -> np.ndarray:
+        return np.array([getattr(self, name) for name in self.param_names])
+
+    @classmethod
+    def from_vector(cls, vec) -> "_Family":
+        return cls(*(float(v) for v in vec))
+
+    def mean(self) -> float:
+        return self.moment(1.0)
+
+
 @dataclass(frozen=True)
-class GB2:
+class GB2(_Family):
     """Generalized beta distribution of the second kind.
 
     Constructed as b * T**(1/a) with T = U/(1-U), U ~ Beta(p, q); a is the
@@ -187,13 +208,6 @@ class GB2:
         """Open interval of moment orders with finite moments."""
         return (-self.a * self.p, self.a * self.q)
 
-    def to_vector(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.p, self.q])
-
-    @classmethod
-    def from_vector(cls, vec) -> "GB2":
-        return cls(*(float(v) for v in vec))
-
     def cdf(self, x):
         """P(X <= x), via the regularized incomplete beta function."""
         return _gb2_cdf(x, self.a, self.b, self.p, self.q)
@@ -210,9 +224,6 @@ class GB2:
         if not (low < theta < high):
             raise MomentExistenceError(theta, low, high)
         return float(np.exp(theta * np.log(self.b) + _gb2_log_moment_ratio(theta, self.a, self.p, self.q)))
-
-    def mean(self) -> float:
-        return self.moment(1.0)
 
     def ge(self, theta: float) -> float:
         """Generalized entropy of order theta (MLD at 0, Theil at 1)."""
@@ -233,71 +244,21 @@ class GB2:
 
 
 @dataclass(frozen=True)
-class SM:
-    """Singh-Maddala distribution: GB2 with the first shape fixed at 1."""
+class SM(GB2):
+    """Singh-Maddala distribution: the GB2 with its first shape p fixed at 1."""
 
-    a: float
-    b: float
-    q: float
+    p: float = field(default=1.0, init=False, repr=False)
 
     tag: ClassVar[str] = "sm"
     param_names: ClassVar[tuple[str, ...]] = ("a", "b", "q")
-
-    def __post_init__(self):
-        for name in self.param_names:
-            _require_positive(name, getattr(self, name))
-
-    @property
-    def moment_window(self) -> tuple[float, float]:
-        return (-self.a, self.a * self.q)
-
-    def to_vector(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.q])
-
-    @classmethod
-    def from_vector(cls, vec) -> "SM":
-        return cls(*(float(v) for v in vec))
-
-    def as_gb2(self) -> GB2:
-        return GB2(self.a, self.b, 1.0, self.q)
 
     def cdf(self, x):
         """P(X <= x), algebraic form 1 - (1 + (x/b)^a)^(-q)."""
         return _sm_cdf(x, self.a, self.b, self.q)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
-            raise ValueError("density is defined for x > 0 only")
-        return np.exp(_gb2_logpdf(x, self.a, self.b, 1.0, self.q))
-
-    def moment(self, theta: float) -> float:
-        low, high = self.moment_window
-        if not (low < theta < high):
-            raise MomentExistenceError(theta, low, high)
-        return float(np.exp(theta * np.log(self.b) + _gb2_log_moment_ratio(theta, self.a, 1.0, self.q)))
-
-    def mean(self) -> float:
-        return self.moment(1.0)
-
-    def ge(self, theta: float) -> float:
-        low, high = self.moment_window
-        if high <= 1.0:
-            raise MomentExistenceError(1.0, low, high, "mean does not exist (requires q > 1/a)")
-        if not (low < theta < high):
-            raise MomentExistenceError(theta, low, high)
-        values, _ = _gb2_ge_vec(theta, np.array([self.a]), self.b, np.array([1.0]), np.array([self.q]))
-        return float(values[0])
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if n < 1:
-            raise ValueError("sample size must be >= 1")
-        u = rng.beta(1.0, self.q, size=n)
-        return self.b * (u / (1.0 - u)) ** (1.0 / self.a)
-
 
 @dataclass(frozen=True)
-class LN:
+class LN(_Family):
     """Lognormal distribution LN(xi, sigma2); log X ~ N(xi, sigma2).
 
     sigma2 == 0 is admitted as a degenerate point mass at exp(xi) so tests
@@ -309,6 +270,7 @@ class LN:
 
     tag: ClassVar[str] = "ln"
     param_names: ClassVar[tuple[str, ...]] = ("xi", "sigma2")
+    n_real: ClassVar[int] = 1
 
     def __post_init__(self):
         if not math.isfinite(self.xi):
@@ -319,13 +281,6 @@ class LN:
     @property
     def moment_window(self) -> tuple[float, float]:
         return (-math.inf, math.inf)
-
-    def to_vector(self) -> np.ndarray:
-        return np.array([self.xi, self.sigma2])
-
-    @classmethod
-    def from_vector(cls, vec) -> "LN":
-        return cls(*(float(v) for v in vec))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -353,9 +308,6 @@ class LN:
             raise ValueError("moment order must be finite")
         return math.exp(self.xi * theta + self.sigma2 * theta * theta / 2.0)
 
-    def mean(self) -> float:
-        return self.moment(1.0)
-
     def ge(self, theta: float) -> float:
         """GE of order theta; equals sigma2/2 at both limits."""
         values, _ = _ln_ge_vec(theta, np.array([self.sigma2]))
@@ -368,18 +320,22 @@ class LN:
         return np.exp(self.xi + sigma * rng.standard_normal(n))
 
 
-FamilyParams = GB2 | SM | LN
+FamilyParams = GB2 | LN
 
 FAMILIES: dict[str, type] = {"gb2": GB2, "sm": SM, "ln": LN}
 
 
-def make_family(tag: str, vector) -> FamilyParams:
-    """Build family parameters from a tag and a native-order vector."""
+def family_class(tag: str) -> type:
+    """The family class of a tag; ParameterDomainError for an unknown tag."""
     try:
-        cls = FAMILIES[tag]
+        return FAMILIES[tag]
     except KeyError:
         raise ParameterDomainError(f"unknown family tag {tag!r}; expected one of {sorted(FAMILIES)}") from None
-    return cls.from_vector(vector)
+
+
+def make_family(tag: str, vector) -> FamilyParams:
+    """Build family parameters from a tag and a native-order vector."""
+    return family_class(tag).from_vector(vector)
 
 
 def make_batch(tag: str, matrix: np.ndarray) -> FamilyParams:
@@ -401,10 +357,14 @@ def family_dim(tag: str) -> int:
 
 
 def family_param_names(tag: str) -> tuple[str, ...]:
-    try:
-        return FAMILIES[tag].param_names
-    except KeyError:
-        raise ParameterDomainError(f"unknown family tag {tag!r}; expected one of {sorted(FAMILIES)}") from None
+    return family_class(tag).param_names
+
+
+def _gb2_columns(cls: type, draws: np.ndarray):
+    """a, b, p, q columns of GB2-type draws; a fixed shape (SM's p) is a constant column."""
+    columns = dict(zip(cls.param_names, draws.T))
+    return [columns[name] if name in columns else np.full(len(draws), getattr(cls, name))
+            for name in GB2.param_names]
 
 
 def ge_over_draws(tag: str, draws: np.ndarray, theta: float):
@@ -413,32 +373,22 @@ def ge_over_draws(tag: str, draws: np.ndarray, theta: float):
     Draws outside the moment-existence window are masked, not raised, so
     posterior summaries can count and report them.
     """
+    cls = family_class(tag)
     draws = np.asarray(draws, dtype=float)
-    if tag == "gb2":
-        return _gb2_ge_vec(theta, draws[:, 0], draws[:, 1], draws[:, 2], draws[:, 3])
-    if tag == "sm":
-        return _gb2_ge_vec(theta, draws[:, 0], draws[:, 1], np.ones(len(draws)), draws[:, 2])
-    if tag == "ln":
+    if cls is LN:
         return _ln_ge_vec(theta, draws[:, 1])
-    raise ParameterDomainError(f"unknown family tag {tag!r}")
+    return _gb2_ge_vec(theta, *_gb2_columns(cls, draws))
 
 
 def mean_over_draws(tag: str, draws: np.ndarray):
     """Distribution mean of each parameter draw, with an admissibility mask."""
+    cls = family_class(tag)
     draws = np.asarray(draws, dtype=float)
-    if tag == "gb2":
-        a, b, p, q = draws[:, 0], draws[:, 1], draws[:, 2], draws[:, 3]
-        ok = a * q > 1.0
-        values = np.full(len(draws), np.nan)
-        values[ok] = b[ok] * np.exp(_gb2_log_moment_ratio(1.0, a[ok], p[ok], q[ok]))
-        return values, ok
-    if tag == "sm":
-        a, b, q = draws[:, 0], draws[:, 1], draws[:, 2]
-        ok = a * q > 1.0
-        values = np.full(len(draws), np.nan)
-        values[ok] = b[ok] * np.exp(_gb2_log_moment_ratio(1.0, a[ok], np.ones(ok.sum()), q[ok]))
-        return values, ok
-    if tag == "ln":
+    if cls is LN:
         values = np.exp(draws[:, 0] + draws[:, 1] / 2.0)
         return values, np.ones(len(draws), dtype=bool)
-    raise ParameterDomainError(f"unknown family tag {tag!r}")
+    a, b, p, q = _gb2_columns(cls, draws)
+    ok = a * q > 1.0
+    values = np.full(len(draws), np.nan)
+    values[ok] = b[ok] * np.exp(_gb2_log_moment_ratio(1.0, a[ok], p[ok], q[ok]))
+    return values, ok

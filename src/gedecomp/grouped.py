@@ -1,11 +1,12 @@
 """Grouped-data likelihood and random-walk Metropolis-Hastings fitting.
 
 Income is observed only as counts over brackets with an open top bracket.
-Each positive parameter carries an inverse-gamma(1, 1) prior; the lognormal
-location gets an improper flat prior.  The sampler walks log-transformed
-positive parameters (the lognormal location stays on its natural scale) and
-may adapt its proposal during burn-in only, so retained draws always come
-from a fixed kernel.
+Each positive parameter carries an inverse-gamma(1, 1) prior; a real
+parameter (the lognormal location) gets an improper flat prior.  The sampler
+walks log-transformed positive parameters (real ones stay on their natural
+scale; the family's ``n_real`` says how many lead) and may adapt its
+proposal during burn-in only, so retained draws always come from a fixed
+kernel.
 
 Units of one family and bracket count are fitted together (``fit_batch``):
 one lockstep random walk over a (K, d) state, with one vectorised log
@@ -22,10 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import (
-    FAMILIES,
-    LN,
     FamilyParams,
-    ParameterDomainError,
+    family_class,
     family_dim,
     family_param_names,
     ge_over_draws,
@@ -193,10 +192,8 @@ def _ig11_logpdf(x: float) -> float:
 
 
 def log_prior(params: FamilyParams) -> float:
-    """Independent IG(1, 1) priors on positive parameters; flat on LN's xi."""
-    if isinstance(params, LN):
-        return _ig11_logpdf(params.sigma2)
-    return float(sum(_ig11_logpdf(getattr(params, name)) for name in params.param_names))
+    """Independent IG(1, 1) priors on positive parameters; flat on real ones (LN's xi)."""
+    return float(sum(_ig11_logpdf(getattr(params, name)) for name in params.param_names[params.n_real:]))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +337,12 @@ def _bracket_quantile(data: GroupedSample, prob: float) -> float | None:
 
 
 def _initial_guess(family: str, data: GroupedSample) -> np.ndarray:
-    """Method-of-quantiles start (median plus an upper quantile), unit fallback."""
+    """Method-of-quantiles start (median plus an upper quantile) in chain space.
+
+    The LN branch takes logs with math.log and the GB2 branch with np.log.
+    The two can differ in the last bit, so swapping either would move that
+    family's starts, and with them its draws.
+    """
     median = _bracket_quantile(data, 0.5)
     cum = np.cumsum(data.counts) / data.total
     upper_prob = min(0.9, 0.5 + 0.9 * (float(cum[-2]) - 0.5)) if cum[-2] > 0.55 else None
@@ -348,14 +350,14 @@ def _initial_guess(family: str, data: GroupedSample) -> np.ndarray:
 
     if family == "ln":
         if median is None or median <= 0.0:
-            return np.array([0.0, 1.0])
+            return np.zeros(2)
         xi = math.log(median)
         if upper is None or upper <= median or upper_prob is None:
-            return np.array([xi, 1.0])
+            return np.array([xi, 0.0])
         from scipy.special import ndtri
 
         sigma = (math.log(upper) - xi) / float(ndtri(upper_prob))
-        return np.array([xi, max(sigma * sigma, 1e-3)])
+        return np.array([xi, math.log(max(sigma * sigma, 1e-3))])
 
     # Singh-Maddala-style start with unit shapes: the median pins the scale,
     # the upper quantile pins the power parameter.
@@ -370,40 +372,40 @@ def _initial_guess(family: str, data: GroupedSample) -> np.ndarray:
             a0 = math.log(odds) / math.log(upper / median)
             if not math.isfinite(a0) or a0 <= 0.0:
                 a0 = 1.0
-    if family == "sm":
-        return np.array([a0, b0, 1.0])
-    return np.array([a0, b0, 1.0, 1.0])  # gb2
+    return np.log([a0, b0] + [1.0] * (family_dim(family) - 2))
 
 
-def _to_chain_space(family: str, params_vec: np.ndarray) -> np.ndarray:
-    if family == "ln":
-        return np.array([params_vec[0], math.log(params_vec[1])])
-    return np.log(params_vec)
+def _from_chain_space(real: int):
+    """Map of chain states to natural parameters, chosen once per layout (real: the family's n_real)."""
+    if not real:
+        return np.exp
+    head = (Ellipsis, slice(None, real))
+
+    def to_natural(t: np.ndarray) -> np.ndarray:
+        natural = np.exp(t)
+        natural[head] = t[head]
+        return natural
+
+    return to_natural
 
 
-def _from_chain_space(family: str, t: np.ndarray) -> np.ndarray:
-    """Natural parameters of chain states stacked along the last axis."""
-    natural = np.exp(t)
-    if family == "ln":
-        natural[..., 0] = t[..., 0]
-    return natural
-
-
-def _chain_log_prior(family: str, t: np.ndarray, natural: np.ndarray) -> np.ndarray:
+def _chain_log_prior(real: int, dim: int):
     """log_prior plus the log Jacobian of the log transform, per chain state.
 
-    For a positive parameter x = exp(t) the IG(1, 1) term -2 log x - 1/x and
-    the Jacobian term t add up to -(t + 1/x).
+    A map (t, natural) -> (K,).  For a positive parameter x = exp(t) the
+    IG(1, 1) term -2 log x - 1/x and the Jacobian term t add up to
+    -(t + 1/x); real parameters add nothing.  Chosen once per layout, so a
+    chain step slices nothing when all are positive and sums no one column.
     """
-    if family == "ln":
-        return -(t[:, 1] + 1.0 / natural[:, 1])
-    return -(t + 1.0 / natural).sum(axis=1)
+    if not real:
+        return lambda t, natural: -(t + 1.0 / natural).sum(axis=1)
+    if real == dim - 1:
+        return lambda t, natural: -(t[:, real] + 1.0 / natural[:, real])
+    return lambda t, natural: -(t[:, real:] + 1.0 / natural[:, real:]).sum(axis=1)
 
 
 def _check_unit(family: str, data: GroupedSample, config: McmcConfig) -> None:
     """Raise when a unit cannot be fitted, before any sampling."""
-    if family not in FAMILIES:
-        raise ParameterDomainError(f"unknown family tag {family!r}")
     dim = family_dim(family)
     if data.n_brackets - 1 < dim:
         raise UnderIdentifiedError(
@@ -431,11 +433,14 @@ def _chain_log_density(family: str, samples):
     stack = _SampleStack(
         np.array([data.boundaries for data in samples]), np.array([data.counts for data in samples])
     )
+    real, dim = family_class(family).n_real, family_dim(family)
+    to_natural, log_prior_t = _from_chain_space(real), _chain_log_prior(real, dim)
     # open lower bounds of the natural parameters
-    lower = np.array([-math.inf, 0.0]) if family == "ln" else np.zeros(family_dim(family))
+    lower = np.zeros(dim)
+    lower[:real] = -math.inf
 
     def log_density(t: np.ndarray) -> np.ndarray:
-        natural = _from_chain_space(family, t)
+        natural = to_natural(t)
         inside = (natural > lower) & (natural < math.inf)
         if inside.all():
             ll = log_likelihood(make_batch(family, natural), stack)
@@ -444,7 +449,7 @@ def _chain_log_density(family: str, samples):
             natural = np.where(ok[:, None], natural, 1.0)
             ll = np.where(ok, log_likelihood(make_batch(family, natural), stack), -math.inf)
         # fmax turns NaN (a cdf that failed at extreme parameters) into -inf
-        return np.fmax(ll + _chain_log_prior(family, t, natural), -math.inf)
+        return np.fmax(ll + log_prior_t(t, natural), -math.inf)
 
     return log_density
 
@@ -472,11 +477,12 @@ def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
         raise ValueError("samples in one batch need the same number of brackets")
     iterations, burnin, adapt = shared.pop()
     dim = family_dim(family)
+    real = family_class(family).n_real
     log_density = _chain_log_density(family, samples)
-    start = np.array([_to_chain_space(family, _initial_guess(family, data)) for data in samples])
+    start = np.array([_initial_guess(family, data) for data in samples])
     bad = ~np.isfinite(log_density(start))
     if bad.any():
-        start[bad] = _to_chain_space(family, np.ones(dim) if family != "ln" else np.array([0.0, 1.0]))
+        start[bad] = 0.0  # the chain-space origin: unit parameters, LN(0, 1)
         for k in np.flatnonzero(bad & ~np.isfinite(log_density(start))):
             raise ValueError(f"unit {samples[k].unit!r}: log density is not finite at the starting point")
     steps = np.array([c.step_sizes if c.step_sizes is not None else [0.1] * dim for c in configs], dtype=float)
@@ -484,7 +490,7 @@ def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
     rngs = [np.random.default_rng(c.seed) for c in configs]
     draws, acc_rates = random_walk_chain(log_density, start, steps, iterations, burnin, rngs, adapt=adapt)
     # to natural parameters in place, so the batch never holds its draws twice
-    positive = draws[..., 1] if family == "ln" else draws
+    positive = draws[..., real:]
     np.exp(positive, out=positive)
     return [
         PosteriorDraws(

@@ -258,14 +258,17 @@ def _solve_policy(problem: benchmark.BenchmarkProblem, phi, custom) -> benchmark
     return benchmark.solve_uniform(problem)
 
 
-def _usable(node: HierarchyNode, theta: float, flags: list[str], summary: PosteriorSummary) -> PosteriorSummary:
-    """Flag a summary with excluded draws; fail when no draw is usable."""
+_NO_MEAN, _GE_OUTSIDE = "no finite mean", "GE outside the moment window"
+
+
+def _usable(node: HierarchyNode, theta: float, flags: list[str], summary: PosteriorSummary, excluded: str):
+    """Flag a summary with excluded draws, saying why (_NO_MEAN, _GE_OUTSIDE); fail when no draw is usable."""
     if summary.unreliable:
         flags.append(
-            f"{node.level} {node.id}: {summary.n_excluded}/{summary.n_draws} draws outside the moment window at theta={theta:g}"
+            f"{node.level} {node.id}: {summary.n_excluded}/{summary.n_draws} draws with {excluded} at theta={theta:g}"
         )
     if math.isnan(summary.value):
-        raise PipelineError(f"{node.level} {node.id}: no posterior draw inside the moment window at theta={theta:g}")
+        raise PipelineError(f"{node.level} {node.id}: every posterior draw has {excluded} at theta={theta:g}")
     return summary
 
 
@@ -279,8 +282,8 @@ def _children(fitted: FittedHierarchy, parent: HierarchyNode, theta: float, flag
     ge = []
     for child in parent.children:
         draws = fitted.require(child.id)
-        mu.append(_usable(child, theta, flags, posterior_mean_income(draws)).value)
-        ge.append(_usable(child, theta, flags, posterior_ge(draws, theta)))
+        mu.append(_usable(child, theta, flags, posterior_mean_income(draws), _NO_MEAN).value)
+        ge.append(_usable(child, theta, flags, posterior_ge(draws, theta), _GE_OUTSIDE))
     return _shares(parent), np.array(mu), ge
 
 
@@ -331,7 +334,7 @@ def assemble(fitted: FittedHierarchy, theta: float, method: str, phi="uniform") 
     flags: list[str] = []
     root = fitted.root
     if not mixture:
-        total = _usable(root, theta, flags, posterior_ge(fitted.require(root.id), theta))
+        total = _usable(root, theta, flags, posterior_ge(fitted.require(root.id), theta), _GE_OUTSIDE)
         lam, mu, region_ge = _children(fitted, root, theta, flags)
     leaves = []
     for region in root.children:

@@ -1,6 +1,7 @@
 """Command-line surface: every subcommand end to end on small inputs."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -140,6 +141,27 @@ def test_pipeline_negative_theta_filenames(tmp_path, spec_file, capsys):
     capsys.readouterr()
     assert code == 0
     assert (out_dir / "report_theta_m1.json").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "manifest"])
+def test_pipeline_rejects_nonfinite_theta_before_fitting(tmp_path, spec_file, capsys, source):
+    sim_dir = tmp_path / "sim"
+    main(["simulate", "--spec", str(spec_file), "--out", str(sim_dir)])
+    manifest_path = sim_dir / "manifest.json"
+    theta_args = ["--theta", "1", "--theta", "nan"]
+    if source == "manifest":
+        manifest = json.loads(manifest_path.read_text())
+        manifest["theta"] = [1.0, math.nan]
+        manifest_path.write_text(json.dumps(manifest))
+        theta_args = []
+    capsys.readouterr()
+    out_dir = tmp_path / "run"
+    code = main(["pipeline", "--manifest", str(manifest_path), "--out", str(out_dir),
+                 "--iters", "400", "--burnin", "100", *theta_args])
+    doc = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert doc["error"] == "ValueError" and "finite" in doc["message"]
+    assert not out_dir.exists()  # no report of the valid theta either
 
 
 def test_surface_command(tmp_path, capsys):

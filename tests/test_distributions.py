@@ -287,6 +287,36 @@ def test_make_family_and_vector_round_trip():
         make_family("pareto", [1.0])
 
 
+def _outcome(method, theta):
+    try:
+        return method(theta)
+    except MomentExistenceError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("a, b, q", [(2.2, 4.0, 1.8), (3.4, 1.5, 0.6), (0.7, 3.0, 1.2)])
+def test_sm_is_gb2_with_unit_first_shape(a, b, q):
+    sm, gb2 = SM(a, b, q), GB2(a, b, 1.0, q)
+    assert isinstance(sm, GB2) and sm.p == 1.0
+    assert "cdf" in SM.__dict__  # the algebraic form, not the incomplete beta
+    assert repr(sm) == f"SM(a={a!r}, b={b!r}, q={q!r})"
+    assert sm.to_vector().tolist() == [a, b, q]
+    assert sm == SM(a, b, q) and sm != gb2
+    x = np.array([0.3, 1.0, 2.5, 7.0, 40.0])
+    assert np.array_equal(sm.pdf(x), gb2.pdf(x))
+    assert np.array_equal(sm.sample(50, np.random.default_rng(3)), gb2.sample(50, np.random.default_rng(3)))
+    for theta in (-1.0, 0.0, 0.5, 1.0, 2.0):
+        for method in ("moment", "ge"):
+            assert _outcome(getattr(sm, method), theta) == _outcome(getattr(gb2, method), theta)
+    draws = np.array([[a, b, q], [a, b, 0.3], [1.5, 2.0, 2.5], [0.9, 3.0, 1.05]])
+    gb2_draws = np.insert(draws, 2, 1.0, axis=1)
+    pairs = [(ge_over_draws("sm", draws, t), ge_over_draws("gb2", gb2_draws, t)) for t in (-1.0, 0.0, 1.0, 2.0)]
+    pairs.append((mean_over_draws("sm", draws), mean_over_draws("gb2", gb2_draws)))
+    for (sm_values, sm_ok), (gb2_values, gb2_ok) in pairs:
+        assert np.array_equal(sm_values, gb2_values, equal_nan=True)
+        assert np.array_equal(sm_ok, gb2_ok)
+
+
 def test_draw_matrix_helpers_mask_inadmissible_rows():
     draws = np.array([[2.0, 3.0, 1.5], [1.5, 3.0, 0.5]])  # second row: a*q = 0.75
     values, ok = ge_over_draws("sm", draws, 1.0)
