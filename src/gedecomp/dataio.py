@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import FAMILIES, make_family
+from .distributions import FAMILIES, make_family, theta_kind
 from .grouped import GroupedSample, McmcConfig
 from .pipeline import (
     DecompositionReport,
@@ -189,6 +189,8 @@ def load_manifest(path) -> Manifest:
     try:
         node_specs = raw["nodes"]
         thetas = tuple(float(t) for t in raw.get("theta", (-1.0, 0.0, 1.0, 2.0)))
+        for theta in thetas:
+            theta_kind(theta)  # rejects a non-finite theta
         seed = int(raw.get("seed", 0))
         scale = float(raw.get("scale_counts", 1.0))
         phi_spec = raw.get("phi", "uniform")
@@ -463,7 +465,13 @@ def load_synthetic_spec(path) -> SyntheticSpec:
             for leaf_raw in region_raw["leaves"]:
                 params_raw = dict(leaf_raw["params"])
                 family = params_raw.pop("family")
-                vector = [params_raw[name] for name in FAMILIES[family].param_names]
+                leaf = f"leaf {leaf_raw['id']!r}"
+                if family not in FAMILIES:
+                    raise ValueError(f"{leaf}: field 'family' is {family!r}, expected one of {list(FAMILIES)}")
+                names = FAMILIES[family].param_names
+                if set(params_raw) - set(names):
+                    raise ValueError(f"{leaf}: family {family!r} takes {list(names)}, got {sorted(params_raw)}")
+                vector = [params_raw[name] for name in names]
                 leaves.append(
                     LeafSpec(
                         id=leaf_raw["id"],

@@ -12,7 +12,9 @@ Units of one family and bracket count are fitted together (``fit_batch``):
 one lockstep random walk over a (K, d) state, with one vectorised log
 density per iteration for all K units.  Each unit keeps its own random
 stream, step sizes and adaptation, so its draws are those of the same unit
-fitted alone (``fit`` is the batch of one).
+fitted alone (``fit`` is the batch of one).  A unit reads its stream one
+50-iteration window at a time (a block of normals, then a block of
+uniforms), so a shorter chain is a prefix of a longer one.
 """
 
 from __future__ import annotations
@@ -205,22 +207,6 @@ _COV_REFRESH = 100
 _TARGET_RATE = 0.3
 
 
-def _draw_window(rngs, z_rows, log_u: np.ndarray) -> None:
-    """Fill each unit's next n normal vectors and log uniforms.
-
-    z_rows[k] holds unit k's n (d,) output rows and log_u is (n, K).  Unit
-    k reads its own stream in the order of a chain run alone: one
-    standard_normal(d), then one uniform, every iteration.
-    """
-    for k, (rng, rows) in enumerate(zip(rngs, z_rows)):
-        normal, uniform = rng.standard_normal, rng.random
-        u = []
-        for row in rows:
-            normal(out=row)
-            u.append(uniform())
-        log_u[:, k] = list(map(math.log, u))
-
-
 def random_walk_chain(
     log_density,
     start: np.ndarray,
@@ -235,6 +221,10 @@ def random_walk_chain(
     start and step_sizes are (K, d); log_density maps a (K, d) state to K
     log densities, and rngs holds one Generator per unit.  The units share
     only the loop: each reads its own stream and keeps its own proposal.
+    Every 50 iterations each unit reads its next window from its stream: a
+    (50, d) block of normals, then a block of 50 uniforms.  A window is
+    drawn whole even past the last iteration, so with the same burn-in and
+    adapt a shorter chain is an exact prefix of a longer one.
 
     With adapt=True each unit's proposal is tuned during burn-in: its
     per-parameter steps are rescaled toward ~30% acceptance, and from
@@ -263,23 +253,24 @@ def random_walk_chain(
     kept = None
     accepted_window = np.zeros(n_units, dtype=np.int64)
     accepted_kept = np.zeros(n_units, dtype=np.int64)
-    z_window = np.empty((_ADAPT_WINDOW, n_units, d))
-    log_u_window = np.empty((_ADAPT_WINDOW, n_units))
-    z_rows = [list(z_window[:, k]) for k in range(n_units)]
+    z_window = np.empty((n_units, _ADAPT_WINDOW, d))
+    log_u_window = np.empty((n_units, _ADAPT_WINDOW))
 
     for i in range(iterations):
         j = i % _ADAPT_WINDOW
-        if j == 0:
-            n = min(_ADAPT_WINDOW, iterations - i)
-            _draw_window(rngs, [rows[:n] for rows in z_rows], log_u_window[:n])
-        z = z_window[j]
+        if j == 0:  # each unit's next window, straight into its contiguous slice
+            for rng, z_unit, u_unit in zip(rngs, z_window, log_u_window):
+                rng.standard_normal(out=z_unit)
+                rng.random(out=u_unit)
+            np.log(log_u_window, out=log_u_window)
+        z = z_window[:, j]
         if n_chol == 0:
             proposal = t + steps * z
         else:
             rotated = t + scale * np.matmul(chol, z[:, :, None])[:, :, 0]
             proposal = rotated if n_chol == n_units else np.where(has_chol[:, None], rotated, t + steps * z)
         lp_prop = log_density(proposal)
-        accept = log_u_window[j] < lp_prop - lp
+        accept = log_u_window[:, j] < lp_prop - lp
         if accept.any():
             t = np.where(accept[:, None], proposal, t)
             lp = np.where(accept, lp_prop, lp)

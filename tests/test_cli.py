@@ -160,7 +160,9 @@ def test_pipeline_rejects_nonfinite_theta_before_fitting(tmp_path, spec_file, ca
                  "--iters", "400", "--burnin", "100", *theta_args])
     doc = json.loads(capsys.readouterr().err)
     assert code == 2
-    assert doc["error"] == "ValueError" and "finite" in doc["message"]
+    # a manifest theta fails when the manifest loads, as a ManifestError (a ValueError)
+    assert doc["error"] == {"flag": "ValueError", "manifest": "ManifestError"}[source]
+    assert "finite" in doc["message"]
     assert not out_dir.exists()  # no report of the valid theta either
 
 

@@ -161,6 +161,15 @@ def test_manifest_validation_errors(tmp_path):
         dataio.load_manifest(tmp_path / "roots.json")
 
 
+def test_manifest_rejects_nonfinite_theta(tmp_path):
+    write_manifest_tree(tmp_path)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc["theta"] = [1.0, math.nan]
+    (tmp_path / "nan.json").write_text(json.dumps(doc))
+    with pytest.raises(dataio.ManifestError, match="finite"):
+        dataio.load_manifest(tmp_path / "nan.json")
+
+
 def test_manifest_custom_phi_file(tmp_path):
     manifest = write_manifest_tree(tmp_path)
     ids = [n.id for n in manifest.root.walk()]
@@ -289,3 +298,19 @@ def test_load_synthetic_spec(tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps(bad))
     with pytest.raises(dataio.ManifestError):
         dataio.load_synthetic_spec(tmp_path / "bad.json")
+
+
+@pytest.mark.parametrize(
+    "params, match",
+    [
+        ({"family": "sm", "a": 2.0, "b": 3.0, "q": 1.5, "p": 4.0}, r"'sm' takes \['a', 'b', 'q'\]"),
+        ({"family": "ln", "xi": 1.0, "sigma2": 0.4, "sigma": 0.6}, r"'ln' takes \['xi', 'sigma2'\]"),
+        ({"family": "pareto", "a": 2.0}, r"field 'family' is 'pareto', expected one of \['gb2', 'sm', 'ln'\]"),
+    ],
+    ids=["sm-with-p", "ln-with-sigma", "unknown-family"],
+)
+def test_synthetic_spec_rejects_leaf_params_of_another_family(tmp_path, params, match):
+    doc = {"regions": [{"id": "r1", "leaves": [{"id": "m1", "population": 10, "params": params}]}]}
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    with pytest.raises(dataio.ManifestError, match=match):
+        dataio.load_synthetic_spec(tmp_path / "spec.json")

@@ -250,12 +250,12 @@ def test_chain_rows_match_chains_run_alone():
             assert rates[k] == rate[0]
 
 
-def test_chain_reads_each_stream_in_single_chain_order():
+def test_chain_reads_each_stream_in_window_blocks():
     # a flat density accepts every proposal, so without adaptation each row is
-    # its start plus the cumulated steps * normals of its own stream, read as
-    # one standard_normal(d) and then one uniform per iteration; the burn-in
-    # spans two adaptation windows and a covariance refresh, which adapt=False
-    # must skip
+    # its start plus the cumulated steps * normals of its own stream, read per
+    # 50-iteration window as one (50, d) normal block and then 50 uniforms;
+    # the burn-in spans two adaptation windows and a covariance refresh, which
+    # adapt=False must skip, and the last window is only partly used
     starts = np.array([[0.0, 1.0, 2.0], [5.0, -1.0, 0.5]])
     steps = np.array([[0.1, 0.2, 0.3], [1.0, 1.0, 1.0]])
     seeds = (3, 4)
@@ -265,13 +265,23 @@ def test_chain_reads_each_stream_in_single_chain_order():
     assert np.array_equal(rates, [1.0, 1.0])
     for k, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
+        normals = []
+        for _ in range(5):
+            normals.append(rng.standard_normal((50, 3)))
+            rng.random(50)
         t = starts[k]
         expected = []
-        for _ in range(230):
-            t = t + steps[k] * rng.standard_normal(3)
-            rng.uniform()
+        for z in np.concatenate(normals)[:230]:
+            t = t + steps[k] * z
             expected.append(t)
         assert np.array_equal(draws[k], np.array(expected[120:]))
+
+
+def test_shorter_fit_is_a_prefix_of_a_longer_one():
+    data = quantile_bracket_sample(SM(2.2, 3.5, 1.8), 10_000, 10, seed=4)
+    short = fit("sm", data, McmcConfig(iterations=230, burnin=120, seed=5))
+    long = fit("sm", data, McmcConfig(iterations=260, burnin=120, seed=5))
+    assert np.array_equal(short.draws, long.draws[:110])
 
 
 def test_chain_rejects_bad_start():

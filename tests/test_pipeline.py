@@ -329,8 +329,8 @@ def test_unit_without_usable_draws_fails_loudly():
     fitted = fit_hierarchy(country, McmcConfig(iterations=2000, burnin=500, seed=1))
     # s1 loses the same draws to its mean and to its GE; each loss has its own flag
     assert assemble(fitted, 1.0, "mixture").flags == (
-        "subregion s1: 1274/1500 draws with no finite mean at theta=1",
-        "subregion s1: 1274/1500 draws with GE outside the moment window at theta=1",
+        "subregion s1: 1229/1500 draws with no finite mean at theta=1",
+        "subregion s1: 1229/1500 draws with GE outside the moment window at theta=1",
     )
     for method in ("proposed", "separate"):
         with pytest.raises(PipelineError, match=r"region r: .*theta=1$"):
