@@ -43,10 +43,14 @@ def _out_dir(args) -> Path:
 
 
 def _add_mcmc_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--iters", type=int, default=10_000, help="MCMC iterations (default 10000)")
-    parser.add_argument("--burnin", type=int, default=2_000, help="burn-in iterations (default 2000)")
+    parser.add_argument("--iters", type=int, default=10_000,
+                        help="MCMC iterations; iters - burnin draws are kept (default 10000)")
+    parser.add_argument("--burnin", type=int, default=2_000,
+                        help="burn-in iterations: iters - burnin is the number of Laplace proposals, "
+                        "and the random-walk fallback discards the first burnin iterations (default 2000)")
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
-    parser.add_argument("--no-adapt", action="store_true", help="disable burn-in proposal adaptation")
+    parser.add_argument("--no-adapt", action="store_true",
+                        help="disable burn-in proposal adaptation of the random-walk fallback")
 
 
 def _mcmc_from_args(args) -> McmcConfig:
@@ -76,6 +80,8 @@ def cmd_fit(args) -> int:
         "burnin": draws.config.burnin,
         "seed": draws.config.seed,
         "acceptance_rate": draws.acceptance_rate,
+        "sampler": draws.sampler,
+        "pareto_k": draws.pareto_k,
         "posterior_mean": {name: float(means[i]) for i, name in enumerate(draws.param_names)},
         "posterior_sd": {name: float(sds[i]) for i, name in enumerate(draws.param_names)},
         "mean_income": _summary_dict(posterior_mean_income(draws)),

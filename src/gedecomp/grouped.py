@@ -1,20 +1,29 @@
-"""Grouped-data likelihood and random-walk Metropolis-Hastings fitting.
+"""Grouped-data likelihood and posterior sampling.
 
 Income is observed only as counts over brackets with an open top bracket.
 Each positive parameter carries an inverse-gamma(1, 1) prior; a real
-parameter (the lognormal location) gets an improper flat prior.  The sampler
-walks log-transformed positive parameters (real ones stay on their natural
-scale; the family's ``n_real`` says how many lead) and may adapt its
-proposal during burn-in only, so retained draws always come from a fixed
-kernel.
+parameter (the lognormal location) gets an improper flat prior.  Sampling
+runs in chain space: log-transformed positive parameters, real ones on
+their natural scale (the family's ``n_real`` says how many lead).
+
+Each unit is sampled by an independence Metropolis-Hastings chain anchored
+at its Laplace approximation (Tierney 1994): a damped Newton search finds
+the mode, and iterations - burnin proposals are drawn from a multivariate t
+(5 degrees of freedom) centred there, scaled by the inverse negative
+Hessian.  The chain starts at the mode, so burn-in draws nothing.  A unit
+whose Hessian is not negative definite, or whose importance weights have a
+Pareto k-hat above 0.7 (PSIS; see ``diagnostics``), falls back to a
+random-walk Metropolis-Hastings chain from its quantile start that may
+adapt its proposal during burn-in only; step sizes and ``adapt`` apply to
+that fallback alone.
 
 Units of one family and bracket count are fitted together (``fit_batch``):
-one lockstep random walk over a (K, d) state, with one vectorised log
-density per iteration for all K units.  Each unit keeps its own random
-stream, step sizes and adaptation, so its draws are those of the same unit
-fitted alone (``fit`` is the batch of one).  A unit reads its stream one
-50-iteration window at a time (a block of normals, then a block of
-uniforms), so a shorter chain is a prefix of a longer one.
+the mode search, the proposals' log densities and the fallback chain each
+take one vectorised log density per step for all units of the batch.  Each
+unit keeps its own random stream, so its draws are those of the same unit
+fitted alone (``fit`` is the batch of one).  Either sampler reads the stream
+one 50-draw window at a time, so a shorter chain is a prefix of a longer
+one.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .diagnostics import pareto_k
 from .distributions import (
     FamilyParams,
     family_class,
@@ -52,6 +62,9 @@ __all__ = [
 #: estimates with more than this fraction of draws outside the moment window
 #: are flagged unreliable (still reported).
 UNRELIABLE_FRACTION = 0.01
+#: estimates with more than this fraction of draws outside the moment window
+#: are undefined: the pipeline raises rather than average the draws left.
+UNDEFINED_FRACTION = 0.5
 
 
 class UnderIdentifiedError(ValueError):
@@ -106,7 +119,13 @@ class GroupedSample:
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Random-walk MH settings; adaptation happens during burn-in only."""
+    """Sampler settings.
+
+    iterations - burnin is the number of retained draws: the independence
+    sampler's proposals, or the fallback random walk's post-burn-in
+    iterations.  step_sizes and adapt (burn-in adaptation) apply only to
+    the random-walk fallback.
+    """
 
     iterations: int = 10_000
     burnin: int = 2_000
@@ -128,7 +147,12 @@ class McmcConfig:
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """Retained MCMC draws for one unit, in the family's native order."""
+    """Retained MCMC draws for one unit, in the family's native order.
+
+    sampler is "laplace" (the independence sampler) or "random-walk" (the
+    fallback); pareto_k is the k-hat of the unit's Laplace importance
+    weights, NaN when its Hessian was not negative definite.
+    """
 
     family: str
     unit: str
@@ -136,6 +160,8 @@ class PosteriorDraws:
     param_names: tuple[str, ...]
     acceptance_rate: float
     config: McmcConfig
+    sampler: str = "random-walk"
+    pareto_k: float = math.nan
 
     @property
     def n_draws(self) -> int:
@@ -202,7 +228,9 @@ def log_prior(params: FamilyParams) -> float:
 # Sampler
 # ---------------------------------------------------------------------------
 
-_ADAPT_WINDOW = 50
+# draws per random-stream window of either sampler; also the random walk's
+# adaptation window
+_WINDOW = 50
 _COV_REFRESH = 100
 _TARGET_RATE = 0.3
 
@@ -247,17 +275,17 @@ def random_walk_chain(
     chol = np.zeros((n_units, d, d))
     has_chol = np.zeros(n_units, dtype=bool)
     n_chol = 0
-    cov_phase_start = max(burnin // 2, 2 * _ADAPT_WINDOW) if adapt else iterations
+    cov_phase_start = max(burnin // 2, 2 * _WINDOW) if adapt else iterations
     history = np.empty((n_units, burnin, d)) if (adapt and burnin > 0) else None
 
     kept = None
     accepted_window = np.zeros(n_units, dtype=np.int64)
     accepted_kept = np.zeros(n_units, dtype=np.int64)
-    z_window = np.empty((n_units, _ADAPT_WINDOW, d))
-    log_u_window = np.empty((n_units, _ADAPT_WINDOW))
+    z_window = np.empty((n_units, _WINDOW, d))
+    log_u_window = np.empty((n_units, _WINDOW))
 
     for i in range(iterations):
-        j = i % _ADAPT_WINDOW
+        j = i % _WINDOW
         if j == 0:  # each unit's next window, straight into its contiguous slice
             for rng, z_unit, u_unit in zip(rngs, z_window, log_u_window):
                 rng.standard_normal(out=z_unit)
@@ -287,9 +315,9 @@ def random_walk_chain(
             history[:, i] = t
         if not adapt:
             continue
-        if (i + 1) % _ADAPT_WINDOW == 0:
+        if (i + 1) % _WINDOW == 0:
             for k in range(n_units):
-                rate = int(accepted_window[k]) / _ADAPT_WINDOW
+                rate = int(accepted_window[k]) / _WINDOW
                 factor = float(np.clip(math.exp(0.66 * (rate - _TARGET_RATE)), 0.5, 2.0))
                 if has_chol[k]:
                     scale[k] = float(np.clip(scale[k, 0] * factor, 0.1, 10.0))
@@ -417,9 +445,11 @@ class _SampleStack:
 def _chain_log_density(family: str, samples):
     """Log posterior of K samples with G brackets each, as a map (K, d) -> (K,).
 
-    Row k is a chain state of unit k.  Rows off the parameter domain
-    (non-finite or nonpositive natural parameters, LN's sigma2 = 0) get
-    -inf, found from the whole matrix at once.
+    Row k is a chain state of unit k; with ``units`` (an index per row) row
+    r is a state of unit units[r] instead, so one call may hold several
+    states per unit.  Rows off the parameter domain (non-finite or
+    nonpositive natural parameters, LN's sigma2 = 0) get -inf, found from
+    the whole matrix at once.
     """
     stack = _SampleStack(
         np.array([data.boundaries for data in samples]), np.array([data.counts for data in samples])
@@ -430,28 +460,169 @@ def _chain_log_density(family: str, samples):
     lower = np.zeros(dim)
     lower[:real] = -math.inf
 
-    def log_density(t: np.ndarray) -> np.ndarray:
+    def log_density(t: np.ndarray, units=None) -> np.ndarray:
+        data = stack if units is None else _SampleStack(stack.boundaries[units], stack.counts[units])
         natural = to_natural(t)
         inside = (natural > lower) & (natural < math.inf)
         if inside.all():
-            ll = log_likelihood(make_batch(family, natural), stack)
+            ll = log_likelihood(make_batch(family, natural), data)
         else:
             ok = np.logical_and.reduce(inside, axis=1)
             natural = np.where(ok[:, None], natural, 1.0)
-            ll = np.where(ok, log_likelihood(make_batch(family, natural), stack), -math.inf)
+            ll = np.where(ok, log_likelihood(make_batch(family, natural), data), -math.inf)
         # fmax turns NaN (a cdf that failed at extreme parameters) into -inf
         return np.fmax(ll + log_prior_t(t, natural), -math.inf)
 
     return log_density
 
 
-def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
-    """Posterior sampling for K units of one family in one lockstep chain.
+# Laplace-anchored independence sampler
+_T_DOF = 5.0  # degrees of freedom of the t proposal
+_MAX_PARETO_K = 0.7  # PSIS k-hat above which a unit falls back to the random walk
+_FD_STEP = 1e-3  # finite-difference step in chain space
+_NEWTON_ITERATIONS = 100
+_NEWTON_TOL = 1e-10  # Newton decrement g' (-H)^-1 g at which a row has converged
+_MAX_NEWTON_STEP = 1.0  # largest change of one chain coordinate per Newton step
+_BACKTRACKS = 30
 
-    The units need the same number of brackets, and their configs may differ
-    only in seed and step_sizes.  Each unit's draws equal those of
-    ``fit(family, sample, config)``: the batch shares the loop and the
-    vectorised log density, not the randomness or the adaptation.  Raises
+
+def _difference_offsets(dim: int) -> np.ndarray:
+    """The 1 + 2d + 2d(d-1) offsets of a central-difference gradient and Hessian.
+
+    Row 0 is the point itself, then +h e_i, then -h e_i, then for each pair
+    i < j the four corners (+h, +h), (+h, -h), (-h, +h), (-h, -h).
+    """
+    eye = _FD_STEP * np.eye(dim)
+    corners = [si * eye[i] + sj * eye[j] for i in range(dim) for j in range(i + 1, dim)
+               for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    return np.array([np.zeros(dim), *eye, *-eye, *corners]).reshape(-1, dim)
+
+
+def _derivatives(values: np.ndarray, dim: int):
+    """Value, gradient (R, d) and Hessian (R, d, d) from values (R, P) at the offsets."""
+    h = _FD_STEP
+    centre = values[:, :1]
+    plus, minus = values[:, 1 : 1 + dim], values[:, 1 + dim : 1 + 2 * dim]
+    hess = np.empty((len(values), dim, dim))
+    diag = np.arange(dim)
+    hess[:, diag, diag] = (plus - 2.0 * centre + minus) / (h * h)
+    corners = values[:, 1 + 2 * dim :].reshape(len(values), -1, 4)
+    upper = (corners[..., 0] - corners[..., 1] - corners[..., 2] + corners[..., 3]) / (4.0 * h * h)
+    i, j = np.triu_indices(dim, 1)
+    hess[:, i, j] = hess[:, j, i] = upper
+    return values[:, 0], (plus - minus) / (2.0 * h), hess
+
+
+def _newton_modes(log_density, start: np.ndarray):
+    """Damped Newton ascent of each row of start to its mode in chain space.
+
+    Each round evaluates the difference points of every active row in one
+    stacked log density call.  The step solves with the negative Hessian,
+    its eigenvalues taken in absolute value (so a row off the concave
+    region still climbs), and is halved per row until the row's log density
+    rises.  A row that has converged, or cannot rise, is frozen; rows never
+    share a step length, so a row's path does not depend on its batch-mates.
+
+    Returns (modes, log density at the modes, Hessians); a row whose
+    difference points are not all finite gets a NaN Hessian.
+    """
+    t = np.array(start, dtype=float)
+    n_units, dim = t.shape
+    offsets = _difference_offsets(dim)
+    lp = np.full(n_units, -math.inf)
+    hess = np.full((n_units, dim, dim), math.nan)
+    active = np.arange(n_units)
+    for _ in range(_NEWTON_ITERATIONS):
+        if not active.size:
+            break
+        points = (t[active, None, :] + offsets).reshape(-1, dim)
+        values = log_density(points, np.repeat(active, len(offsets))).reshape(len(active), -1)
+        finite = np.isfinite(values).all(axis=1)
+        lp[active] = values[:, 0]
+        hess[active[~finite]] = math.nan  # a row at the domain's edge stops, without a Hessian
+        active = active[finite]
+        f0, grad, h_rows = _derivatives(values[finite], dim)
+        hess[active] = h_rows
+        curv, vec = np.linalg.eigh(-h_rows)
+        curv = np.maximum(np.abs(curv), np.maximum(1e-12 * np.abs(curv).max(axis=1, keepdims=True), 1e-8))
+        # products as elementwise sums, never BLAS, so no row's result can depend on the batch
+        step = (vec * ((grad[:, :, None] * vec).sum(axis=1) / curv)[:, None, :]).sum(axis=2)
+        moving = (grad * step).sum(axis=1) > _NEWTON_TOL
+        active, f0, step = active[moving], f0[moving], step[moving]
+        step *= np.minimum(1.0, _MAX_NEWTON_STEP / np.abs(step).max(axis=1, keepdims=True))
+        trying, alpha = np.arange(len(active)), 1.0
+        for _ in range(_BACKTRACKS):
+            if not trying.size:
+                break
+            rows = active[trying]
+            candidate = t[rows] + alpha * step[trying]
+            value = log_density(candidate, rows)
+            rose = value > f0[trying]
+            t[rows[rose]], lp[rows[rose]] = candidate[rose], value[rose]
+            trying, alpha = trying[~rose], 0.5 * alpha
+        active = np.delete(active, trying)  # rows that could not rise have converged
+    return t, lp, hess
+
+
+def _independence_chains(log_density, modes, lp_modes, scales, n, rngs):
+    """Independence MH chains for K units, proposals from a t around each mode.
+
+    Proposal i of unit k is modes[k] + sqrt(nu / w_i) * scales[k] @ z_i with
+    z_i standard normal and w_i chi-square(nu).  Each unit reads its own
+    stream one window at a time: a (50, d) block of normals, 50 chi-square
+    draws, 50 uniforms; each window's proposals of all units take one log
+    density call.  The chain starts at the mode and accepts on the
+    precomputed log importance weights, one unit at a time.
+
+    Returns (draws (K, n, d), acceptance rate per unit, log importance
+    weights (K, n)).
+    """
+    n_units, dim = modes.shape
+    units = np.repeat(np.arange(n_units), _WINDOW)
+    n_windows = -(-n // _WINDOW)
+    proposals = np.empty((n_units, n_windows * _WINDOW, dim))
+    log_w = np.empty((n_units, n_windows * _WINDOW))
+    log_u = np.empty_like(log_w)
+    z = np.empty((n_units, _WINDOW, dim))
+    chi2 = np.empty((n_units, _WINDOW))
+    for j in range(n_windows):
+        window = slice(j * _WINDOW, (j + 1) * _WINDOW)
+        for rng, z_unit, chi2_unit, u_unit in zip(rngs, z, chi2, log_u[:, window]):
+            rng.standard_normal(out=z_unit)
+            chi2_unit[:] = rng.chisquare(_T_DOF, _WINDOW)
+            rng.random(out=u_unit)
+        spread = np.sqrt(_T_DOF / chi2)[:, :, None] * (z[:, :, None, :] * scales[:, None]).sum(axis=3)
+        proposals[:, window] = modes[:, None, :] + spread
+        log_q = -0.5 * (_T_DOF + dim) * np.log1p((z * z).sum(axis=2) / chi2)  # up to a constant, 0 at the mode
+        log_w[:, window] = log_density(proposals[:, window].reshape(-1, dim), units).reshape(n_units, _WINDOW) - log_q
+    np.log(log_u, out=log_u)
+
+    rates = np.empty(n_units)
+    for k in range(n_units):
+        path, current, accepted = [], lp_modes[k], 0
+        state = -1  # the mode
+        for i, (w, u) in enumerate(zip(log_w[k, :n].tolist(), log_u[k, :n].tolist())):
+            if u < w - current:
+                state, current, accepted = i, w, accepted + 1
+            path.append(state)
+        states = np.array(path)
+        # the chain in place of the proposals: state i is proposal i or an earlier one
+        proposals[k, :n] = np.where(states[:, None] < 0, modes[k], proposals[k, states])
+        rates[k] = accepted / n
+    return proposals[:, :n], rates, log_w[:, :n]
+
+
+def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
+    """Posterior sampling for K units of one family, batched across units.
+
+    Each unit gets the Laplace-anchored independence sampler; a unit whose
+    Hessian at the mode is not negative definite, or whose importance
+    weights have a Pareto k-hat above 0.7, falls back to the random walk,
+    and the fallback units of a batch share one lockstep chain.  The units
+    need the same number of brackets, and their configs may differ only in
+    seed and step_sizes.  Each unit's draws equal those of ``fit(family,
+    sample, config)``: the batch shares vectorised log density calls, never
+    a unit's randomness, Newton steps or adaptation.  Raises
     UnderIdentifiedError when the family has more parameters than free
     bracket cells, and ValueError naming the unit whose log density is not
     finite at its start.
@@ -476,10 +647,34 @@ def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
         start[bad] = 0.0  # the chain-space origin: unit parameters, LN(0, 1)
         for k in np.flatnonzero(bad & ~np.isfinite(log_density(start))):
             raise ValueError(f"unit {samples[k].unit!r}: log density is not finite at the starting point")
-    steps = np.array([c.step_sizes if c.step_sizes is not None else [0.1] * dim for c in configs], dtype=float)
 
-    rngs = [np.random.default_rng(c.seed) for c in configs]
-    draws, acc_rates = random_walk_chain(log_density, start, steps, iterations, burnin, rngs, adapt=adapt)
+    n_units, n = len(samples), iterations - burnin
+    modes, lp_modes, hess = _newton_modes(log_density, start)
+    # the Laplace path needs a negative definite Hessian: -H with eigenvalues > 0
+    finite = np.flatnonzero(np.isfinite(hess).all(axis=(1, 2)))
+    curv, vec = np.linalg.eigh(-hess[finite])
+    concave = curv[:, 0] > 0.0
+    laplace = finite[concave]
+    draws = np.empty((n_units, n, dim))
+    acc_rates = np.empty(n_units)
+    k_hat = np.full(n_units, math.nan)
+    if laplace.size:
+        scales = vec[concave] / np.sqrt(curv[concave])[:, None, :]  # scales @ scales.T = (-H)^-1
+        rngs = [np.random.default_rng(configs[k].seed) for k in laplace]
+        draws[laplace], acc_rates[laplace], log_w = _independence_chains(
+            lambda t, units: log_density(t, laplace[units]), modes[laplace], lp_modes[laplace], scales, n, rngs
+        )
+        k_hat[laplace] = [pareto_k(w) for w in log_w]
+    passed = np.zeros(n_units, dtype=bool)
+    passed[laplace] = k_hat[laplace] <= _MAX_PARETO_K
+    fallback = np.flatnonzero(~passed)
+    if fallback.size:
+        steps = np.array([configs[k].step_sizes or [0.1] * dim for k in fallback], dtype=float)
+        rngs = [np.random.default_rng(configs[k].seed) for k in fallback]
+        fallback_density = _chain_log_density(family, [samples[k] for k in fallback])
+        draws[fallback], acc_rates[fallback] = random_walk_chain(
+            fallback_density, start[fallback], steps, iterations, burnin, rngs, adapt=adapt
+        )
     # to natural parameters in place, so the batch never holds its draws twice
     positive = draws[..., real:]
     np.exp(positive, out=positive)
@@ -491,6 +686,8 @@ def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
             param_names=family_param_names(family),
             acceptance_rate=float(acc_rates[k]),
             config=config,
+            sampler="laplace" if passed[k] else "random-walk",
+            pareto_k=float(k_hat[k]),
         )
         for k, (data, config) in enumerate(zip(samples, configs))
     ]

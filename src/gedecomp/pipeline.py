@@ -26,6 +26,7 @@ import numpy as np
 from . import benchmark
 from .distributions import _gb2_ge_vec, _require_positive, theta_kind
 from .grouped import (
+    UNDEFINED_FRACTION,
     GroupedSample,
     McmcConfig,
     PosteriorDraws,
@@ -262,13 +263,16 @@ _NO_MEAN, _GE_OUTSIDE = "no finite mean", "GE outside the moment window"
 
 
 def _usable(node: HierarchyNode, theta: float, flags: list[str], summary: PosteriorSummary, excluded: str):
-    """Flag a summary with excluded draws, saying why (_NO_MEAN, _GE_OUTSIDE); fail when no draw is usable."""
+    """Flag a summary with excluded draws, saying why (_NO_MEAN, _GE_OUTSIDE).
+
+    Fails when more than UNDEFINED_FRACTION of the draws are excluded (every
+    draw, too): the estimate is then undefined, not an average of the rest.
+    """
+    lost = f"{summary.n_excluded}/{summary.n_draws} draws with {excluded} at theta={theta:g}"
+    if summary.n_excluded > UNDEFINED_FRACTION * summary.n_draws:
+        raise PipelineError(f"{node.level} {node.id}: undefined, {lost}")
     if summary.unreliable:
-        flags.append(
-            f"{node.level} {node.id}: {summary.n_excluded}/{summary.n_draws} draws with {excluded} at theta={theta:g}"
-        )
-    if math.isnan(summary.value):
-        raise PipelineError(f"{node.level} {node.id}: every posterior draw has {excluded} at theta={theta:g}")
+        flags.append(f"{node.level} {node.id}: {lost}")
     return summary
 
 

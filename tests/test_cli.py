@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,22 @@ def test_fit_command_prints_posterior_json(tmp_path, capsys):
     assert set(doc["posterior_mean"]) == {"xi", "sigma2"}
     assert doc["ge"]["0"]["value"] > 0.0
     assert 0.0 < doc["acceptance_rate"] < 1.0
+    assert doc["sampler"] == "laplace" and doc["pareto_k"] <= 0.7
+
+
+def test_cli_and_a_fit_leave_scipy_optimize_and_stats_unloaded():
+    # each costs about a second of start-up; the fit needs only scipy.special
+    code = (
+        "import sys, gedecomp.cli, gedecomp as g\n"
+        "sample = g.GroupedSample([0, 1, 2, 3, 5, 8, float('inf')], [10, 25, 30, 20, 10, 5])\n"
+        "assert g.fit('sm', sample, g.McmcConfig(600, 150)).sampler == 'laplace'\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.stats'))))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_fit_command_scale_counts(tmp_path, capsys):

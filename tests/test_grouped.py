@@ -16,6 +16,7 @@ from gedecomp.grouped import (
     PosteriorDraws,
     UnderIdentifiedError,
     _chain_log_density,
+    _initial_guess,
     config_for_unit,
     derive_seed,
     fit,
@@ -343,7 +344,52 @@ def test_ln_recovery():
     draws = fit("ln", data, McmcConfig(seed=7))
     posterior_mean = draws.param_means()
     assert_allclose(posterior_mean, [1.5, 0.4], rtol=0.05)
-    assert 0.1 < draws.acceptance_rate < 0.6
+    assert draws.sampler == "laplace"
+    assert draws.acceptance_rate > 0.5
+
+
+# 30 of 31 counts in the open top bracket and one in the lowest: the lognormal
+# posterior of sigma2 has a long right tail, so its Laplace importance
+# weights are heavy-tailed (k-hat 1.1 at this seed) and the unit falls back
+TOP_HEAVY = GroupedSample([0, 1, 2, 3, 5, 8, np.inf], [1.0, 0.0, 0.0, 0.0, 0.0, 30.0], "top-heavy")
+
+
+def test_unit_failing_the_gate_runs_the_random_walk():
+    config = McmcConfig(iterations=2_000, burnin=500, seed=0)
+    draws = fit("ln", TOP_HEAVY, config)
+    assert draws.sampler == "random-walk"
+    assert draws.pareto_k > 0.7
+    assert 0.1 < draws.acceptance_rate < 0.6  # the random walk's ~30% tuning target
+    # the unchanged random walk from the quantile start on a fresh stream
+    start = _initial_guess("ln", TOP_HEAVY)[None]
+    chain, rate = random_walk_chain(_chain_log_density("ln", [TOP_HEAVY]), start, np.full((1, 2), 0.1),
+                                    2_000, 500, [np.random.default_rng(0)])
+    chain[0, :, 1] = np.exp(chain[0, :, 1])
+    assert np.array_equal(draws.draws, chain[0])
+    assert draws.acceptance_rate == rate[0]
+
+
+def test_batch_mixing_laplace_and_fallback_units_equals_fits_alone():
+    laplace_unit = GroupedSample(TOP_HEAVY.boundaries, [20.0, 40.0, 60.0, 50.0, 20.0, 10.0], "laplace")
+    configs = [McmcConfig(iterations=2_000, burnin=500, seed=s, step_sizes=(0.2, 0.1)) for s in (3, 0)]
+    batch = fit_batch("ln", [laplace_unit, TOP_HEAVY], configs)
+    assert [d.sampler for d in batch] == ["laplace", "random-walk"]
+    for data, config, draws in zip((laplace_unit, TOP_HEAVY), configs, batch):
+        alone = fit("ln", data, config)
+        assert np.array_equal(draws.draws, alone.draws)
+        assert draws.acceptance_rate == alone.acceptance_rate
+        assert draws.pareto_k == alone.pareto_k
+
+
+def test_laplace_chain_moves_only_on_accepted_proposals():
+    data = quantile_bracket_sample(SM(2.2, 3.5, 1.8), 10_000, 10, seed=4)
+    draws = fit("sm", data, McmcConfig(iterations=3_000, burnin=1_000, seed=5))
+    assert draws.sampler == "laplace" and draws.pareto_k < 0.5
+    moves = np.any(np.diff(draws.draws, axis=0) != 0.0, axis=1).sum()
+    # each retained draw is a new proposal or a repeat of the state before it;
+    # the first draw is the mode or the first proposal
+    assert round(draws.n_draws * draws.acceptance_rate) in (moves, moves + 1)
+    assert_allclose(draws.param_means(), [2.2, 3.5, 1.8], rtol=0.1)
 
 
 def test_sm_recovery_mean_income():

@@ -9,7 +9,15 @@ from numpy.testing import assert_allclose
 
 import gedecomp as g
 from gedecomp.distributions import MomentExistenceError, ParameterDomainError
-from gedecomp.grouped import GroupedSample, McmcConfig, PosteriorDraws, config_for_unit, fit, fit_batch
+from gedecomp.grouped import (
+    GroupedSample,
+    McmcConfig,
+    PosteriorDraws,
+    config_for_unit,
+    fit,
+    fit_batch,
+    posterior_ge,
+)
 from gedecomp.pipeline import (
     FittedHierarchy,
     HierarchyNode,
@@ -327,18 +335,36 @@ def test_unit_without_usable_draws_fails_loudly():
     region = HierarchyNode("r", "region", 1000.0, "sm", GroupedSample(brackets, region_counts, "r"), (s1, s2))
     country = HierarchyNode("c", "country", 1000.0, "gb2", GroupedSample(brackets, region_counts, "c"), (region,))
     fitted = fit_hierarchy(country, McmcConfig(iterations=2000, burnin=500, seed=1))
-    # s1 loses the same draws to its mean and to its GE; each loss has its own flag
-    assert assemble(fitted, 1.0, "mixture").flags == (
-        "subregion s1: 1229/1500 draws with no finite mean at theta=1",
-        "subregion s1: 1229/1500 draws with GE outside the moment window at theta=1",
-    )
+    # s1 loses most of its draws to its mean: more than half lost is undefined, not averaged
+    with pytest.raises(PipelineError, match=r"^subregion s1: undefined, 1269/1500 draws with no finite mean at theta=1$"):
+        assemble(fitted, 1.0, "mixture")
+    # the country is checked first, and its GE at theta = 1 is undefined too
     for method in ("proposed", "separate"):
-        with pytest.raises(PipelineError, match=r"region r: .*theta=1$"):
+        with pytest.raises(PipelineError, match=r"^country c: undefined, 1500/1500 draws with GE outside .*theta=1$"):
             assemble(fitted, 1.0, method)
-    # the mixture reads only the leaves: give one leaf the region's draws
-    fitted = FittedHierarchy(root=country, draws=dict(fitted.draws, s2=fitted.draws["r"]), mcmc=fitted.mcmc)
+    assert posterior_ge(fitted.draws["r"], 1.0).n_excluded == 1500
+    # the mixture reads only the leaves: give one leaf the region's draws (and s1 usable ones)
+    draws = dict(fitted.draws, s1=fitted.draws["s2"], s2=fitted.draws["r"])
+    fitted = FittedHierarchy(root=country, draws=draws, mcmc=fitted.mcmc)
     with pytest.raises(PipelineError, match=r"subregion s2: .*theta=1$"):
         assemble(fitted, 1.0, "mixture")
+
+
+def test_exclusions_up_to_half_are_flagged_and_beyond_half_undefined():
+    light = g.SM(2.5, 3.0, 2.0)
+    heavy = g.SM(1.5, 3.0, 1.0).to_vector()  # a*q = 1.5 < 2: excluded at theta = 2
+    fitted = build_fitted_tree([light] * 2, [500.0, 500.0], region_split=(2,), families=("gb2", "sm", "sm"))
+    for n_heavy, undefined in ((50, False), (51, True)):
+        rows = np.vstack([np.tile(heavy, (n_heavy, 1)), np.tile(light.to_vector(), (100 - n_heavy, 1))])
+        draws = PosteriorDraws(family="sm", unit="s0", draws=rows, param_names=("a", "b", "q"),
+                               acceptance_rate=0.3, config=McmcConfig(iterations=101, burnin=1))
+        tree = FittedHierarchy(root=fitted.root, draws=dict(fitted.draws, s0=draws), mcmc=fitted.mcmc)
+        lost = f"{n_heavy}/100 draws with GE outside the moment window at theta=2"
+        if undefined:
+            with pytest.raises(PipelineError, match=f"^subregion s0: undefined, {lost}$"):
+                assemble(tree, 2.0, "mixture")
+        else:
+            assert assemble(tree, 2.0, "mixture").flags == (f"subregion s0: {lost}",)
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
