@@ -11,11 +11,12 @@ at its Laplace approximation (Tierney 1994): a damped Newton search finds
 the mode, and iterations - burnin proposals are drawn from a multivariate t
 (5 degrees of freedom) centred there, scaled by the inverse negative
 Hessian.  The chain starts at the mode, so burn-in draws nothing.  A unit
-whose Hessian is not negative definite, or whose importance weights have a
-Pareto k-hat above 0.7 (PSIS; see ``diagnostics``), falls back to a
-random-walk Metropolis-Hastings chain from its quantile start that may
-adapt its proposal during burn-in only; step sizes and ``adapt`` apply to
-that fallback alone.
+whose Hessian is not negative definite, whose importance weights have a
+Pareto k-hat above 0.7 (PSIS; see ``diagnostics``), or whose chain accepts
+fewer than half its proposals falls back to a random-walk
+Metropolis-Hastings chain from its quantile start that may adapt its
+proposal during burn-in only; step sizes and ``adapt`` apply to that
+fallback alone.
 
 Units of one family and bracket count are fitted together (``fit_batch``):
 the mode search, the proposals' log densities and the fallback chain each
@@ -23,7 +24,8 @@ take one vectorised log density per step for all units of the batch.  Each
 unit keeps its own random stream, so its draws are those of the same unit
 fitted alone (``fit`` is the batch of one).  Either sampler reads the stream
 one 50-draw window at a time, so a shorter chain is a prefix of a longer
-one.
+one when both take the same sampler.  The gate reads all of a unit's
+proposals, so a unit can pass it at one length and fall back at another.
 """
 
 from __future__ import annotations
@@ -151,7 +153,9 @@ class PosteriorDraws:
 
     sampler is "laplace" (the independence sampler) or "random-walk" (the
     fallback); pareto_k is the k-hat of the unit's Laplace importance
-    weights, NaN when its Hessian was not negative definite.
+    weights, NaN when its Hessian was not negative definite.  A fallback
+    unit with pareto_k <= 0.7 accepted fewer than half its Laplace
+    proposals; its acceptance_rate is the random walk's.
     """
 
     family: str
@@ -479,6 +483,7 @@ def _chain_log_density(family: str, samples):
 # Laplace-anchored independence sampler
 _T_DOF = 5.0  # degrees of freedom of the t proposal
 _MAX_PARETO_K = 0.7  # PSIS k-hat above which a unit falls back to the random walk
+_MIN_ACCEPTANCE = 0.5  # acceptance rate below which a unit falls back to the random walk
 _FD_STEP = 1e-3  # finite-difference step in chain space
 _NEWTON_ITERATIONS = 100
 _NEWTON_TOL = 1e-10  # Newton decrement g' (-H)^-1 g at which a row has converged
@@ -616,9 +621,12 @@ def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
     """Posterior sampling for K units of one family, batched across units.
 
     Each unit gets the Laplace-anchored independence sampler; a unit whose
-    Hessian at the mode is not negative definite, or whose importance
-    weights have a Pareto k-hat above 0.7, falls back to the random walk,
-    and the fallback units of a batch share one lockstep chain.  The units
+    Hessian at the mode is not negative definite, whose importance weights
+    have a Pareto k-hat above 0.7, or whose chain accepts fewer than half
+    its proposals falls back to the random walk, and the fallback units of
+    a batch share one lockstep chain.  k-hat reads only the weights of the
+    proposals drawn, so it cannot see posterior mass the proposals never
+    reach; a low acceptance rate shows such a mismatch.  The units
     need the same number of brackets, and their configs may differ only in
     seed and step_sizes.  Each unit's draws equal those of ``fit(family,
     sample, config)``: the batch shares vectorised log density calls, never
@@ -666,14 +674,13 @@ def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
         )
         k_hat[laplace] = [pareto_k(w) for w in log_w]
     passed = np.zeros(n_units, dtype=bool)
-    passed[laplace] = k_hat[laplace] <= _MAX_PARETO_K
+    passed[laplace] = (k_hat[laplace] <= _MAX_PARETO_K) & (acc_rates[laplace] >= _MIN_ACCEPTANCE)
     fallback = np.flatnonzero(~passed)
     if fallback.size:
         steps = np.array([configs[k].step_sizes or [0.1] * dim for k in fallback], dtype=float)
         rngs = [np.random.default_rng(configs[k].seed) for k in fallback]
-        fallback_density = _chain_log_density(family, [samples[k] for k in fallback])
         draws[fallback], acc_rates[fallback] = random_walk_chain(
-            fallback_density, start[fallback], steps, iterations, burnin, rngs, adapt=adapt
+            lambda t: log_density(t, fallback), start[fallback], steps, iterations, burnin, rngs, adapt=adapt
         )
     # to natural parameters in place, so the batch never holds its draws twice
     positive = draws[..., real:]
