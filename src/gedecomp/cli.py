@@ -240,13 +240,13 @@ def cmd_surface(args) -> int:
         writer = csv.writer(handle)
         writer.writerow(["theta", "a", "q", "ge"])
         for surface in surfaces:
-            for i, qv in enumerate(surface.q_values):
-                for j, av in enumerate(surface.a_values):
-                    value = surface.values[i, j]
-                    writer.writerow(
-                        [repr(surface.theta), repr(float(av)), repr(float(qv)),
-                         "" if math.isnan(value) else repr(float(value))]
-                    )
+            theta = repr(surface.theta)
+            a_text = [repr(a) for a in surface.a_values.tolist()]
+            for q, row in zip(surface.q_values.tolist(), surface.values.tolist()):
+                q_text = repr(q)
+                writer.writerows(
+                    [theta, a, q_text, "" if math.isnan(value) else repr(value)] for a, value in zip(a_text, row)
+                )
     print(path)
     return 0
 

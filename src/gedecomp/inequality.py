@@ -39,6 +39,22 @@ def _check_incomes(incomes) -> np.ndarray:
     return x
 
 
+# Outside the limit windows but this close to 0 or 1, ``mean(r**theta) - 1``
+# cancels to about eps/|theta| (or eps/|theta - 1|) of its value, which is
+# then divided by theta * (theta - 1); there it is averaged from expm1 terms.
+_NEAR_LIMIT = 0.1
+
+
+def _power_mean_excess(average, r: np.ndarray, theta: float):
+    """average(r**theta) - 1 for ratios whose average is exactly 1 in real arithmetic."""
+    if abs(theta) < _NEAR_LIMIT:
+        return average(np.expm1(theta * np.log(r)))
+    if abs(theta - 1.0) < _NEAR_LIMIT:
+        # r**theta - 1 = r * expm1((theta - 1) log r) + (r - 1), and r - 1 averages to 0
+        return average(r * np.expm1((theta - 1.0) * np.log(r)))
+    return average(r**theta) - 1.0
+
+
 def ge_finite(incomes, theta: float) -> float:
     """Generalized entropy of a finite population of positive incomes.
 
@@ -53,7 +69,7 @@ def ge_finite(incomes, theta: float) -> float:
         return float(-np.mean(np.log(r)))
     if kind == "theil":
         return float(np.mean(r * np.log(r)))
-    return float((np.mean(r**theta) - 1.0) / (theta * (theta - 1.0)))
+    return float(_power_mean_excess(np.mean, r, theta) / (theta * (theta - 1.0)))
 
 
 def decomposition_weights(shares, income_shares, theta: float) -> np.ndarray:
@@ -82,7 +98,7 @@ def _between_term(shares, mean_ratios, income_shares, theta: float) -> float:
     if kind == "theil":
         s = np.asarray(income_shares, dtype=float)
         return float(np.sum(s * np.log(t)))
-    return float((np.sum(lam * t**theta) - 1.0) / (theta * (theta - 1.0)))
+    return float(_power_mean_excess(lambda v: np.sum(lam * v), t, theta) / (theta * (theta - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -118,13 +134,22 @@ def decompose_finite(incomes, labels, theta: float) -> GroupDecomposition:
     if labels.shape != x.shape:
         raise DomainError("labels must align with incomes")
     uniq = list(dict.fromkeys(labels.tolist()))  # first-appearance order
+    return _decompose_groups(x, uniq, (x[labels == label] for label in uniq), theta)
+
+
+def _decompose_groups(x: np.ndarray, labels, parts, theta: float) -> GroupDecomposition:
+    """Decomposition of the population x already split into groups.
+
+    The j-th of the iterable parts holds the incomes of group labels[j];
+    together the parts are exactly the elements of x.  Callers that know
+    the grouping (a population laid out group by group) pass slices and
+    skip the label search.
+    """
     n_total = x.size
     mu = x.mean()
 
     terms = []
-    for label in uniq:
-        mask = labels == label
-        xj = x[mask]
+    for label, xj in zip(labels, parts):
         if xj.size == 0:
             raise DomainError(f"group {label!r} is empty")
         lam = xj.size / n_total

@@ -16,7 +16,7 @@ import numpy as np
 
 from .distributions import FamilyParams
 from .grouped import GroupedSample, McmcConfig, derive_seed
-from .inequality import decompose_finite, ge_finite
+from .inequality import _decompose_groups, ge_finite
 from .pipeline import METHODS, DecompositionReport, HierarchyNode, assemble, fit_hierarchy
 
 __all__ = [
@@ -84,6 +84,12 @@ class SyntheticSpec:
                 raise ValueError("need at least two brackets")
         else:
             object.__setattr__(self, "brackets", tuple(float(c) for c in self.brackets))
+        seen = set()
+        for node_id in [self.country_id, *(r.id for r in self.regions),
+                        *(l.id for r in self.regions for l in r.leaves)]:
+            if node_id in seen:
+                raise ValueError(f"node id {node_id!r} is used more than once")
+            seen.add(node_id)
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,16 @@ class MultilevelTruth:
 
 @dataclass(frozen=True)
 class SyntheticData:
+    """A realized synthetic population, its survey sample and grouped counts.
+
+    The population is laid out contiguously: leaf by leaf within region by
+    region, in spec order.  node_slices maps every node id (country, regions
+    and leaves) to its [start, stop) range of incomes and sampled, so truth
+    and bracket counts are slice arithmetic.  region_labels and leaf_labels
+    give each person's region and leaf id; they stay for callers that
+    select by label.
+    """
+
     spec: SyntheticSpec
     incomes: np.ndarray
     region_labels: np.ndarray
@@ -110,33 +126,28 @@ class SyntheticData:
     sampled: np.ndarray  # boolean mask over the population
     samples: dict[str, GroupedSample]
     root: HierarchyNode
+    node_slices: dict[str, slice]
 
     def true_ge(self, node_id: str, theta: float) -> float:
         """Realized finite-population GE of one node."""
-        mask = self._node_mask(node_id)
-        return ge_finite(self.incomes[mask], theta)
-
-    def _node_mask(self, node_id: str) -> np.ndarray:
-        if node_id == self.spec.country_id:
-            return np.ones(len(self.incomes), dtype=bool)
-        if np.any(self.region_labels == node_id):
-            return self.region_labels == node_id
-        if np.any(self.leaf_labels == node_id):
-            return self.leaf_labels == node_id
-        raise KeyError(f"unknown node id {node_id!r}")
+        return ge_finite(self.incomes[self.node_slices[node_id]], theta)
 
     def multilevel_truth(self, theta: float) -> MultilevelTruth:
-        top = decompose_finite(self.incomes, self.region_labels, theta)
+        x = self.incomes
+        regions = self.spec.regions
+        top = _decompose_groups(x, [r.id for r in regions], [x[self.node_slices[r.id]] for r in regions], theta)
         region_ge = {}
         region_between = {}
         region_within = {}
         leaf_ge = {}
         sum_wb = 0.0
         sum_ww = 0.0
-        for term in top.groups:
-            rid = term.label
-            mask = self.region_labels == rid
-            sub = decompose_finite(self.incomes[mask], self.leaf_labels[mask], theta)
+        for region, term in zip(regions, top.groups):
+            rid = region.id
+            leaves = region.leaves
+            sub = _decompose_groups(
+                x[self.node_slices[rid]], [l.id for l in leaves], [x[self.node_slices[l.id]] for l in leaves], theta
+            )
             region_ge[rid] = term.ge
             region_between[rid] = sub.between
             region_within[rid] = sub.within
@@ -182,10 +193,11 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
     editing one leaf leaves the others' draws untouched.
     """
     incomes_parts = []
-    region_parts = []
-    leaf_parts = []
     sampled_parts = []
+    node_slices: dict[str, slice] = {}
+    stop = 0
     for region in spec.regions:
+        start = stop
         for leaf in region.leaves:
             rng = np.random.default_rng(derive_seed(spec.seed, leaf.id))
             x = leaf.params.sample(leaf.population, rng)
@@ -195,23 +207,30 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
             mask[chosen] = True
             incomes_parts.append(x)
             sampled_parts.append(mask)
-            region_parts.extend([region.id] * leaf.population)
-            leaf_parts.extend([leaf.id] * leaf.population)
+            node_slices[leaf.id] = slice(stop, stop + leaf.population)
+            stop += leaf.population
+        node_slices[region.id] = slice(start, stop)
+    node_slices[spec.country_id] = slice(0, stop)
 
     incomes = np.concatenate(incomes_parts)
     sampled = np.concatenate(sampled_parts)
-    region_labels = np.array(region_parts)
-    leaf_labels = np.array(leaf_parts)
+    all_leaves = [leaf for region in spec.regions for leaf in region.leaves]
+    region_labels = np.repeat([r.id for r in spec.regions],
+                              [sum(l.population for l in r.leaves) for r in spec.regions])
+    leaf_labels = np.repeat([l.id for l in all_leaves], [l.population for l in all_leaves])
 
     boundaries = _resolve_brackets(spec, incomes[sampled])
+
+    def counts_of(node_id: str) -> np.ndarray:
+        part = node_slices[node_id]
+        return _bracket_counts(incomes[part][sampled[part]], boundaries)
 
     samples: dict[str, GroupedSample] = {}
     nodes = []
     for region in spec.regions:
         leaves = []
         for leaf in region.leaves:
-            mask = (leaf_labels == leaf.id) & sampled
-            counts = _bracket_counts(incomes[mask], boundaries)
+            counts = counts_of(leaf.id)
             if counts.sum() <= 0:
                 raise ValueError(f"leaf {leaf.id!r}: bracket scheme left no observations")
             samples[leaf.id] = GroupedSample(boundaries, counts, leaf.id)
@@ -224,8 +243,7 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
                     data=samples[leaf.id],
                 )
             )
-        mask = (region_labels == region.id) & sampled
-        samples[region.id] = GroupedSample(boundaries, _bracket_counts(incomes[mask], boundaries), region.id)
+        samples[region.id] = GroupedSample(boundaries, counts_of(region.id), region.id)
         nodes.append(
             HierarchyNode(
                 id=region.id,
@@ -236,7 +254,7 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
                 children=tuple(leaves),
             )
         )
-    samples[spec.country_id] = GroupedSample(boundaries, _bracket_counts(incomes[sampled], boundaries), spec.country_id)
+    samples[spec.country_id] = GroupedSample(boundaries, counts_of(spec.country_id), spec.country_id)
     root = HierarchyNode(
         id=spec.country_id,
         level="country",
@@ -253,6 +271,7 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
         sampled=sampled,
         samples=samples,
         root=root,
+        node_slices=node_slices,
     )
 
 

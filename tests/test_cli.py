@@ -198,6 +198,8 @@ def test_surface_command(tmp_path, capsys):
     assert lines[0] == "theta,a,q,ge"
     assert len(lines) == 1 + 9
     cells = [line.split(",") for line in lines[1:]]
+    grid = [["1.0", repr(a), repr(q)] for q in (1.0, 2.0, 3.0) for a in np.linspace(0.6, 3.0, 3).tolist()]
+    assert [row[:3] for row in cells] == grid  # one row per (q, a), a varying fastest
     assert any(row[3] == "" for row in cells)  # masked inadmissible corner
     assert any(row[3] != "" and float(row[3]) > 0 for row in cells)
 
@@ -210,6 +212,18 @@ def test_surface_rejects_nonfinite_theta(tmp_path, capsys, theta):
     assert code == 2
     assert doc["error"] == "ValueError" and "finite" in doc["message"]
     assert not (out_dir / "surface.csv").exists()
+
+
+def test_simulate_rejects_duplicate_node_ids(tmp_path, capsys):
+    doc = json.loads(json.dumps(SPEC_DOC))
+    doc["regions"][1]["leaves"][0]["id"] = "m1"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code = main(["simulate", "--spec", str(path), "--out", str(tmp_path / "sim")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert "'m1'" in err["message"] and "more than once" in err["message"]
+    assert not (tmp_path / "sim" / "manifest.json").exists()
 
 
 def test_structured_error_and_exit_code(tmp_path, capsys):

@@ -2,11 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gedecomp.distributions import LN, SM
+from gedecomp.distributions import LIMIT_TOL, LN, SM
 from gedecomp.inequality import (
     DomainError,
     between_from_means,
@@ -38,6 +41,15 @@ def test_constant_incomes_give_zero():
 def test_two_point_hand_values():
     assert_allclose(ge_finite([1.0, 3.0], 2.0), 0.125, rtol=1e-14)
     assert_allclose(ge_finite([1.0, 3.0], 0.0), -0.5 * math.log(0.75), rtol=1e-12)
+
+
+@pytest.mark.parametrize("theta", [2e-9, 1e-6, 0.05, -0.05, 1.0 - 1e-7, 1.0 + 2e-9, 1.05])
+def test_near_limit_values_keep_full_precision(theta):
+    # outside the limit windows the direct formula would lose eps/|theta| here
+    with mpmath.workdps(40):
+        t = mpmath.mpf(theta)
+        exact = float(((mpmath.mpf("0.5") ** t + mpmath.mpf("1.5") ** t) / 2 - 1) / (t * (t - 1)))
+    assert_allclose(ge_finite([1.0, 3.0], theta), exact, rtol=1e-14)
 
 
 def test_nonpositive_income_rejected():
@@ -107,6 +119,37 @@ def test_identity_randomized():
             dec = decompose_finite(x, labels, theta)
             tol = 1e-12 * max(1.0, abs(dec.total))
             assert abs(dec.identity_gap) < tol
+
+
+# ints and strs interleaved: an object label array keeps 0 and "0" apart
+LABEL_POOL = (0, "a", 1, "b", 2, "0")
+
+
+@st.composite
+def labelled_incomes(draw):
+    n = draw(st.integers(1, 60))
+    x = draw(st.lists(st.floats(1e-3, 1e4), min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from(LABEL_POOL), min_size=n, max_size=n))
+    return np.array(x), np.array(labels, dtype=object)
+
+
+# the whole range, and around 0 and 1 both the LIMIT_TOL windows that dispatch
+# to MLD and Theil and the values just outside them
+THETAS = st.one_of(
+    st.floats(-1.0, 3.0),
+    st.sampled_from((0.0, 1.0)).flatmap(lambda c: st.floats(c - 1e3 * LIMIT_TOL, c + 1e3 * LIMIT_TOL)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(labelled_incomes(), THETAS)
+def test_decompose_finite_properties(population, theta):
+    x, labels = population
+    dec = decompose_finite(x, labels, theta)
+    assert abs(dec.identity_gap) <= 1e-12 * max(1.0, abs(dec.total))
+    assert [t.label for t in dec.groups] == list(dict.fromkeys(labels.tolist()))
+    for term in dec.groups:
+        assert term.ge == ge_finite(x[labels == term.label], theta)
 
 
 def test_weight_identities_at_limits():

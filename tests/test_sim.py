@@ -4,16 +4,23 @@ import numpy as np
 import pytest
 
 import gedecomp as g
+from gedecomp.distributions import LIMIT_TOL
 from gedecomp.grouped import McmcConfig
+from gedecomp.inequality import decompose_finite, ge_finite
 from gedecomp.pipeline import assemble
 from gedecomp.sim import (
     LeafSpec,
     MethodComparison,
+    MultilevelTruth,
     RegionSpec,
     SyntheticSpec,
     compare_methods,
     generate,
 )
+
+# the benchmark's sensitivity grid plus both edges of each limit window
+ORACLE_THETAS = tuple(-1.0 + 0.25 * k for k in range(13)) + (
+    -LIMIT_TOL, LIMIT_TOL, 1.0 - LIMIT_TOL, 1.0 + LIMIT_TOL)
 
 
 def small_spec(seed=0, brackets=8) -> SyntheticSpec:
@@ -60,7 +67,11 @@ def test_grouped_counts_match_stored_population():
     data = generate(small_spec())
     boundaries = data.root.data.boundaries
     for node_id, sample in data.samples.items():
-        mask = data._node_mask(node_id) & data.sampled
+        if node_id == "country":
+            mask = data.sampled
+        else:
+            labels = data.region_labels if node_id in ("north", "south") else data.leaf_labels
+            mask = (labels == node_id) & data.sampled
         counts, _ = np.histogram(data.incomes[mask], bins=boundaries)
         assert np.array_equal(sample.counts, counts.astype(float))
     # sampling fraction respected per leaf
@@ -77,6 +88,54 @@ def test_truth_decomposition_identity():
         assert truth.ge_total == pytest.approx(data.true_ge("country", theta))
         for rid, value in truth.region_ge.items():
             assert value == pytest.approx(data.true_ge(rid, theta))
+
+
+def three_region_spec(seed=3) -> SyntheticSpec:
+    return SyntheticSpec(
+        regions=(
+            RegionSpec("r1", (LeafSpec("a", g.LN(0.9, 0.5), 1200), LeafSpec("b", g.SM(2.5, 3.0, 1.6), 700),
+                              LeafSpec("c", g.LN(0.6, 0.3), 400))),
+            RegionSpec("r2", (LeafSpec("d", g.SM(1.8, 4.0, 2.2), 900),)),
+            RegionSpec("r3", (LeafSpec("e", g.LN(1.1, 0.8), 300), LeafSpec("f", g.LN(0.7, 0.4), 1500))),
+        ),
+        brackets=6,
+        sampling_fraction=0.5,
+        seed=seed,
+    )
+
+
+def label_mask_truth(data, theta) -> MultilevelTruth:
+    """Reference: the label-mask algorithm, decompose_finite on the labels."""
+    top = decompose_finite(data.incomes, data.region_labels, theta)
+    fields = {"region_ge": {}, "region_between_sub": {}, "region_within_sub": {}, "leaf_ge": {}}
+    sum_wb = sum_ww = 0.0
+    for term in top.groups:
+        mask = data.region_labels == term.label
+        sub = decompose_finite(data.incomes[mask], data.leaf_labels[mask], theta)
+        fields["region_ge"][term.label] = term.ge
+        fields["region_between_sub"][term.label] = sub.between
+        fields["region_within_sub"][term.label] = sub.within
+        sum_wb += term.weight * sub.between
+        sum_ww += term.weight * sub.within
+        for leaf_term in sub.groups:
+            fields["leaf_ge"][leaf_term.label] = leaf_term.ge
+    return MultilevelTruth(theta=theta, ge_total=top.total, between=top.between,
+                           sum_weighted_between_sub=sum_wb, sum_weighted_within_sub=sum_ww, **fields)
+
+
+@pytest.mark.parametrize("spec", [small_spec(seed=5), three_region_spec()], ids=["small", "three-region"])
+def test_truth_equals_label_mask_reference(spec):
+    data = generate(spec)
+    for theta in ORACLE_THETAS:
+        truth = data.multilevel_truth(theta)
+        reference = label_mask_truth(data, theta)
+        assert truth == reference
+        for name in ("region_ge", "region_between_sub", "region_within_sub", "leaf_ge"):
+            assert list(getattr(truth, name)) == list(getattr(reference, name))  # same order
+        assert data.true_ge(spec.country_id, theta) == ge_finite(data.incomes, theta)
+        for labels in (data.region_labels, data.leaf_labels):
+            for node_id in dict.fromkeys(labels.tolist()):
+                assert data.true_ge(node_id, theta) == ge_finite(data.incomes[labels == node_id], theta)
 
 
 def test_degenerate_leaves_zero_inequality():
@@ -118,6 +177,18 @@ def test_spec_validation():
         RegionSpec("r", ())
     with pytest.raises(ValueError):
         SyntheticSpec(regions=small_spec().regions, sampling_fraction=0.0)
+
+
+@pytest.mark.parametrize("regions, duplicate", [
+    ((RegionSpec("r", (LeafSpec("x", g.LN(0.0, 1.0), 1000), LeafSpec("x", g.LN(0.0, 1.0), 2000))),), "x"),
+    ((RegionSpec("r", (LeafSpec("x", g.LN(0.0, 1.0), 1000),)),
+      RegionSpec("s", (LeafSpec("x", g.LN(0.0, 1.0), 2000),))), "x"),
+    ((RegionSpec("country", (LeafSpec("x", g.LN(0.0, 1.0), 1000),)),), "country"),
+    ((RegionSpec("r", (LeafSpec("r", g.LN(0.0, 1.0), 1000),)),), "r"),
+], ids=["sibling-leaves", "cousin-leaves", "region-is-country", "leaf-is-region"])
+def test_spec_rejects_duplicate_node_ids(regions, duplicate):
+    with pytest.raises(ValueError, match=f"node id '{duplicate}' is used more than once"):
+        SyntheticSpec(regions=regions, sampling_fraction=0.5)
 
 
 def test_compare_methods_schema_and_identities():
