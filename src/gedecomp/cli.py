@@ -46,15 +46,14 @@ def _add_mcmc_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--iters", type=int, default=10_000,
                         help="MCMC iterations; iters - burnin draws are kept (default 10000)")
     parser.add_argument("--burnin", type=int, default=2_000,
-                        help="burn-in iterations: iters - burnin is the number of Laplace proposals, "
-                        "and the random-walk fallback discards the first burnin iterations (default 2000)")
+                        help="burn-in iterations: iters - burnin is the number of Laplace proposals, and "
+                        "the fixed-kernel random-walk fallback, started at the mode, discards its first "
+                        "burnin iterations (default 2000)")
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
-    parser.add_argument("--no-adapt", action="store_true",
-                        help="disable burn-in proposal adaptation of the random-walk fallback")
 
 
 def _mcmc_from_args(args) -> McmcConfig:
-    return McmcConfig(iterations=args.iters, burnin=args.burnin, adapt=not args.no_adapt, seed=args.seed)
+    return McmcConfig(iterations=args.iters, burnin=args.burnin, seed=args.seed)
 
 
 def _summary_dict(summary) -> dict:
@@ -158,8 +157,6 @@ def cmd_pipeline(args) -> int:
     mcmc = McmcConfig(
         iterations=args.iters if args.iters is not None else base.iterations,
         burnin=args.burnin if args.burnin is not None else base.burnin,
-        step_sizes=base.step_sizes,
-        adapt=base.adapt,
         seed=args.seed if args.seed is not None else base.seed,
     )
     thetas = _theta_list(args, manifest.thetas)

@@ -198,14 +198,12 @@ def load_manifest(path) -> Manifest:
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"{path}: {exc}") from None
 
-    mcmc_raw.setdefault("iterations", 10_000)
-    mcmc_raw.setdefault("burnin", 2_000)
-    steps = mcmc_raw.get("step_sizes")
+    unknown = sorted(set(mcmc_raw) - {"iterations", "burnin"})
+    if unknown:
+        raise ManifestError(f"{path}: unknown mcmc settings {unknown}; expected iterations and burnin")
     mcmc = McmcConfig(
-        iterations=int(mcmc_raw["iterations"]),
-        burnin=int(mcmc_raw["burnin"]),
-        step_sizes=tuple(steps) if steps else None,
-        adapt=bool(mcmc_raw.get("adapt", True)),
+        iterations=int(mcmc_raw.get("iterations", 10_000)),
+        burnin=int(mcmc_raw.get("burnin", 2_000)),
         seed=seed,
     )
     phi, phi_values = resolve_phi(phi_spec, base)
@@ -298,8 +296,6 @@ def write_manifest(path, manifest: Manifest) -> None:
         "mcmc": {
             "iterations": manifest.mcmc.iterations,
             "burnin": manifest.mcmc.burnin,
-            "adapt": manifest.mcmc.adapt,
-            "step_sizes": list(manifest.mcmc.step_sizes) if manifest.mcmc.step_sizes else None,
         },
         "nodes": nodes,
     }

@@ -13,10 +13,12 @@ the mode, and iterations - burnin proposals are drawn from a multivariate t
 Hessian.  The chain starts at the mode, so burn-in draws nothing.  A unit
 whose Hessian is not negative definite, whose importance weights have a
 Pareto k-hat above 0.7 (PSIS; see ``diagnostics``), or whose chain accepts
-fewer than half its proposals falls back to a random-walk
-Metropolis-Hastings chain from its quantile start that may adapt its
-proposal during burn-in only; step sizes and ``adapt`` apply to that
-fallback alone.
+fewer than half its proposals falls back to a fixed-kernel Gaussian
+random-walk Metropolis-Hastings chain from the same mode.  Its proposal is
+the Laplace covariance scaled by 2.38^2 / d (Roberts, Gelman & Gilks 1997),
+with the Hessian's eigenvalues taken in absolute value; a unit whose mode
+search stopped at the domain's edge, without a Hessian, steps 0.1 in each
+chain coordinate.  The walk discards its first burnin iterations.
 
 Units of one family and bracket count are fitted together (``fit_batch``):
 the mode search, the proposals' log densities and the fallback chain each
@@ -24,7 +26,8 @@ take one vectorised log density per step for all units of the batch.  Each
 unit keeps its own random stream, so its draws are those of the same unit
 fitted alone (``fit`` is the batch of one).  Either sampler reads the stream
 one 50-draw window at a time, so a shorter chain is a prefix of a longer
-one when both take the same sampler.  The gate reads all of a unit's
+one when both take the same sampler, and the walk's draws at one burn-in
+are a slice of its draws at a shorter one.  The gate reads all of a unit's
 proposals, so a unit can pass it at one length and fall back at another.
 """
 
@@ -124,15 +127,12 @@ class McmcConfig:
     """Sampler settings.
 
     iterations - burnin is the number of retained draws: the independence
-    sampler's proposals, or the fallback random walk's post-burn-in
-    iterations.  step_sizes and adapt (burn-in adaptation) apply only to
-    the random-walk fallback.
+    sampler's proposals, or the fallback random walk's iterations after the
+    burnin it discards.
     """
 
     iterations: int = 10_000
     burnin: int = 2_000
-    step_sizes: tuple[float, ...] | None = None
-    adapt: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -140,11 +140,6 @@ class McmcConfig:
             raise ValueError("iterations must be positive")
         if not 0 <= self.burnin < self.iterations:
             raise ValueError("burn-in must satisfy 0 <= burnin < iterations")
-        if self.step_sizes is not None:
-            steps = tuple(float(s) for s in self.step_sizes)
-            object.__setattr__(self, "step_sizes", steps)
-            if any(s <= 0.0 or not math.isfinite(s) for s in steps):
-                raise ValueError("step sizes must be positive")
 
 
 @dataclass(frozen=True)
@@ -152,10 +147,11 @@ class PosteriorDraws:
     """Retained MCMC draws for one unit, in the family's native order.
 
     sampler is "laplace" (the independence sampler) or "random-walk" (the
-    fallback); pareto_k is the k-hat of the unit's Laplace importance
-    weights, NaN when its Hessian was not negative definite.  A fallback
-    unit with pareto_k <= 0.7 accepted fewer than half its Laplace
-    proposals; its acceptance_rate is the random walk's.
+    fixed-kernel fallback walk from the mode); pareto_k is the k-hat of the
+    unit's Laplace importance weights, NaN when its Hessian was not negative
+    definite.  A fallback unit with pareto_k <= 0.7 accepted fewer than half
+    its Laplace proposals; its acceptance_rate is the random walk's over its
+    retained iterations.
     """
 
     family: str
@@ -232,41 +228,32 @@ def log_prior(params: FamilyParams) -> float:
 # Sampler
 # ---------------------------------------------------------------------------
 
-# draws per random-stream window of either sampler; also the random walk's
-# adaptation window
+# draws per random-stream window of either sampler
 _WINDOW = 50
-_COV_REFRESH = 100
-_TARGET_RATE = 0.3
 
 
 def random_walk_chain(
     log_density,
     start: np.ndarray,
-    step_sizes: np.ndarray,
+    factors: np.ndarray,
     iterations: int,
     burnin: int,
     rngs,
-    adapt: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian random-walk Metropolis chains for K units in lockstep.
+    """Fixed-kernel Gaussian random-walk Metropolis chains for K units in lockstep.
 
-    start and step_sizes are (K, d); log_density maps a (K, d) state to K
-    log densities, and rngs holds one Generator per unit.  The units share
-    only the loop: each reads its own stream and keeps its own proposal.
-    Every 50 iterations each unit reads its next window from its stream: a
-    (50, d) block of normals, then a block of 50 uniforms.  A window is
-    drawn whole even past the last iteration, so with the same burn-in and
-    adapt a shorter chain is an exact prefix of a longer one.
+    start is (K, d) and factors (K, d, d): unit k proposes t + factors[k] @ z
+    with z standard normal.  log_density maps a (K, d) state to K log
+    densities, and rngs holds one Generator per unit.  The units share only
+    the loop: each reads its own stream and keeps its own kernel.  Every 50
+    iterations each unit reads its next window from its stream: a (50, d)
+    block of normals, then a block of 50 uniforms.  A window is drawn whole
+    even past the last iteration, and the kernel never changes, so the draws
+    of (iterations, burnin) are iterations burnin .. iterations - 1 of any
+    longer chain from the same start and streams.
 
-    With adapt=True each unit's proposal is tuned during burn-in: its
-    per-parameter steps are rescaled toward ~30% acceptance, and from
-    mid-burn-in on its proposal covariance is estimated from its own chain
-    history (the ridge-shaped posteriors of heavy-tailed income fits mix far
-    too slowly under diagonal proposals).  The kernel is frozen once burn-in
-    ends, so retained draws come from a fixed-kernel chain.
-
-    Returns (retained draws (K, iterations - burnin, d), post-burn-in
-    acceptance rate per unit).
+    Returns (retained draws (K, iterations - burnin, d), acceptance rate per
+    unit over the retained iterations).
     """
     t = np.array(start, dtype=float)
     n_units, d = t.shape
@@ -274,20 +261,11 @@ def random_walk_chain(
     if not np.all(np.isfinite(lp)):
         raise ValueError(f"log density is not finite at the starting point of row {np.argmin(np.isfinite(lp))}")
 
-    steps = np.array(step_sizes, dtype=float)
-    scale = np.ones((n_units, 1))
-    chol = np.zeros((n_units, d, d))
-    has_chol = np.zeros(n_units, dtype=bool)
-    n_chol = 0
-    cov_phase_start = max(burnin // 2, 2 * _WINDOW) if adapt else iterations
-    history = np.empty((n_units, burnin, d)) if (adapt and burnin > 0) else None
-
-    kept = None
-    accepted_window = np.zeros(n_units, dtype=np.int64)
-    accepted_kept = np.zeros(n_units, dtype=np.int64)
+    factors = np.asarray(factors, dtype=float)[:, None]  # (K, 1, d, d): one kernel per unit, for every draw
+    kept = np.empty((n_units, iterations - burnin, d))
+    accepted = np.zeros(n_units, dtype=np.int64)
     z_window = np.empty((n_units, _WINDOW, d))
     log_u_window = np.empty((n_units, _WINDOW))
-
     for i in range(iterations):
         j = i % _WINDOW
         if j == 0:  # each unit's next window, straight into its contiguous slice
@@ -295,51 +273,18 @@ def random_walk_chain(
                 rng.standard_normal(out=z_unit)
                 rng.random(out=u_unit)
             np.log(log_u_window, out=log_u_window)
-        z = z_window[:, j]
-        if n_chol == 0:
-            proposal = t + steps * z
-        else:
-            rotated = t + scale * np.matmul(chol, z[:, :, None])[:, :, 0]
-            proposal = rotated if n_chol == n_units else np.where(has_chol[:, None], rotated, t + steps * z)
+            # the window's steps factors @ z as elementwise sums, never BLAS, so no row depends on the batch
+            steps = (factors * z_window[:, :, None, :]).sum(axis=3)
+        proposal = t + steps[:, j]
         lp_prop = log_density(proposal)
         accept = log_u_window[:, j] < lp_prop - lp
         if accept.any():
             t = np.where(accept[:, None], proposal, t)
             lp = np.where(accept, lp_prop, lp)
-
         if i >= burnin:
-            if kept is None:
-                history = None  # freed before the retained draws are allocated
-                kept = np.empty((n_units, iterations - burnin, d))
             kept[:, i - burnin] = t
-            accepted_kept += accept
-            continue
-        accepted_window += accept
-        if history is not None:
-            history[:, i] = t
-        if not adapt:
-            continue
-        if (i + 1) % _WINDOW == 0:
-            for k in range(n_units):
-                rate = int(accepted_window[k]) / _WINDOW
-                factor = float(np.clip(math.exp(0.66 * (rate - _TARGET_RATE)), 0.5, 2.0))
-                if has_chol[k]:
-                    scale[k] = float(np.clip(scale[k, 0] * factor, 0.1, 10.0))
-                else:
-                    steps[k] *= factor
-            accepted_window[:] = 0
-        if i + 1 >= cov_phase_start and (i + 1) % _COV_REFRESH == 0:
-            for k in range(n_units):
-                cov = np.cov(history[k, (i + 1) // 2 : i + 1].T).reshape(d, d)
-                cov += 1e-12 * np.eye(d) * max(1.0, np.trace(cov))
-                try:
-                    chol[k] = np.linalg.cholesky((2.38**2 / d) * cov)
-                except np.linalg.LinAlgError:
-                    continue
-                has_chol[k] = True
-            n_chol = int(has_chol.sum())
-
-    return kept, accepted_kept / max(iterations - burnin, 1)
+            accepted += accept
+    return kept, accepted / (iterations - burnin)
 
 
 def _bracket_quantile(data: GroupedSample, prob: float) -> float | None:
@@ -427,15 +372,13 @@ def _chain_log_prior(real: int, dim: int):
     return lambda t, natural: -(t[:, real:] + 1.0 / natural[:, real:]).sum(axis=1)
 
 
-def _check_unit(family: str, data: GroupedSample, config: McmcConfig) -> None:
+def _check_unit(family: str, data: GroupedSample) -> None:
     """Raise when a unit cannot be fitted, before any sampling."""
     dim = family_dim(family)
     if data.n_brackets - 1 < dim:
         raise UnderIdentifiedError(
             f"{family} needs at least {dim + 1} brackets, got {data.n_brackets}"
         )
-    if config.step_sizes is not None and len(config.step_sizes) != dim:
-        raise ValueError(f"expected {dim} step sizes for family {family!r}, got {len(config.step_sizes)}")
 
 
 @dataclass(frozen=True)
@@ -484,6 +427,8 @@ def _chain_log_density(family: str, samples):
 _T_DOF = 5.0  # degrees of freedom of the t proposal
 _MAX_PARETO_K = 0.7  # PSIS k-hat above which a unit falls back to the random walk
 _MIN_ACCEPTANCE = 0.5  # acceptance rate below which a unit falls back to the random walk
+_WALK_SCALE = 2.38  # the walk's proposal is the Laplace covariance times _WALK_SCALE**2 / d
+_WALK_STEP = 0.1  # the walk's step in each coordinate for a unit without a Hessian
 _FD_STEP = 1e-3  # finite-difference step in chain space
 _NEWTON_ITERATIONS = 100
 _NEWTON_TOL = 1e-10  # Newton decrement g' (-H)^-1 g at which a row has converged
@@ -518,6 +463,12 @@ def _derivatives(values: np.ndarray, dim: int):
     return values[:, 0], (plus - minus) / (2.0 * h), hess
 
 
+def _abs_curvatures(curv: np.ndarray) -> np.ndarray:
+    """Eigenvalues (R, d) of -H in absolute value, floored at 1e-12 of each row's largest and at 1e-8."""
+    size = np.abs(curv)
+    return np.maximum(size, np.maximum(1e-12 * size.max(axis=1, keepdims=True), 1e-8))
+
+
 def _newton_modes(log_density, start: np.ndarray):
     """Damped Newton ascent of each row of start to its mode in chain space.
 
@@ -549,7 +500,7 @@ def _newton_modes(log_density, start: np.ndarray):
         f0, grad, h_rows = _derivatives(values[finite], dim)
         hess[active] = h_rows
         curv, vec = np.linalg.eigh(-h_rows)
-        curv = np.maximum(np.abs(curv), np.maximum(1e-12 * np.abs(curv).max(axis=1, keepdims=True), 1e-8))
+        curv = _abs_curvatures(curv)
         # products as elementwise sums, never BLAS, so no row's result can depend on the batch
         step = (vec * ((grad[:, :, None] * vec).sum(axis=1) / curv)[:, None, :]).sum(axis=2)
         moving = (grad * step).sum(axis=1) > _NEWTON_TOL
@@ -623,14 +574,14 @@ def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
     Each unit gets the Laplace-anchored independence sampler; a unit whose
     Hessian at the mode is not negative definite, whose importance weights
     have a Pareto k-hat above 0.7, or whose chain accepts fewer than half
-    its proposals falls back to the random walk, and the fallback units of
-    a batch share one lockstep chain.  k-hat reads only the weights of the
-    proposals drawn, so it cannot see posterior mass the proposals never
-    reach; a low acceptance rate shows such a mismatch.  The units
-    need the same number of brackets, and their configs may differ only in
-    seed and step_sizes.  Each unit's draws equal those of ``fit(family,
-    sample, config)``: the batch shares vectorised log density calls, never
-    a unit's randomness, Newton steps or adaptation.  Raises
+    its proposals falls back to the fixed-kernel random walk from its mode,
+    and the fallback units of a batch share one lockstep chain.  k-hat
+    reads only the weights of the proposals drawn, so it cannot see
+    posterior mass the proposals never reach; a low acceptance rate shows
+    such a mismatch.  The units need the same number of brackets, and their
+    configs may differ only in seed.  Each unit's draws equal those of
+    ``fit(family, sample, config)``: the batch shares vectorised log density
+    calls, never a unit's randomness or Newton steps.  Raises
     UnderIdentifiedError when the family has more parameters than free
     bracket cells, and ValueError naming the unit whose log density is not
     finite at its start.
@@ -638,14 +589,14 @@ def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
     samples, configs = list(samples), list(configs)
     if not samples or len(samples) != len(configs):
         raise ValueError("need one config per sample, and at least one sample")
-    for data, config in zip(samples, configs):
-        _check_unit(family, data, config)
-    shared = {(c.iterations, c.burnin, c.adapt) for c in configs}
+    for data in samples:
+        _check_unit(family, data)
+    shared = {(c.iterations, c.burnin) for c in configs}
     if len(shared) > 1:
-        raise ValueError("configs in one batch may differ only in seed and step_sizes")
+        raise ValueError("configs in one batch may differ only in seed")
     if len({data.n_brackets for data in samples}) > 1:
         raise ValueError("samples in one batch need the same number of brackets")
-    iterations, burnin, adapt = shared.pop()
+    iterations, burnin = shared.pop()
     dim = family_dim(family)
     real = family_class(family).n_real
     log_density = _chain_log_density(family, samples)
@@ -677,10 +628,12 @@ def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
     passed[laplace] = (k_hat[laplace] <= _MAX_PARETO_K) & (acc_rates[laplace] >= _MIN_ACCEPTANCE)
     fallback = np.flatnonzero(~passed)
     if fallback.size:
-        steps = np.array([configs[k].step_sizes or [0.1] * dim for k in fallback], dtype=float)
+        # the walk's kernel: the Laplace covariance, |eigenvalues| of -H, scaled by 2.38^2 / d
+        factors = np.tile(_WALK_STEP * np.eye(dim), (n_units, 1, 1))
+        factors[finite] = (_WALK_SCALE / math.sqrt(dim)) * vec / np.sqrt(_abs_curvatures(curv))[:, None, :]
         rngs = [np.random.default_rng(configs[k].seed) for k in fallback]
         draws[fallback], acc_rates[fallback] = random_walk_chain(
-            lambda t: log_density(t, fallback), start[fallback], steps, iterations, burnin, rngs, adapt=adapt
+            lambda t: log_density(t, fallback), modes[fallback], factors[fallback], iterations, burnin, rngs
         )
     # to natural parameters in place, so the batch never holds its draws twice
     positive = draws[..., real:]

@@ -154,7 +154,7 @@ def fit_hierarchy(root: HierarchyNode, mcmc: McmcConfig, levels: tuple[str, ...]
             sample = GroupedSample(sample.boundaries, sample.counts, node.id)
         config = config_for_unit(mcmc, mcmc.seed, node.id)
         try:
-            _check_unit(node.family, sample, config)
+            _check_unit(node.family, sample)
         except Exception as exc:
             raise PipelineError(f"node {node.id!r}: {exc}") from exc
         batches.setdefault((node.family, sample.n_brackets), []).append((sample, config))

@@ -170,6 +170,21 @@ def test_manifest_rejects_nonfinite_theta(tmp_path):
         dataio.load_manifest(tmp_path / "nan.json")
 
 
+@pytest.mark.parametrize("stale", [{"adapt": False}, {"step_sizes": [0.1, 0.1, 0.1]}, {"iters": 500}])
+def test_manifest_rejects_unknown_mcmc_settings(tmp_path, stale):
+    write_manifest_tree(tmp_path)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    assert sorted(doc["mcmc"]) == ["burnin", "iterations"]
+    doc["mcmc"].update(stale)
+    (tmp_path / "stale.json").write_text(json.dumps(doc))
+    (key,) = stale
+    with pytest.raises(dataio.ManifestError, match=rf"stale\.json: unknown mcmc settings \['{key}'\]"):
+        dataio.load_manifest(tmp_path / "stale.json")
+    del doc["mcmc"]  # both settings have defaults
+    (tmp_path / "default.json").write_text(json.dumps(doc))
+    assert dataio.load_manifest(tmp_path / "default.json").mcmc == McmcConfig(seed=doc["seed"])
+
+
 def test_manifest_custom_phi_file(tmp_path):
     manifest = write_manifest_tree(tmp_path)
     ids = [n.id for n in manifest.root.walk()]

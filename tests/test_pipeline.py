@@ -337,16 +337,19 @@ def test_unit_without_usable_draws_fails_loudly():
     fitted = fit_hierarchy(country, McmcConfig(iterations=2000, burnin=500, seed=1))
     # the gb2 country passes the k-hat gate but accepts about 30% of its
     # Laplace proposals, none with a*q > 1; below the acceptance floor it
-    # falls back, and the random walk reaches a*q > 1
+    # falls back to the random walk
     c = fitted.draws["c"]
     assert c.sampler == "random-walk" and c.pareto_k <= 0.7
-    assert (c.draws[:, 0] * c.draws[:, 3] > 1.0).any()
+    # about 2% of its posterior has a*q > 1, which 1,500 draws may or may
+    # not visit; a longer chain of the country alone does
+    longer = fit("gb2", country.data, config_for_unit(McmcConfig(20_000, 5_000), 1, "c"))
+    assert (longer.draws[:, 0] * longer.draws[:, 3] > 1.0).any()
     # s1 loses most of its draws to its mean: more than half lost is undefined, not averaged
     with pytest.raises(PipelineError, match=r"^subregion s1: undefined, 1269/1500 draws with no finite mean at theta=1$"):
         assemble(fitted, 1.0, "mixture")
     # the country is checked first, and its GE at theta = 1 is undefined too
     for method in ("proposed", "separate"):
-        with pytest.raises(PipelineError, match=r"^country c: undefined, 1422/1500 draws with GE outside .*theta=1$"):
+        with pytest.raises(PipelineError, match=r"^country c: undefined, 1500/1500 draws with GE outside .*theta=1$"):
             assemble(fitted, 1.0, method)
     assert posterior_ge(fitted.draws["r"], 1.0).n_excluded == 1500
     # the mixture reads only the leaves: give one leaf the region's draws (and s1 usable ones)
@@ -499,19 +502,18 @@ def test_sibling_order_leaves_draws_unchanged(small_fitted):
 def test_mixed_batch_equals_fits_run_alone(small_fitted):
     data, _ = small_fitted
     samples = [leaf.data for region in data.root.children for leaf in region.children]
-    steps = (None, (0.05, 0.2, 0.1), (0.3, 0.3, 0.3), None)
-    for base in (McmcConfig(600, 200), McmcConfig(600, 200, adapt=False), McmcConfig(300, 0)):
-        configs = [replace(base, seed=40 + k, step_sizes=steps[k]) for k in range(len(samples))]
+    for base in (McmcConfig(600, 200), McmcConfig(300, 0)):
+        configs = [replace(base, seed=40 + k) for k in range(len(samples))]
         batch = fit_batch("sm", samples, configs)
         for sample, config, draws in zip(samples, configs, batch):
             alone = fit("sm", sample, config)
             assert draws.unit == sample.unit and draws.config == config
             assert np.array_equal(draws.draws, alone.draws)
             assert draws.acceptance_rate == alone.acceptance_rate
-    with pytest.raises(ValueError, match="seed and step_sizes"):
+    with pytest.raises(ValueError, match="differ only in seed"):
         fit_batch("sm", samples[:2], [McmcConfig(600, 200), McmcConfig(700, 200)])
-    with pytest.raises(ValueError, match="seed and step_sizes"):
-        fit_batch("sm", samples[:2], [McmcConfig(600, 200), McmcConfig(600, 200, adapt=False)])
+    with pytest.raises(ValueError, match="differ only in seed"):
+        fit_batch("sm", samples[:2], [McmcConfig(600, 200), McmcConfig(600, 100)])
 
 
 def test_sibling_fits_unaffected_by_added_node():
