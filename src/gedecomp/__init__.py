@@ -10,8 +10,6 @@ from .benchmark import (
     BenchmarkProblem,
     BenchmarkSolution,
     solve,
-    solve_raking,
-    solve_uniform,
 )
 from .distributions import GB2, LN, SM, make_family, theta_kind
 from .grouped import (
@@ -68,8 +66,6 @@ __all__ = [
     "BenchmarkProblem",
     "BenchmarkSolution",
     "solve",
-    "solve_uniform",
-    "solve_raking",
     "HierarchyNode",
     "DecompositionReport",
     "METHODS",

@@ -25,8 +25,6 @@ __all__ = [
     "DegenerateProblemError",
     "RakingInadmissibleError",
     "solve",
-    "solve_uniform",
-    "solve_raking",
 ]
 
 
@@ -42,8 +40,8 @@ class RakingInadmissibleError(ValueError):
 class BenchmarkProblem:
     """One benchmarking problem: estimates, weights, and the target identity.
 
-    loss_weights may be omitted; solvers that need them default to the
-    decomposition weights.
+    loss_weights may be omitted; the solver then takes the decomposition
+    weights, the uniform shift.
     """
 
     bayes: np.ndarray
@@ -108,24 +106,3 @@ def solve(problem: BenchmarkProblem) -> BenchmarkSolution:
     if not np.isfinite(q) or q <= 0.0:
         raise DegenerateProblemError(f"constraint has no leverage (q = {q})")
     return _build_solution(problem, (r / q) * problem.residual)
-
-
-def solve_uniform(problem: BenchmarkProblem) -> BenchmarkSolution:
-    """phi = w specialization: the residual is spread uniformly."""
-    w_sum = float(problem.weights.sum())
-    if w_sum <= 0.0:
-        raise DegenerateProblemError("weights sum to zero")
-    shift = problem.residual / w_sum
-    return _build_solution(problem, np.full(problem.bayes.shape, shift))
-
-
-def solve_raking(problem: BenchmarkProblem) -> BenchmarkSolution:
-    """phi = w / bayes specialization: multiplicative rescaling.
-
-    Requires strictly positive Bayes estimates.
-    """
-    if np.any(problem.bayes <= 0.0):
-        raise RakingInadmissibleError("raking requires strictly positive Bayes estimates")
-    weighted_sum = float(problem.weights @ problem.bayes)
-    factor = (problem.target - problem.between) / weighted_sum
-    return _build_solution(problem, problem.bayes * (factor - 1.0))

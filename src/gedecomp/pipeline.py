@@ -239,24 +239,24 @@ class DecompositionReport:
         )
 
 
-def _phi_vector(phi, ids):
-    """Resolve a phi policy into concrete loss weights, or None for uniform/raking."""
+def _phi_vector(phi, ids, weights: np.ndarray, bayes: np.ndarray) -> np.ndarray:
+    """Loss weights of the children ids under a phi policy.
+
+    w for uniform (an additive shift), w / bayes for raking (a multiplicative
+    one, which needs positive Bayes estimates), or a phi file's values.
+    """
     if isinstance(phi, dict):
         try:
             return np.array([float(phi[i]) for i in ids])
         except KeyError as missing:
             raise PipelineError(f"phi file does not cover node {missing.args[0]!r}") from None
-    if phi in ("uniform", "raking"):
-        return None
-    raise PipelineError(f"unknown phi policy {phi!r}")
-
-
-def _solve_policy(problem: benchmark.BenchmarkProblem, phi, custom) -> benchmark.BenchmarkSolution:
-    if custom is not None:
-        return benchmark.solve(problem)
+    if phi == "uniform":
+        return weights
     if phi == "raking":
-        return benchmark.solve_raking(problem)
-    return benchmark.solve_uniform(problem)
+        if np.any(bayes <= 0.0):
+            raise benchmark.RakingInadmissibleError("raking requires strictly positive Bayes estimates")
+        return weights / bayes
+    raise PipelineError(f"unknown phi policy {phi!r}")
 
 
 _NO_MEAN, _GE_OUTSIDE = "no finite mean", "GE outside the moment window"
@@ -305,11 +305,10 @@ def _step(method: str, phi, parent: HierarchyNode, be, bayes: np.ndarray, target
     keeps them and builds the parent from them, so it has no residual.
     """
     if method == "proposed":
-        custom = _phi_vector(phi, [c.id for c in parent.children])
-        problem = benchmark.BenchmarkProblem(
-            bayes=bayes, weights=be.weights, target=target, between=be.between, loss_weights=custom
-        )
-        sol = _solve_policy(problem, phi, custom)
+        phi_j = _phi_vector(phi, [c.id for c in parent.children], be.weights, bayes)
+        sol = benchmark.solve(benchmark.BenchmarkProblem(
+            bayes=bayes, weights=be.weights, target=target, between=be.between, loss_weights=phi_j
+        ))
         values, negative = sol.constrained, sol.negative
     else:
         values, negative = bayes, bayes < 0.0

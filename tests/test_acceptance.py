@@ -21,7 +21,7 @@ import json
 import numpy as np
 import pytest
 
-from gedecomp.benchmark import BenchmarkProblem, solve, solve_raking, solve_uniform
+from gedecomp.benchmark import BenchmarkProblem, solve
 from gedecomp.cli import main as cli_main
 from gedecomp.distributions import GB2, LN, SM
 from gedecomp.grouped import (
@@ -204,21 +204,21 @@ def test_criterion_5_solver_vs_qp_oracle():
         oracle = qp_reference(bayes, weights, phi, target, between)
         worst_qp = max(worst_qp, float(np.max(np.abs(solve(problem).constrained - oracle))))
 
-        plain = BenchmarkProblem(bayes=bayes, weights=weights, target=target, between=between)
-        uniform_closed = bayes + plain.residual / weights.sum()
-        worst_closed = max(
-            worst_closed, float(np.max(np.abs(solve_uniform(plain).constrained - uniform_closed)))
-        )
+        # the pipeline's uniform (phi = w) and raking (phi = w / bayes) policies
+        uniform = BenchmarkProblem(bayes=bayes, weights=weights, target=target, between=between,
+                                   loss_weights=weights)
+        uniform_closed = bayes + uniform.residual / weights.sum()
+        worst_closed = max(worst_closed, float(np.max(np.abs(solve(uniform).constrained - uniform_closed))))
+        raking = BenchmarkProblem(bayes=bayes, weights=weights, target=target, between=between,
+                                  loss_weights=weights / bayes)
         raking_closed = bayes / float(weights @ bayes) * (target - between)
-        worst_closed = max(
-            worst_closed, float(np.max(np.abs(solve_raking(plain).constrained - raking_closed)))
-        )
+        worst_closed = max(worst_closed, float(np.max(np.abs(solve(raking).constrained - raking_closed))))
     ok = worst_qp < 1e-10 and worst_closed < 1e-12
     report_line(
         5,
         ok,
         f"100 random problems: |solve - QP oracle| max {worst_qp:.2e} (tol 1e-10), "
-        f"|specializations - closed forms| max {worst_closed:.2e} (tol 1e-12)",
+        f"|uniform and raking policies - closed forms| max {worst_closed:.2e} (tol 1e-12)",
     )
     assert ok
 
@@ -317,7 +317,7 @@ def test_criterion_7_bias_direction_and_benchmark_gain():
                 mu = np.array([posterior_mean_income(d).value for d in draw_list])
                 be = between_from_means(shares, mu, theta)
                 bayes = np.array([posterior_ge(d, theta).value for d in draw_list])
-                sol = solve_uniform(
+                sol = solve(  # the uniform policy: phi defaults to w
                     BenchmarkProblem(bayes=bayes, weights=be.weights,
                                      target=benchmark_total, between=be.between)
                 )

@@ -1,4 +1,4 @@
-"""Constrained Bayes solver: closed form vs a dense QP oracle, KKT, special cases."""
+"""Constrained Bayes solver: closed form vs a dense QP oracle, KKT, the uniform and raking policies."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,8 @@ from gedecomp.benchmark import (
     DegenerateProblemError,
     RakingInadmissibleError,
     solve,
-    solve_raking,
-    solve_uniform,
 )
+from gedecomp.pipeline import _phi_vector
 
 
 def qp_oracle(problem: BenchmarkProblem, phi: np.ndarray) -> np.ndarray:
@@ -83,10 +82,9 @@ def test_constraint_exactness():
     rng = np.random.default_rng(23)
     for _ in range(100):
         problem = random_problem(rng, with_phi=bool(rng.integers(2)))
-        for solver in (solve, solve_uniform):
-            solution = solver(problem)
-            scale = max(1.0, abs(problem.target))
-            assert abs(constraint_gap(problem, solution)) < 1e-12 * scale
+        solution = solve(problem)
+        scale = max(1.0, abs(problem.target))
+        assert abs(constraint_gap(problem, solution)) < 1e-12 * scale
 
 
 def test_kkt_stationarity_along_constraint():
@@ -143,15 +141,20 @@ def test_negative_results_flagged_not_clipped():
         target=-0.5,
         between=0.0,
     )
-    solution = solve_uniform(problem)
+    solution = solve(problem)
     assert solution.any_negative
     assert np.all(solution.constrained < 0.0)
     assert abs(constraint_gap(problem, solution)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# uniform and raking specializations
+# uniform (phi = w) and raking (phi = w / bayes) loss weights
 # ---------------------------------------------------------------------------
+
+def raking(problem: BenchmarkProblem):
+    phi = _phi_vector("raking", [], problem.weights, problem.bayes)
+    return solve(BenchmarkProblem(problem.bayes, problem.weights, problem.target, problem.between, phi))
+
 
 def test_uniform_shift_examples():
     problem = BenchmarkProblem(
@@ -160,7 +163,7 @@ def test_uniform_shift_examples():
         target=float(np.array([0.3, 0.7]) @ np.array([0.2, 0.3])) + 0.1,
         between=0.0,
     )
-    solution = solve_uniform(problem)
+    solution = solve(problem)  # phi defaults to w
     assert_allclose(solution.adjustments, [0.1, 0.1], rtol=1e-12)
 
     problem2 = BenchmarkProblem(
@@ -169,21 +172,9 @@ def test_uniform_shift_examples():
         target=float(np.array([0.2, 0.2]) @ np.array([0.2, 0.3])) + 0.1,
         between=0.0,
     )
-    assert_allclose(solve_uniform(problem2).adjustments, [0.25, 0.25], rtol=1e-12)
-
-
-def test_uniform_is_solve_with_phi_equal_w():
-    rng = np.random.default_rng(41)
-    for _ in range(20):
-        problem = random_problem(rng, with_phi=False)
-        with_phi = BenchmarkProblem(
-            bayes=problem.bayes,
-            weights=problem.weights,
-            target=problem.target,
-            between=problem.between,
-            loss_weights=problem.weights,
-        )
-        assert_allclose(solve_uniform(problem).constrained, solve(with_phi).constrained, rtol=1e-15, atol=1e-15)
+    assert_allclose(solve(problem2).adjustments, [0.25, 0.25], rtol=1e-12)
+    uniform = _phi_vector("uniform", [], problem2.weights, problem2.bayes)
+    assert np.array_equal(uniform, problem2.weights)
 
 
 def test_raking_identity_case():
@@ -191,7 +182,7 @@ def test_raking_identity_case():
     w = np.array([0.5, 0.5])
     target = float(w @ bayes)
     problem = BenchmarkProblem(bayes=bayes, weights=w, target=target, between=0.0)
-    assert_allclose(solve_raking(problem).constrained, bayes, rtol=1e-14)
+    assert_allclose(raking(problem).constrained, bayes, rtol=1e-14)
 
 
 def test_raking_multiplicative_example():
@@ -201,21 +192,7 @@ def test_raking_multiplicative_example():
         target=0.45,
         between=0.0,
     )
-    assert_allclose(solve_raking(problem).constrained, [0.3, 0.6], rtol=1e-13)
-
-
-def test_raking_is_solve_with_ratio_phi():
-    rng = np.random.default_rng(43)
-    for _ in range(20):
-        problem = random_problem(rng, with_phi=False)
-        with_phi = BenchmarkProblem(
-            bayes=problem.bayes,
-            weights=problem.weights,
-            target=problem.target,
-            between=problem.between,
-            loss_weights=problem.weights / problem.bayes,
-        )
-        assert_allclose(solve_raking(problem).constrained, solve(with_phi).constrained, rtol=1e-12)
+    assert_allclose(raking(problem).constrained, [0.3, 0.6], rtol=1e-13)
 
 
 def test_raking_rejects_nonpositive_bayes():
@@ -226,7 +203,7 @@ def test_raking_rejects_nonpositive_bayes():
         between=0.0,
     )
     with pytest.raises(RakingInadmissibleError):
-        solve_raking(problem)
+        raking(problem)
 
 
 # ---------------------------------------------------------------------------
