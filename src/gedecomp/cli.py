@@ -20,7 +20,7 @@ import numpy as np
 from . import dataio, pipeline, sim
 from .distributions import FAMILIES, theta_kind
 from .grouped import McmcConfig, fit, posterior_ge, posterior_mean_income
-from .inequality import decompose_finite, ge_finite
+from .inequality import _decompose_groups, _split_by_label, ge_finite
 
 DEFAULT_THETAS = (-1.0, 0.0, 1.0, 2.0)
 
@@ -121,12 +121,19 @@ def _read_microdata(path):
 
 
 def cmd_decompose(args) -> int:
+    thetas = _theta_list(args)
     incomes, groups, subgroups = _read_microdata(args.data)
+    # the grouping does not depend on theta: split the rows once
+    if groups is not None:
+        labels, parts = _split_by_label(groups, incomes)
+    if subgroups is not None:  # a subgroup column comes with a group column
+        _, sub_columns = _split_by_label(groups, subgroups)
+        nested = [_split_by_label(sub, part) for sub, part in zip(sub_columns, parts)]
     doc: dict = {"n": int(len(incomes)), "theta": {}}
-    for theta in _theta_list(args):
+    for theta in thetas:
         entry: dict = {"ge_total": ge_finite(incomes, theta)}
         if groups is not None:
-            top = decompose_finite(incomes, groups, theta)
+            top = _decompose_groups(incomes, labels, parts, theta)
             entry["within"] = top.within
             entry["between"] = top.between
             entry["groups"] = {
@@ -134,12 +141,10 @@ def cmd_decompose(args) -> int:
                 for t in top.groups
             }
             if subgroups is not None:
-                nested = {}
-                for t in top.groups:
-                    mask = groups == t.label
-                    sub = decompose_finite(incomes[mask], subgroups[mask], theta)
-                    nested[str(t.label)] = {"within": sub.within, "between": sub.between}
-                entry["subgroups"] = nested
+                entry["subgroups"] = {}
+                for label, part, (sub_labels, sub_parts) in zip(labels, parts, nested):
+                    sub = _decompose_groups(part, sub_labels, sub_parts, theta)
+                    entry["subgroups"][str(label)] = {"within": sub.within, "between": sub.between}
         doc["theta"][f"{theta:g}"] = entry
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:

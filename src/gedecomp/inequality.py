@@ -133,8 +133,13 @@ def decompose_finite(incomes, labels, theta: float) -> GroupDecomposition:
     labels = np.asarray(labels)
     if labels.shape != x.shape:
         raise DomainError("labels must align with incomes")
-    uniq = list(dict.fromkeys(labels.tolist()))  # first-appearance order
-    return _decompose_groups(x, uniq, (x[labels == label] for label in uniq), theta)
+    return _decompose_groups(x, *_split_by_label(labels, x), theta)
+
+
+def _split_by_label(labels: np.ndarray, x: np.ndarray):
+    """The distinct labels in first-appearance order, and the elements of x under each."""
+    uniq = list(dict.fromkeys(labels.tolist()))
+    return uniq, [x[labels == label] for label in uniq]
 
 
 def _decompose_groups(x: np.ndarray, labels, parts, theta: float) -> GroupDecomposition:

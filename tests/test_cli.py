@@ -12,6 +12,7 @@ import pytest
 
 from gedecomp import dataio
 from gedecomp.cli import main
+from gedecomp.inequality import decompose_finite, ge_finite
 
 SPEC_DOC = {
     "seed": 11,
@@ -95,6 +96,26 @@ def test_decompose_command(tmp_path, capsys):
         assert entry["within"] + entry["between"] == pytest.approx(entry["ge_total"], rel=1e-10)
         assert set(entry["groups"]) == {"a", "b"}
         assert set(entry["subgroups"]) == {"a", "b"}
+    # the command splits the rows once; the file equals per-theta decompose_finite to the byte
+    assert main(["decompose", "--data", str(path), "--theta", "0", "--theta", "2", "--out", str(tmp_path)]) == 0
+    incomes = np.array([float(r.split(",")[0]) for r in rows[1:]])
+    groups = np.array([r.split(",")[1] for r in rows[1:]])
+    subgroups = np.array([r.split(",")[2] for r in rows[1:]])
+    expected = {"n": len(incomes), "theta": {}}
+    for theta in (0.0, 2.0):
+        top = decompose_finite(incomes, groups, theta)
+        expected["theta"][f"{theta:g}"] = {
+            "ge_total": ge_finite(incomes, theta),
+            "within": top.within,
+            "between": top.between,
+            "groups": {t.label: {"ge": t.ge, "share": t.share, "income_share": t.income_share, "weight": t.weight}
+                       for t in top.groups},
+            "subgroups": {t.label: {"within": sub.within, "between": sub.between}
+                          for t in top.groups
+                          for sub in [decompose_finite(incomes[groups == t.label], subgroups[groups == t.label], theta)]},
+        }
+    expected_text = json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "decomposition.json").read_text() == expected_text
 
 
 def test_simulate_then_pipeline_and_compare(tmp_path, spec_file, capsys):
