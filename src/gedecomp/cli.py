@@ -9,9 +9,8 @@ surfaces.  Failures exit nonzero with a structured JSON error on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -56,14 +55,18 @@ def _mcmc_from_args(args) -> McmcConfig:
     return McmcConfig(iterations=args.iters, burnin=args.burnin, seed=args.seed)
 
 
+def _write_or_print(args, name: str, doc: dict) -> None:
+    """Write doc as JSON to name under --out and print that path, or print the JSON."""
+    if args.out:
+        path = _out_dir(args) / name
+        dataio.write_json(path, doc)
+        print(path)
+    else:
+        print(dataio.json_text(doc), end="")
+
+
 def _summary_dict(summary) -> dict:
-    return {
-        "value": summary.value,
-        "sd": summary.sd,
-        "n_draws": summary.n_draws,
-        "n_excluded": summary.n_excluded,
-        "unreliable": summary.unreliable,
-    }
+    return {**dataclasses.asdict(summary), "unreliable": summary.unreliable}
 
 
 def cmd_fit(args) -> int:
@@ -86,43 +89,13 @@ def cmd_fit(args) -> int:
         "mean_income": _summary_dict(posterior_mean_income(draws)),
         "ge": {f"{theta:g}": _summary_dict(posterior_ge(draws, theta)) for theta in thetas},
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        out = _out_dir(args) / f"fit_{draws.unit}_{draws.family}.json"
-        out.write_text(text + "\n")
-        print(out)
-    else:
-        print(text)
+    _write_or_print(args, f"fit_{draws.unit}_{draws.family}.json", doc)
     return 0
-
-
-def _read_microdata(path):
-    incomes, groups, subgroups = [], [], []
-    with Path(path).open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[0].strip().lower() != "income":
-            raise dataio.CsvFormatError(f"{path}: expected header starting with 'income'")
-        has_group = len(header) > 1
-        has_sub = len(header) > 2
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            incomes.append(float(row[0]))
-            if has_group:
-                groups.append(row[1])
-            if has_sub:
-                subgroups.append(row[2])
-    return (
-        np.array(incomes),
-        np.array(groups) if groups else None,
-        np.array(subgroups) if subgroups else None,
-    )
 
 
 def cmd_decompose(args) -> int:
     thetas = _theta_list(args)
-    incomes, groups, subgroups = _read_microdata(args.data)
+    incomes, groups, subgroups = dataio.read_microdata(args.data)
     # the grouping does not depend on theta: split the rows once
     if groups is not None:
         labels, parts = _split_by_label(groups, incomes)
@@ -146,13 +119,7 @@ def cmd_decompose(args) -> int:
                     sub = _decompose_groups(part, sub_labels, sub_parts, theta)
                     entry["subgroups"][str(label)] = {"within": sub.within, "between": sub.between}
         doc["theta"][f"{theta:g}"] = entry
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        out = _out_dir(args) / "decomposition.json"
-        out.write_text(text + "\n")
-        print(out)
-    else:
-        print(text)
+    _write_or_print(args, "decomposition.json", doc)
     return 0
 
 
@@ -183,6 +150,9 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+_TRUTH_FIELDS = ("ge_total", "between", "sum_weighted_between_sub", "sum_weighted_within_sub", "region_ge", "leaf_ge")
+
+
 def cmd_simulate(args) -> int:
     spec = dataio.load_synthetic_spec(args.spec)
     data = sim.generate(spec)
@@ -207,15 +177,8 @@ def cmd_simulate(args) -> int:
     truth_doc = {}
     for theta in manifest.thetas:
         truth = data.multilevel_truth(theta)
-        truth_doc[f"{theta:g}"] = {
-            "ge_total": truth.ge_total,
-            "between": truth.between,
-            "sum_weighted_between_sub": truth.sum_weighted_between_sub,
-            "sum_weighted_within_sub": truth.sum_weighted_within_sub,
-            "region_ge": truth.region_ge,
-            "leaf_ge": truth.leaf_ge,
-        }
-    (out / "truth.json").write_text(json.dumps(truth_doc, indent=2, sort_keys=True) + "\n")
+        truth_doc[f"{theta:g}"] = {name: getattr(truth, name) for name in _TRUTH_FIELDS}
+    dataio.write_json(out / "truth.json", truth_doc)
     print(out / "manifest.json")
     return 0
 
@@ -236,19 +199,8 @@ def cmd_surface(args) -> int:
     a_values = np.linspace(args.a_min, args.a_max, args.a_num)
     q_values = np.linspace(args.q_min, args.q_max, args.q_num)
     surfaces = pipeline.ge_surface("sm", a_values, q_values, args.b, _theta_list(args))
-    out = _out_dir(args)
-    path = out / "surface.csv"
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["theta", "a", "q", "ge"])
-        for surface in surfaces:
-            theta = repr(surface.theta)
-            a_text = [repr(a) for a in surface.a_values.tolist()]
-            for q, row in zip(surface.q_values.tolist(), surface.values.tolist()):
-                q_text = repr(q)
-                writer.writerows(
-                    [theta, a, q_text, "" if math.isnan(value) else repr(value)] for a, value in zip(a_text, row)
-                )
+    path = _out_dir(args) / "surface.csv"
+    dataio.write_surface_csv(path, surfaces)
     print(path)
     return 0
 

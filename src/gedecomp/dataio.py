@@ -1,4 +1,4 @@
-"""File formats: grouped-count CSVs, hierarchy manifests, and report output.
+"""File formats: grouped-count CSVs, microdata, manifests, and report output.
 
 Grouped counts travel as CSV (statistical offices publish bracket tables as
 spreadsheets); manifests and reports are JSON because they nest.  Machine
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -37,7 +38,6 @@ __all__ = [
     "write_manifest",
     "load_phi_csv",
     "resolve_phi",
-    "report_to_dict",
     "report_from_dict",
     "save_report",
     "load_report",
@@ -45,17 +45,90 @@ __all__ = [
     "write_subregion_csv",
     "render_table",
     "write_comparison_csv",
+    "write_surface_csv",
+    "read_microdata",
+    "json_text",
+    "write_json",
     "render_comparison",
     "load_synthetic_spec",
 ]
 
 
 class CsvFormatError(ValueError):
-    """Raised for malformed grouped-count CSV files."""
+    """Raised for malformed CSV input files."""
 
 
 class ManifestError(ValueError):
     """Raised for malformed hierarchy manifests."""
+
+
+# ---------------------------------------------------------------------------
+# Shared CSV and JSON plumbing: every reader and writer goes through these
+# ---------------------------------------------------------------------------
+
+def _read_csv(path: Path, header: tuple[str, ...]) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header row and the (line number, cells) of each non-blank row.
+
+    The header must start with ``header`` (case and spaces ignored), every
+    row must have a cell for each header column, and at least one row must
+    follow the header.
+    """
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        head = next(reader, None)
+        if head is None or [h.strip().lower() for h in head[: len(header)]] != list(header):
+            raise CsvFormatError(f"{path}: expected header starting with '{','.join(header)}'")
+        rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
+    for lineno, row in rows:
+        if len(row) < len(head):
+            raise CsvFormatError(f"{path}:{lineno}: expected {len(head)} columns ({','.join(head)})")
+    if not rows:
+        raise CsvFormatError(f"{path}: no rows after the header")
+    return head, rows
+
+
+def _number(path: Path, lineno: int, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise CsvFormatError(f"{path}:{lineno}: expected a number, got {text!r}") from None
+
+
+def _positive(path: Path, lineno: int, text: str, name: str) -> float:
+    value = _number(path, lineno, text)
+    if not (math.isfinite(value) and value > 0):
+        raise CsvFormatError(f"{path}:{lineno}: {name} must be positive and finite, got {text.strip()}")
+    return value
+
+
+def _write_csv(path, header, rows) -> None:
+    """A header row, then the rows; csv writes a None cell as empty."""
+    with Path(path).open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _attribute_rows(records, columns: tuple[str, ...]):
+    """Each record's attributes named by columns, a bool written as 0 or 1."""
+    for record in records:
+        yield [int(v) if isinstance(v, bool) else v for v in (getattr(record, name) for name in columns)]
+
+
+def json_text(doc) -> str:
+    """Indented JSON with a stable key order and a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path, doc) -> None:
+    Path(path).write_text(json_text(doc))
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ManifestError(f"{path}: invalid JSON ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -65,35 +138,19 @@ class ManifestError(ValueError):
 def parse_grouped_csv(path, scale: float = 1.0, unit: str | None = None) -> GroupedSample:
     """Read bracket boundaries and counts; counts may be rescaled."""
     path = Path(path)
-    rows = []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:3]] != ["lower", "upper", "count"]:
-            raise CsvFormatError(f"{path}: expected header 'lower,upper,count'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 3:
-                raise CsvFormatError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                lower = float(row[0])
-                upper = math.inf if row[1].strip().lower() in ("inf", "+inf") else float(row[1])
-                count = float(row[2])
-            except ValueError as exc:
-                raise CsvFormatError(f"{path}:{lineno}: {exc}") from None
-            rows.append((lower, upper, count))
+    _, rows = _read_csv(path, ("lower", "upper", "count"))
     if len(rows) < 2:
         raise CsvFormatError(f"{path}: need at least two bracket rows")
-    boundaries = [rows[0][0]]
+    brackets = [(lineno, [_number(path, lineno, cell) for cell in row[:3]]) for lineno, row in rows]
+    boundaries = [brackets[0][1][0]]
     counts = []
-    for i, (lower, upper, count) in enumerate(rows):
+    for lineno, (lower, upper, count) in brackets:
         if lower != boundaries[-1]:
             raise CsvFormatError(
-                f"{path}: bracket {i + 1} starts at {lower}, expected {boundaries[-1]} (rows out of order?)"
+                f"{path}:{lineno}: bracket starts at {lower}, expected {boundaries[-1]} (rows out of order?)"
             )
         if count < 0:
-            raise CsvFormatError(f"{path}: bracket {i + 1} has a negative count")
+            raise CsvFormatError(f"{path}:{lineno}: negative count")
         boundaries.append(upper)
         counts.append(count)
     if not math.isinf(boundaries[-1]):
@@ -106,18 +163,25 @@ def parse_grouped_csv(path, scale: float = 1.0, unit: str | None = None) -> Grou
 
 
 def write_grouped_csv(path, sample: GroupedSample) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["lower", "upper", "count"])
-        for g in range(sample.n_brackets):
-            upper = sample.boundaries[g + 1]
-            upper_txt = "inf" if math.isinf(upper) else _num_txt(upper)
-            writer.writerow([_num_txt(sample.boundaries[g]), upper_txt, _num_txt(sample.counts[g])])
+    b = sample.boundaries
+    _write_csv(path, ("lower", "upper", "count"),
+               ([_num_txt(b[g]), _num_txt(b[g + 1]), _num_txt(sample.counts[g])] for g in range(sample.n_brackets)))
 
 
 def _num_txt(x: float) -> str:
     return str(int(x)) if float(x).is_integer() and abs(x) < 1e15 else repr(float(x))
+
+
+def read_microdata(path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Incomes, and group and subgroup labels where the header has those columns.
+
+    CSV header ``income[,group[,subgroup]]``; further columns are ignored.
+    """
+    path = Path(path)
+    head, rows = _read_csv(path, ("income",))
+    incomes = np.array([_positive(path, lineno, row[0], "income") for lineno, row in rows])
+    groups, subgroups = (np.array([row[k] for _, row in rows]) if len(head) > k else None for k in (1, 2))
+    return incomes, groups, subgroups
 
 
 # ---------------------------------------------------------------------------
@@ -145,23 +209,10 @@ def load_phi_csv(path) -> dict[str, float]:
     """Custom loss weights: CSV with header id,phi."""
     path = Path(path)
     values: dict[str, float] = {}
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["id", "phi"]:
-            raise CsvFormatError(f"{path}: expected header 'id,phi'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                value = float(row[1])
-            except (IndexError, ValueError):
-                raise CsvFormatError(f"{path}:{lineno}: expected 'id,phi' row") from None
-            if value <= 0:
-                raise CsvFormatError(f"{path}:{lineno}: phi must be positive")
-            values[row[0]] = value
-    if not values:
-        raise CsvFormatError(f"{path}: no loss weights found")
+    for lineno, row in _read_csv(path, ("id", "phi"))[1]:
+        if row[0] in values:
+            raise CsvFormatError(f"{path}:{lineno}: repeated id {row[0]!r}")
+        values[row[0]] = _positive(path, lineno, row[1], "phi")
     return values
 
 
@@ -180,10 +231,7 @@ def load_manifest(path) -> Manifest:
     Data paths are resolved relative to the manifest's directory.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: invalid JSON ({exc})") from None
+    raw = _read_json(path)
     base = path.parent
 
     try:
@@ -195,17 +243,12 @@ def load_manifest(path) -> Manifest:
         scale = float(raw.get("scale_counts", 1.0))
         phi_spec = raw.get("phi", "uniform")
         mcmc_raw = dict(raw.get("mcmc", {}))
+        unknown = sorted(set(mcmc_raw) - {"iterations", "burnin"})
+        if unknown:
+            raise ValueError(f"unknown mcmc settings {unknown}; expected iterations and burnin")
+        mcmc = McmcConfig(int(mcmc_raw.get("iterations", 10_000)), int(mcmc_raw.get("burnin", 2_000)), seed)
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"{path}: {exc}") from None
-
-    unknown = sorted(set(mcmc_raw) - {"iterations", "burnin"})
-    if unknown:
-        raise ManifestError(f"{path}: unknown mcmc settings {unknown}; expected iterations and burnin")
-    mcmc = McmcConfig(
-        iterations=int(mcmc_raw.get("iterations", 10_000)),
-        burnin=int(mcmc_raw.get("burnin", 2_000)),
-        seed=seed,
-    )
     phi, phi_values = resolve_phi(phi_spec, base)
 
     seen: dict[str, dict] = {}
@@ -271,23 +314,12 @@ def load_manifest(path) -> Manifest:
 
 def write_manifest(path, manifest: Manifest) -> None:
     """Write the manifest JSON; the referenced data files are not touched."""
-    path = Path(path)
-    nodes = []
-    parent_of: dict[str, str | None] = {manifest.root.id: None}
-    for node in manifest.root.walk():
-        for child in node.children:
-            parent_of[child.id] = node.id
-    for node in manifest.root.walk():
-        nodes.append(
-            {
-                "id": node.id,
-                "parent": parent_of[node.id],
-                "level": node.level,
-                "population": node.population,
-                "family": node.family,
-                "data": manifest.node_files[node.id],
-            }
-        )
+    parent_of = {child.id: node.id for node in manifest.root.walk() for child in node.children}
+    nodes = [
+        {"id": node.id, "parent": parent_of.get(node.id), "level": node.level, "population": node.population,
+         "family": node.family, "data": manifest.node_files[node.id]}
+        for node in manifest.root.walk()
+    ]
     doc = {
         "theta": list(manifest.thetas),
         "phi": manifest.phi,
@@ -299,20 +331,12 @@ def write_manifest(path, manifest: Manifest) -> None:
         },
         "nodes": nodes,
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 # ---------------------------------------------------------------------------
 # Decomposition reports
 # ---------------------------------------------------------------------------
-
-def report_to_dict(report: DecompositionReport) -> dict:
-    doc = dataclasses.asdict(report)
-    doc["regions"] = [dataclasses.asdict(r) for r in report.regions]
-    doc["subregions"] = [dataclasses.asdict(s) for s in report.subregions]
-    doc["flags"] = list(report.flags)
-    return doc
-
 
 def report_from_dict(doc: dict) -> DecompositionReport:
     regions = tuple(RegionRow(**r) for r in doc["regions"])
@@ -325,54 +349,31 @@ def report_from_dict(doc: dict) -> DecompositionReport:
 
 def save_report(path, report: DecompositionReport) -> None:
     """Full-precision machine JSON with a stable key order."""
-    Path(path).write_text(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
+    write_json(path, dataclasses.asdict(report))
 
 
 def load_report(path) -> DecompositionReport:
     return report_from_dict(json.loads(Path(path).read_text()))
 
 
+_REGION_COLUMNS = (
+    "id", "share", "mean_income", "income_share", "weight", "ge_bayes", "ge_bayes_sd", "ge_cb",
+    "between_sub", "within_sub", "bw_ratio", "subresidual", "excluded_draws", "negative",
+)
+_SUBREGION_COLUMNS = (
+    "id", "region", "share", "mean_income", "income_share", "weight", "ge_bayes", "ge_bayes_sd", "ge_cb",
+    "excluded_draws", "negative",
+)
+_COMPARISON_COLUMNS = ("theta", "method", "component", "estimate", "truth", "error")
+
+
 def write_region_csv(path, report: DecompositionReport) -> None:
     """Per-region values for external mapping and plotting."""
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "id", "share", "mean_income", "income_share", "weight",
-                "ge_bayes", "ge_bayes_sd", "ge_cb", "between_sub", "within_sub",
-                "bw_ratio", "subresidual", "excluded_draws", "negative",
-            ]
-        )
-        for r in report.regions:
-            writer.writerow(
-                [
-                    r.id, repr(r.share), repr(r.mean_income), repr(r.income_share), repr(r.weight),
-                    repr(r.ge_bayes), "" if r.ge_bayes_sd is None else repr(r.ge_bayes_sd),
-                    repr(r.ge_cb), repr(r.between_sub), repr(r.within_sub),
-                    "" if r.bw_ratio is None else repr(r.bw_ratio),
-                    repr(r.subresidual), r.excluded_draws, int(r.negative),
-                ]
-            )
+    _write_csv(path, _REGION_COLUMNS, _attribute_rows(report.regions, _REGION_COLUMNS))
 
 
 def write_subregion_csv(path, report: DecompositionReport) -> None:
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "id", "region", "share", "mean_income", "income_share", "weight",
-                "ge_bayes", "ge_bayes_sd", "ge_cb", "excluded_draws", "negative",
-            ]
-        )
-        for s in report.subregions:
-            writer.writerow(
-                [
-                    s.id, s.region, repr(s.share), repr(s.mean_income), repr(s.income_share),
-                    repr(s.weight), repr(s.ge_bayes),
-                    "" if s.ge_bayes_sd is None else repr(s.ge_bayes_sd),
-                    repr(s.ge_cb), s.excluded_draws, int(s.negative),
-                ]
-            )
+    _write_csv(path, _SUBREGION_COLUMNS, _attribute_rows(report.subregions, _SUBREGION_COLUMNS))
 
 
 def _fmt5(x: float | None) -> str:
@@ -406,17 +407,23 @@ def render_table(report: DecompositionReport) -> str:
 # ---------------------------------------------------------------------------
 
 def write_comparison_csv(path, comparison: MethodComparison) -> None:
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["theta", "method", "component", "estimate", "truth", "error"])
-        for row in comparison.rows:
-            writer.writerow(
-                [
-                    repr(row.theta), row.method, row.component, repr(row.estimate),
-                    "" if row.truth is None else repr(row.truth),
-                    "" if row.error is None else repr(row.error),
-                ]
-            )
+    _write_csv(path, _COMPARISON_COLUMNS, _attribute_rows(comparison.rows, _COMPARISON_COLUMNS))
+
+
+def write_surface_csv(path, surfaces) -> None:
+    """theta,a,q,ge rows of GeSurface grids, a varying fastest; a masked GE is an empty cell.
+
+    Each grid value is formatted once, not once per cell it appears in.
+    """
+    def blocks():
+        for surface in surfaces:
+            theta = repr(surface.theta)
+            a_text = [repr(a) for a in surface.a_values.tolist()]
+            for q, values in zip(surface.q_values.tolist(), surface.values.tolist()):
+                q_text = repr(q)
+                yield [[theta, a, q_text, "" if math.isnan(v) else repr(v)] for a, v in zip(a_text, values)]
+
+    _write_csv(path, ("theta", "a", "q", "ge"), itertools.chain.from_iterable(blocks()))
 
 
 def render_comparison(comparison: MethodComparison, theta: float) -> str:
@@ -450,10 +457,7 @@ def render_comparison(comparison: MethodComparison, theta: float) -> str:
 def load_synthetic_spec(path) -> SyntheticSpec:
     """Parse a synthetic-hierarchy spec (truth parameters and shape)."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: invalid JSON ({exc})") from None
+    raw = _read_json(path)
     try:
         regions = []
         for region_raw in raw["regions"]:

@@ -118,6 +118,21 @@ def test_decompose_command(tmp_path, capsys):
     assert (tmp_path / "decomposition.json").read_text() == expected_text
 
 
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [("2.5,a", "expected 3 columns"), ("abc,a,a1", "expected a number, got 'abc'"), ("-1,a,a1", "income must be positive")],
+    ids=["missing-column", "non-numeric", "negative"],
+)
+def test_decompose_rejects_malformed_row_naming_file_and_line(tmp_path, capsys, bad_row, message):
+    path = tmp_path / "micro.csv"
+    path.write_text(f"income,group,subgroup\n1.5,a,a1\n\n{bad_row}\n2.0,b,b1\n")
+    code = main(["decompose", "--data", str(path)])
+    doc = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert doc["error"] == "CsvFormatError"
+    assert doc["message"].startswith(f"{path}:4: ") and message in doc["message"]
+
+
 def test_simulate_then_pipeline_and_compare(tmp_path, spec_file, capsys):
     sim_dir = tmp_path / "sim"
     assert main(["simulate", "--spec", str(spec_file), "--out", str(sim_dir)]) == 0

@@ -1,7 +1,9 @@
 """CSV/JSON formats: parsing, validation, round-trips, table rendering."""
 
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +187,25 @@ def test_manifest_rejects_unknown_mcmc_settings(tmp_path, stale):
     assert dataio.load_manifest(tmp_path / "default.json").mcmc == McmcConfig(seed=doc["seed"])
 
 
+@pytest.mark.parametrize(
+    "mcmc, message",
+    [
+        ({"iterations": 100, "burnin": 100}, "burn-in must satisfy 0 <= burnin < iterations"),
+        ({"iterations": "abc"}, "invalid literal for int()"),
+        ({"iterations": 0}, "iterations must be positive"),
+        (500, "object is not iterable"),
+    ],
+    ids=["burnin-too-long", "non-integer", "zero-iterations", "not-an-object"],
+)
+def test_manifest_rejects_malformed_mcmc_settings(tmp_path, mcmc, message):
+    write_manifest_tree(tmp_path)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc["mcmc"] = mcmc
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    with pytest.raises(dataio.ManifestError, match=re.escape(f"{tmp_path / 'bad.json'}: ") + ".*" + re.escape(message)):
+        dataio.load_manifest(tmp_path / "bad.json")
+
+
 def test_manifest_custom_phi_file(tmp_path):
     manifest = write_manifest_tree(tmp_path)
     ids = [n.id for n in manifest.root.walk()]
@@ -206,6 +227,24 @@ def test_phi_csv_validation(tmp_path):
         dataio.load_phi_csv(path)
     path.write_text("wrong,header\n")
     with pytest.raises(dataio.CsvFormatError):
+        dataio.load_phi_csv(path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("id,phi\nr1,1.0\nr2,nan\n", ":3: phi must be positive and finite, got nan"),
+        ("id,phi\nr1,1.0\n\nr2,inf\n", ":4: phi must be positive and finite, got inf"),
+        ("id,phi\nr1,1.0\nr2,2.0\nr1,3.0\n", ":4: repeated id 'r1'"),
+        ("id,phi\nr1\n", ":2: expected 2 columns (id,phi)"),
+        ("id,phi\n\n", ": no rows after the header"),
+    ],
+    ids=["nan", "inf", "repeated-id", "short-row", "empty"],
+)
+def test_phi_csv_rejects_bad_rows_naming_the_line(tmp_path, body, message):
+    path = tmp_path / "phi.csv"
+    path.write_text(body)
+    with pytest.raises(dataio.CsvFormatError, match=f"^{re.escape(str(path) + message)}$"):
         dataio.load_phi_csv(path)
 
 
@@ -251,7 +290,7 @@ def test_report_round_trip(tmp_path):
 def test_report_json_full_precision(tmp_path):
     report = tiny_report()
     value = 0.1234567890123456789
-    report = dataio.report_from_dict({**dataio.report_to_dict(report), "ge_total": value})
+    report = dataio.report_from_dict({**dataclasses.asdict(report), "ge_total": value})
     path = tmp_path / "precise.json"
     dataio.save_report(path, report)
     assert dataio.load_report(path).ge_total == value
@@ -276,7 +315,7 @@ def test_render_table_layout():
     assert "residual-region" in text
     assert text.count("--") == 2  # residual rows dashed outside the separate method
     assert "flags:" in text
-    separate = dataio.report_from_dict({**dataio.report_to_dict(tiny_report()),
+    separate = dataio.report_from_dict({**dataclasses.asdict(tiny_report()),
                                         "method": "separate", "residual_region": 0.00192,
                                         "residual_subregion": -0.02862})
     sep_text = dataio.render_table(separate)
