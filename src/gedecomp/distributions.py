@@ -41,6 +41,12 @@ __all__ = [
 #: closed forms instead of the generic 1/(theta*(theta-1)) expression.
 LIMIT_TOL = 1e-9
 
+# Outside the LIMIT_TOL windows but this close to 0 or 1, generic GE forms
+# cancel to about eps/|theta| (or eps/|theta - 1|) of their value.
+_NEAR_LIMIT = 0.1
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
 
 class ParameterDomainError(ValueError):
     """Raised when distribution parameters violate their domain."""
@@ -128,6 +134,17 @@ def _gb2_log_moment_ratio(theta, a, p, q):
     )
 
 
+def _gammaln_increment(x, h):
+    """gammaln(x + h) - gammaln(x) without the cancellation of the difference.
+
+    Gamma(x + 1) = x Gamma(x) moves the interval to [x + 1, x + 1 + h], away
+    from the pole at 0 that x + h may approach; there the 16-point
+    Gauss-Legendre rule integrates digamma to double precision.
+    """
+    t = (x + 1.0)[:, None] + (0.5 * h)[:, None] * (1.0 + _GL_NODES)
+    return 0.5 * h * (special.digamma(t) @ _GL_WEIGHTS) - np.log1p(h / x)
+
+
 def _gb2_ge_vec(theta, a, b, p, q):
     """Vectorized GB2 generalized entropy with an admissibility mask.
 
@@ -147,7 +164,13 @@ def _gb2_ge_vec(theta, a, b, p, q):
     elif kind == "theil":
         vals = (special.digamma(pv + 1.0 / av) - special.digamma(qv - 1.0 / av)) / av - log_mean_ratio
     else:
-        log_ratio = _gb2_log_moment_ratio(theta, av, pv, qv) - theta * log_mean_ratio
+        limit = 1.0 if theta > 0.5 else 0.0
+        if abs(theta - limit) < _NEAR_LIMIT:  # increments of theta - limit about the MLD or Theil arguments
+            h = (theta - limit) / av
+            log_ratio = (_gammaln_increment(pv + limit / av, h) + _gammaln_increment(qv - limit / av, -h)
+                         - (theta - limit) * log_mean_ratio)
+        else:
+            log_ratio = _gb2_log_moment_ratio(theta, av, pv, qv) - theta * log_mean_ratio
         vals = np.expm1(log_ratio) / (theta * (theta - 1.0))
     values[ok] = vals
     return values, ok

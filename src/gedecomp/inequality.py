@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import theta_kind
+from .distributions import _NEAR_LIMIT, theta_kind
 
 __all__ = [
     "DomainError",
@@ -39,14 +39,12 @@ def _check_incomes(incomes) -> np.ndarray:
     return x
 
 
-# Outside the limit windows but this close to 0 or 1, ``mean(r**theta) - 1``
-# cancels to about eps/|theta| (or eps/|theta - 1|) of its value, which is
-# then divided by theta * (theta - 1); there it is averaged from expm1 terms.
-_NEAR_LIMIT = 0.1
-
-
 def _power_mean_excess(average, r: np.ndarray, theta: float):
-    """average(r**theta) - 1 for ratios whose average is exactly 1 in real arithmetic."""
+    """average(r**theta) - 1 for ratios whose average is exactly 1 in real arithmetic.
+
+    Within _NEAR_LIMIT of 0 or 1 the difference would cancel, so there it is
+    averaged from expm1 terms.
+    """
     if abs(theta) < _NEAR_LIMIT:
         return average(np.expm1(theta * np.log(r)))
     if abs(theta - 1.0) < _NEAR_LIMIT:

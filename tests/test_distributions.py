@@ -175,6 +175,40 @@ def test_ge_closed_form_vs_quadrature_grid():
             assert_allclose(dist.ge(theta), quad_ge(dist, theta), rtol=1e-6)
 
 
+def _mp_ge(theta, a, p, q) -> float:
+    """The GB2 GE closed form in 40-digit arithmetic (b drops out)."""
+    with mpmath.workdps(40):
+        t, a, p, q = (mpmath.mpf(float(v)) for v in (theta, a, p, q))
+
+        def log_moment(s):
+            return mpmath.loggamma(p + s / a) + mpmath.loggamma(q - s / a) - mpmath.loggamma(p) - mpmath.loggamma(q)
+
+        return float(mpmath.expm1(log_moment(t) - t * log_moment(1)) / (t * (t - 1)))
+
+
+def test_ge_near_the_limits_matches_40_digit_closed_form():
+    # just outside the LIMIT_TOL windows and across the 0.1 bands, where gammaln differences cancel;
+    # q - 1/a = 0.067 and a*q = 1.05 put Theil-side arguments near the pole of gammaln at 0
+    thetas = (2e-9, -2e-9, 1e-7, -1e-5, 0.05, -0.04, -0.0999, 0.0999,
+              0.9001, 1 - 2e-9, 1 + 2e-9, 1 + 1e-6, 1.04, 1.0999)
+    dists = [GB2(2.1, 6.2, 0.84, 1.9), GB2(3.0, 1.0, 1.0, 0.4), GB2(5.0, 2.0, 2.0, 0.267), GB2(1.0, 3.0, 0.05, 2.0),
+             GB2(1.05, 1.0, 1.0, 1.0), SM(2.5, 3.0, 1.7), SM(1.2, 2.0, 5.0)]
+    checked = 0
+    for dist in dists:
+        tag = "sm" if isinstance(dist, SM) else "gb2"
+        for theta in thetas:
+            low, high = dist.moment_window
+            if not low < theta < high:
+                continue
+            expected = _mp_ge(theta, dist.a, dist.p, dist.q)
+            drawn, ok = ge_over_draws(tag, dist.to_vector()[None, :], theta)
+            assert ok.all()
+            for value in (dist.ge(theta), drawn[0]):
+                assert abs(value - expected) <= 1e-12 * abs(expected), (dist, theta)
+            checked += 1
+    assert checked >= 80
+
+
 # ---------------------------------------------------------------------------
 # Singh-Maddala / GB2 coincidence and scale behavior
 # ---------------------------------------------------------------------------
