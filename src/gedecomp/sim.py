@@ -114,15 +114,12 @@ class SyntheticData:
     The population is laid out contiguously: leaf by leaf within region by
     region, in spec order.  node_slices maps every node id (country, regions
     and leaves) to its [start, stop) range of incomes and sampled, so truth
-    and bracket counts are slice arithmetic.  region_labels and leaf_labels
-    give each person's region and leaf id; they stay for callers that
-    select by label.
+    and bracket counts are slice arithmetic; the person at index i belongs
+    to each node whose slice holds i.
     """
 
     spec: SyntheticSpec
     incomes: np.ndarray
-    region_labels: np.ndarray
-    leaf_labels: np.ndarray
     sampled: np.ndarray  # boolean mask over the population
     samples: dict[str, GroupedSample]
     root: HierarchyNode
@@ -214,10 +211,6 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
 
     incomes = np.concatenate(incomes_parts)
     sampled = np.concatenate(sampled_parts)
-    all_leaves = [leaf for region in spec.regions for leaf in region.leaves]
-    region_labels = np.repeat([r.id for r in spec.regions],
-                              [sum(l.population for l in r.leaves) for r in spec.regions])
-    leaf_labels = np.repeat([l.id for l in all_leaves], [l.population for l in all_leaves])
 
     boundaries = _resolve_brackets(spec, incomes[sampled])
 
@@ -266,8 +259,6 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
     return SyntheticData(
         spec=spec,
         incomes=incomes,
-        region_labels=region_labels,
-        leaf_labels=leaf_labels,
         sampled=sampled,
         samples=samples,
         root=root,

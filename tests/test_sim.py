@@ -36,6 +36,13 @@ def small_spec(seed=0, brackets=8) -> SyntheticSpec:
     )
 
 
+def person_labels(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Each person's region and leaf id, from the spec's contiguous layout alone."""
+    leaves = [leaf for region in spec.regions for leaf in region.leaves]
+    region_labels = np.repeat([r.id for r in spec.regions], [sum(l.population for l in r.leaves) for r in spec.regions])
+    return region_labels, np.repeat([l.id for l in leaves], [l.population for l in leaves])
+
+
 def test_generate_deterministic():
     d1 = generate(small_spec())
     d2 = generate(small_spec())
@@ -57,25 +64,26 @@ def test_leaf_streams_independent_of_siblings():
         seed=base.spec.seed,
     )
     extended = generate(extended_spec)
+    _, base_leaves = person_labels(base.spec)
+    _, extended_leaves = person_labels(extended_spec)
     for leaf in ("n1", "n2", "s1"):
-        assert np.array_equal(
-            base.incomes[base.leaf_labels == leaf], extended.incomes[extended.leaf_labels == leaf]
-        )
+        assert np.array_equal(base.incomes[base_leaves == leaf], extended.incomes[extended_leaves == leaf])
 
 
 def test_grouped_counts_match_stored_population():
     data = generate(small_spec())
+    region_labels, leaf_labels = person_labels(data.spec)
     boundaries = data.root.data.boundaries
     for node_id, sample in data.samples.items():
         if node_id == "country":
             mask = data.sampled
         else:
-            labels = data.region_labels if node_id in ("north", "south") else data.leaf_labels
+            labels = region_labels if node_id in ("north", "south") else leaf_labels
             mask = (labels == node_id) & data.sampled
         counts, _ = np.histogram(data.incomes[mask], bins=boundaries)
         assert np.array_equal(sample.counts, counts.astype(float))
     # sampling fraction respected per leaf
-    n1 = (data.leaf_labels == "n1") & data.sampled
+    n1 = (leaf_labels == "n1") & data.sampled
     assert n1.sum() == round(0.3 * 3000)
 
 
@@ -106,12 +114,13 @@ def three_region_spec(seed=3) -> SyntheticSpec:
 
 def label_mask_truth(data, theta) -> MultilevelTruth:
     """Reference: the label-mask algorithm, decompose_finite on the labels."""
-    top = decompose_finite(data.incomes, data.region_labels, theta)
+    region_labels, leaf_labels = person_labels(data.spec)
+    top = decompose_finite(data.incomes, region_labels, theta)
     fields = {"region_ge": {}, "region_between_sub": {}, "region_within_sub": {}, "leaf_ge": {}}
     sum_wb = sum_ww = 0.0
     for term in top.groups:
-        mask = data.region_labels == term.label
-        sub = decompose_finite(data.incomes[mask], data.leaf_labels[mask], theta)
+        mask = region_labels == term.label
+        sub = decompose_finite(data.incomes[mask], leaf_labels[mask], theta)
         fields["region_ge"][term.label] = term.ge
         fields["region_between_sub"][term.label] = sub.between
         fields["region_within_sub"][term.label] = sub.within
@@ -133,7 +142,7 @@ def test_truth_equals_label_mask_reference(spec):
         for name in ("region_ge", "region_between_sub", "region_within_sub", "leaf_ge"):
             assert list(getattr(truth, name)) == list(getattr(reference, name))  # same order
         assert data.true_ge(spec.country_id, theta) == ge_finite(data.incomes, theta)
-        for labels in (data.region_labels, data.leaf_labels):
+        for labels in person_labels(spec):
             for node_id in dict.fromkeys(labels.tolist()):
                 assert data.true_ge(node_id, theta) == ge_finite(data.incomes[labels == node_id], theta)
 
