@@ -198,7 +198,7 @@ def cmd_compare(args) -> int:
 def cmd_surface(args) -> int:
     a_values = np.linspace(args.a_min, args.a_max, args.a_num)
     q_values = np.linspace(args.q_min, args.q_max, args.q_num)
-    surfaces = pipeline.ge_surface("sm", a_values, q_values, args.b, _theta_list(args))
+    surfaces = pipeline.ge_surface(a_values, q_values, args.b, _theta_list(args))
     path = _out_dir(args) / "surface.csv"
     dataio.write_surface_csv(path, surfaces)
     print(path)

@@ -467,14 +467,12 @@ class GeSurface:
     values: np.ndarray  # shape (len(q_values), len(a_values))
 
 
-def ge_surface(family: str, a_values, q_values, b: float, thetas) -> list[GeSurface]:
-    """Sensitivity surfaces of GE over shape-parameter grids.
+def ge_surface(a_values, q_values, b: float, thetas) -> list[GeSurface]:
+    """Sensitivity surfaces of Singh-Maddala GE over (a, q) grids at scale b.
 
-    Only the three-parameter family is supported; grid points where the
-    moment window excludes theta (or the mean) come back as NaN.
+    Grid points where the moment window excludes theta (or the mean) come
+    back as NaN.
     """
-    if family != "sm":
-        raise ValueError("parameter surfaces are defined for the 'sm' family")
     thetas = [float(theta) for theta in thetas]
     for theta in thetas:
         theta_kind(theta)  # rejects a non-finite theta

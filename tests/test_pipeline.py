@@ -383,7 +383,7 @@ def test_nonfinite_theta_rejected_by_every_method(small_fitted, theta):
         with pytest.raises(ValueError, match="must be finite"):
             assemble(fitted, theta, method)
     with pytest.raises(ValueError, match="must be finite"):
-        ge_surface("sm", [2.0], [2.0], 3.0, (1.0, theta))
+        ge_surface([2.0], [2.0], 3.0, (1.0, theta))
 
 
 def test_bw_ratio_lookup(small_fitted):
@@ -430,7 +430,7 @@ def pointwise_surface(a_values, q_values, b, theta) -> np.ndarray:
 def test_surface_matches_pointwise_ge_and_monotone():
     a_values = np.linspace(1.5, 4.0, 8)
     q_values = np.linspace(1.5, 4.0, 8)
-    for surface in ge_surface("sm", a_values, q_values, 3.0, (-1.0, 0.0, 1.0, 2.0)):
+    for surface in ge_surface(a_values, q_values, 3.0, (-1.0, 0.0, 1.0, 2.0)):
         np.testing.assert_array_equal(surface.values, pointwise_surface(a_values, q_values, 3.0, surface.theta))
         # GE decreases along both parameter axes on this grid
         assert np.all(np.diff(surface.values, axis=0) < 0.0)
@@ -440,30 +440,28 @@ def test_surface_matches_pointwise_ge_and_monotone():
     # a grid crossing the moment-window edges: NaN in the same cells
     a_values = np.linspace(0.3, 4.0, 13)
     q_values = np.linspace(0.3, 4.0, 11)
-    for surface in ge_surface("sm", a_values, q_values, 3.0, (-2.0, -1.0, 0.0, 1e-10, 1.0, 2.0, 5.0)):
+    for surface in ge_surface(a_values, q_values, 3.0, (-2.0, -1.0, 0.0, 1e-10, 1.0, 2.0, 5.0)):
         reference = pointwise_surface(a_values, q_values, 3.0, surface.theta)
         assert 0 < np.isnan(reference).sum() < reference.size
         np.testing.assert_array_equal(surface.values, reference)
 
 
 def test_surface_lower_tail_sensitivity():
-    surfaces = ge_surface("sm", [2.0, 3.0], [3.0], 3.0, (-1.0,))
+    surfaces = ge_surface([2.0, 3.0], [3.0], 3.0, (-1.0,))
     ge_a2, ge_a3 = surfaces[0].values[0]
     assert ge_a2 > ge_a3  # smaller power parameter: fatter lower tail
 
 
 def test_surface_masks_inadmissible_cells():
-    surface = ge_surface("sm", [0.6, 2.5], [1.0, 2.0], 3.0, (1.0,))[0]
+    surface = ge_surface([0.6, 2.5], [1.0, 2.0], 3.0, (1.0,))[0]
     assert math.isnan(surface.values[0, 0])  # a*q = 0.6: no mean
     assert math.isfinite(surface.values[1, 1])
-    theta_neg = ge_surface("sm", [0.6], [2.5], 3.0, (-1.0,))[0]
+    theta_neg = ge_surface([0.6], [2.5], 3.0, (-1.0,))[0]
     assert math.isnan(theta_neg.values[0, 0])  # theta below -a
-    with pytest.raises(ValueError):
-        ge_surface("ln", [1.0], [1.0], 3.0, (0.0,))
     for a_values, q_values, b in (([2.0, 0.0], [2.0], 3.0), ([2.0], [-1.0], 3.0),
                                   ([2.0], [2.0], np.inf), ([np.nan], [2.0], 3.0)):
         with pytest.raises(ParameterDomainError):
-            ge_surface("sm", a_values, q_values, b, (1.0,))
+            ge_surface(a_values, q_values, b, (1.0,))
 
 
 # ---------------------------------------------------------------------------
