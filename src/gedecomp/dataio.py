@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -220,7 +221,7 @@ def resolve_phi(phi_spec: str, base: Path) -> tuple[str, dict[str, float] | None
     """Parse a phi policy (uniform | raking | file:PATH under base): the policy, and a file's weights or None."""
     if phi_spec in ("uniform", "raking"):
         return phi_spec, None
-    if phi_spec.startswith("file:"):
+    if str(phi_spec).startswith("file:"):
         return phi_spec, load_phi_csv(base / phi_spec[len("file:"):])
     raise ManifestError(f"unknown phi policy {phi_spec!r}; expected uniform, raking, or file:PATH")
 
@@ -239,17 +240,18 @@ def load_manifest(path) -> Manifest:
         thetas = tuple(float(t) for t in raw.get("theta", (-1.0, 0.0, 1.0, 2.0)))
         for theta in thetas:
             theta_kind(theta)  # rejects a non-finite theta
-        seed = int(raw.get("seed", 0))
+        seed = operator.index(raw.get("seed", 0))
         scale = float(raw.get("scale_counts", 1.0))
         phi_spec = raw.get("phi", "uniform")
         mcmc_raw = dict(raw.get("mcmc", {}))
         unknown = sorted(set(mcmc_raw) - {"iterations", "burnin"})
         if unknown:
             raise ValueError(f"unknown mcmc settings {unknown}; expected iterations and burnin")
-        mcmc = McmcConfig(int(mcmc_raw.get("iterations", 10_000)), int(mcmc_raw.get("burnin", 2_000)), seed)
+        mcmc = McmcConfig(operator.index(mcmc_raw.get("iterations", 10_000)),
+                          operator.index(mcmc_raw.get("burnin", 2_000)), seed)
+        phi, phi_values = resolve_phi(phi_spec, base)
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"{path}: {exc}") from None
-    phi, phi_values = resolve_phi(phi_spec, base)
 
     seen: dict[str, dict] = {}
     for spec in node_specs:

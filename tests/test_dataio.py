@@ -188,19 +188,25 @@ def test_manifest_rejects_unknown_mcmc_settings(tmp_path, stale):
 
 
 @pytest.mark.parametrize(
-    "mcmc, message",
+    "field, value, message",
     [
-        ({"iterations": 100, "burnin": 100}, "burn-in must satisfy 0 <= burnin < iterations"),
-        ({"iterations": "abc"}, "invalid literal for int()"),
-        ({"iterations": 0}, "iterations must be positive"),
-        (500, "object is not iterable"),
+        ("mcmc", {"iterations": 100, "burnin": 100}, "burn-in must satisfy 0 <= burnin < iterations"),
+        ("mcmc", {"iterations": "abc"}, "'str' object cannot be interpreted as an integer"),
+        ("mcmc", {"iterations": 3.7, "burnin": 1}, "'float' object cannot be interpreted as an integer"),
+        ("mcmc", {"iterations": 0}, "iterations must be positive"),
+        ("mcmc", 500, "object is not iterable"),
+        ("seed", 2.5, "'float' object cannot be interpreted as an integer"),
+        ("phi", 3, "unknown phi policy 3"),
+        ("phi", "file:short.csv", "short.csv:2: expected 2 columns"),
     ],
-    ids=["burnin-too-long", "non-integer", "zero-iterations", "not-an-object"],
+    ids=["burnin-too-long", "string", "fraction", "zero-iterations", "mcmc-not-an-object", "seed-fraction",
+         "phi-not-a-string", "phi-file-short-row"],
 )
-def test_manifest_rejects_malformed_mcmc_settings(tmp_path, mcmc, message):
+def test_manifest_rejects_malformed_settings_naming_the_file(tmp_path, field, value, message):
     write_manifest_tree(tmp_path)
+    (tmp_path / "short.csv").write_text("id,phi\ncountry\n")
     doc = json.loads((tmp_path / "manifest.json").read_text())
-    doc["mcmc"] = mcmc
+    doc[field] = value
     (tmp_path / "bad.json").write_text(json.dumps(doc))
     with pytest.raises(dataio.ManifestError, match=re.escape(f"{tmp_path / 'bad.json'}: ") + ".*" + re.escape(message)):
         dataio.load_manifest(tmp_path / "bad.json")
