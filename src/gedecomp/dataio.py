@@ -60,7 +60,7 @@ class CsvFormatError(ValueError):
 
 
 class ManifestError(ValueError):
-    """Raised for malformed hierarchy manifests."""
+    """Raised for malformed JSON input: manifests, synthetic specs and reports."""
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +355,11 @@ def save_report(path, report: DecompositionReport) -> None:
 
 
 def load_report(path) -> DecompositionReport:
-    return report_from_dict(json.loads(Path(path).read_text()))
+    path = Path(path)
+    try:
+        return report_from_dict(_read_json(path))
+    except (KeyError, TypeError) as exc:
+        raise ManifestError(f"{path}: not a decomposition report ({exc!r})") from None
 
 
 _REGION_COLUMNS = (
@@ -478,7 +482,7 @@ def load_synthetic_spec(path) -> SyntheticSpec:
                     LeafSpec(
                         id=leaf_raw["id"],
                         params=make_family(family, vector),
-                        population=int(leaf_raw["population"]),
+                        population=operator.index(leaf_raw["population"]),
                     )
                 )
             regions.append(RegionSpec(id=region_raw["id"], leaves=tuple(leaves)))
@@ -490,7 +494,7 @@ def load_synthetic_spec(path) -> SyntheticSpec:
             regions=tuple(regions),
             brackets=brackets,
             sampling_fraction=float(raw.get("sampling_fraction", 0.1)),
-            seed=int(raw.get("seed", 0)),
+            seed=operator.index(raw.get("seed", 0)),
             country_id=raw.get("country_id", "country"),
             country_family=fit_families.get("country", "gb2"),
             region_family=fit_families.get("region", "sm"),

@@ -293,6 +293,18 @@ def test_report_round_trip(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [('{"method": "proposed",', "invalid JSON"), ('{"method": "proposed"}', "not a decomposition report")],
+    ids=["truncated", "missing-fields"],
+)
+def test_load_report_rejects_a_file_that_is_not_a_report(tmp_path, text, message):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    with pytest.raises(dataio.ManifestError, match=f"^{re.escape(str(path))}: {message}"):
+        dataio.load_report(path)
+
+
 def test_report_json_full_precision(tmp_path):
     report = tiny_report()
     value = 0.1234567890123456789
@@ -373,4 +385,12 @@ def test_synthetic_spec_rejects_leaf_params_of_another_family(tmp_path, params, 
     doc = {"regions": [{"id": "r1", "leaves": [{"id": "m1", "population": 10, "params": params}]}]}
     (tmp_path / "spec.json").write_text(json.dumps(doc))
     with pytest.raises(dataio.ManifestError, match=match):
+        dataio.load_synthetic_spec(tmp_path / "spec.json")
+
+
+@pytest.mark.parametrize("seed, population", [(5.5, 10), (5, 10.5)], ids=["seed", "population"])
+def test_synthetic_spec_rejects_fractional_integers(tmp_path, seed, population):
+    leaf = {"id": "m1", "population": population, "params": {"family": "ln", "xi": 1.0, "sigma2": 0.4}}
+    (tmp_path / "spec.json").write_text(json.dumps({"seed": seed, "regions": [{"id": "r1", "leaves": [leaf]}]}))
+    with pytest.raises(dataio.ManifestError, match="'float' object cannot be interpreted as an integer"):
         dataio.load_synthetic_spec(tmp_path / "spec.json")
