@@ -150,8 +150,8 @@ def parse_grouped_csv(path, scale: float = 1.0, unit: str | None = None) -> Grou
             raise CsvFormatError(
                 f"{path}:{lineno}: bracket starts at {lower}, expected {boundaries[-1]} (rows out of order?)"
             )
-        if count < 0:
-            raise CsvFormatError(f"{path}:{lineno}: negative count")
+        if not (math.isfinite(count) and count >= 0):
+            raise CsvFormatError(f"{path}:{lineno}: count must be finite and nonnegative, got {count}")
         boundaries.append(upper)
         counts.append(count)
     if not math.isinf(boundaries[-1]):

@@ -51,20 +51,23 @@ def test_parse_minimal_two_brackets(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "body",
+    "body, message",
     [
-        "lower,upper,count\n2,inf,6\n0,2,4\n",  # shuffled rows break the chain
-        "lower,upper,count\n0,2,4\n2,5,6\n",  # missing inf terminal
-        "lower,upper,count\n0,2,-4\n2,inf,6\n",  # negative count
-        "lower,upper,count\n0,2,4\n",  # single bracket
-        "a,b,c\n0,2,4\n2,inf,6\n",  # bad header
+        ("lower,upper,count\n2,inf,6\n0,2,4\n", ":3: bracket starts at 0.0"),  # shuffled rows break the chain
+        ("lower,upper,count\n0,2,4\n2,5,6\n", ": last bracket must be open"),  # missing inf terminal
+        ("lower,upper,count\n0,2,-4\n2,inf,6\n", ":2: count must be finite and nonnegative"),
+        ("lower,upper,count\n0,2,4\n", ": need at least two bracket rows"),
+        ("a,b,c\n0,2,4\n2,inf,6\n", ": expected header starting with 'lower,upper,count'"),
+        ("lower,upper,count\n0,2,4\n\n2,inf,nan\n", ":4: count must be finite and nonnegative, got nan"),
+        ("lower,upper,count\n0,2,4\n2,inf\n", ":3: expected 3 columns"),
+        ("lower,upper,count\n0,two,4\n2,inf,6\n", ":2: expected a number, got 'two'"),
     ],
-    ids=["shuffled", "no-inf", "negative", "single", "header"],
+    ids=["shuffled", "no-inf", "negative", "single", "header", "nan-count", "short-row", "non-numeric"],
 )
-def test_parse_rejects_malformed(tmp_path, body):
+def test_parse_rejects_malformed(tmp_path, body, message):
     path = tmp_path / "bad.csv"
     path.write_text(body)
-    with pytest.raises(dataio.CsvFormatError):
+    with pytest.raises(dataio.CsvFormatError, match=f"^{re.escape(str(path) + message)}"):
         dataio.parse_grouped_csv(path)
 
 
