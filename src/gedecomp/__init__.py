@@ -19,7 +19,6 @@ from .grouped import (
     fit,
     fit_batch,
     log_likelihood,
-    log_prior,
     posterior_ge,
     posterior_mean_income,
 )
@@ -34,10 +33,8 @@ from .pipeline import (
     DecompositionReport,
     HierarchyNode,
     assemble,
-    bw_ratio,
     fit_hierarchy,
     ge_surface,
-    relative_difference,
     run,
 )
 from .sim import LeafSpec, RegionSpec, SyntheticSpec, compare_methods, generate
@@ -56,7 +53,6 @@ __all__ = [
     "fit",
     "fit_batch",
     "log_likelihood",
-    "log_prior",
     "posterior_ge",
     "posterior_mean_income",
     "ge_finite",
@@ -72,8 +68,6 @@ __all__ = [
     "fit_hierarchy",
     "assemble",
     "run",
-    "bw_ratio",
-    "relative_difference",
     "ge_surface",
     "LeafSpec",
     "RegionSpec",

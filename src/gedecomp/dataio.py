@@ -150,10 +150,14 @@ def parse_grouped_csv(path, scale: float = 1.0, unit: str | None = None) -> Grou
             raise CsvFormatError(
                 f"{path}:{lineno}: bracket starts at {lower}, expected {boundaries[-1]} (rows out of order?)"
             )
+        if not upper > lower:
+            raise CsvFormatError(f"{path}:{lineno}: boundaries must be strictly increasing, got {lower} to {upper}")
         if not (math.isfinite(count) and count >= 0):
             raise CsvFormatError(f"{path}:{lineno}: count must be finite and nonnegative, got {count}")
         boundaries.append(upper)
         counts.append(count)
+    if boundaries[0] != 0.0:
+        raise CsvFormatError(f"{path}:{brackets[0][0]}: first boundary must be 0, got {boundaries[0]}")
     if not math.isinf(boundaries[-1]):
         raise CsvFormatError(f"{path}: last bracket must be open (upper = inf)")
     try:

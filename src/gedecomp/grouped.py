@@ -10,10 +10,14 @@ Each unit is sampled by an independence Metropolis-Hastings chain anchored
 at its Laplace approximation (Tierney 1994): a damped Newton search finds
 the mode, and iterations - burnin proposals are drawn from a multivariate t
 (5 degrees of freedom) centred there, scaled by the inverse negative
-Hessian.  The chain starts at the mode, so burn-in draws nothing.  A unit
-whose Hessian is not negative definite, whose importance weights have a
-Pareto k-hat above 0.7 (PSIS; see ``diagnostics``), or whose chain accepts
-fewer than half its proposals falls back to a fixed-kernel Gaussian
+Hessian.  The search starts from a least-squares line through the bracket
+ecdf: the log-logistic (GB2 and SM with unit shapes) for the income
+families, the lognormal for LN, and the chain-space origin when the ecdf
+has fewer than two distinct values inside (0, 1).  The chain starts at the
+mode, so burn-in draws nothing.  A unit whose Hessian is not negative
+definite, whose importance weights have a Pareto k-hat above 0.7 (PSIS; see
+``diagnostics``), or whose chain accepts fewer than half its proposals
+falls back to a fixed-kernel Gaussian
 random-walk Metropolis-Hastings chain from the same mode.  Its proposal is
 the Laplace covariance scaled by 2.38^2 / d (Roberts, Gelman & Gilks 1997),
 with the Hessian's eigenvalues taken in absolute value; a unit whose mode
@@ -37,6 +41,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import ndtri
 
 from .diagnostics import pareto_k
 from .distributions import (
@@ -56,7 +61,6 @@ __all__ = [
     "PosteriorSummary",
     "UnderIdentifiedError",
     "log_likelihood",
-    "log_prior",
     "fit",
     "fit_batch",
     "posterior_ge",
@@ -212,18 +216,6 @@ def log_likelihood(params: FamilyParams, data: GroupedSample) -> float | np.ndar
     return ll if ll.ndim else float(ll)
 
 
-def _ig11_logpdf(x: float) -> float:
-    # inverse-gamma(1, 1): log pi(x) = -2 log x - 1/x
-    if x <= 0.0:
-        return -math.inf
-    return -2.0 * math.log(x) - 1.0 / x
-
-
-def log_prior(params: FamilyParams) -> float:
-    """Independent IG(1, 1) priors on positive parameters; flat on real ones (LN's xi)."""
-    return float(sum(_ig11_logpdf(getattr(params, name)) for name in params.param_names[params.n_real:]))
-
-
 # ---------------------------------------------------------------------------
 # Sampler
 # ---------------------------------------------------------------------------
@@ -287,60 +279,30 @@ def random_walk_chain(
     return kept, accepted / (iterations - burnin)
 
 
-def _bracket_quantile(data: GroupedSample, prob: float) -> float | None:
-    """Linear interpolation of a quantile on the bracket ecdf, if reachable."""
-    cum = np.cumsum(data.counts) / data.total
-    edges = data.boundaries
-    interior_cum = cum[:-1]  # ecdf at c_1 .. c_{G-1}
-    idx = int(np.searchsorted(interior_cum, prob))
-    if idx >= len(interior_cum):
-        return None  # quantile falls in the open top bracket
-    lo_edge = edges[idx]
-    hi_edge = edges[idx + 1]
-    lo_cum = interior_cum[idx - 1] if idx > 0 else 0.0
-    hi_cum = interior_cum[idx]
-    if hi_cum <= lo_cum:
-        return None
-    return float(lo_edge + (hi_edge - lo_edge) * (prob - lo_cum) / (hi_cum - lo_cum))
-
-
 def _initial_guess(family: str, data: GroupedSample) -> np.ndarray:
-    """Method-of-quantiles start (median plus an upper quantile) in chain space.
+    """Chain-space start from a least-squares line through the bracket ecdf.
 
-    The LN branch takes logs with math.log and the GB2 branch with np.log.
-    The two can differ in the last bit, so swapping either would move that
-    family's starts, and with them its draws.
+    On the interior boundaries c whose ecdf value F lies inside (0, 1), the
+    log-logistic (GB2 and SM with unit shapes) has logit F = a log c - a log b
+    and the lognormal has probit F = (log c - xi) / sigma, so the line
+    through (log c, logit F) or (log c, probit F) gives the start.  With
+    fewer than two distinct ecdf values, or a slope that is not positive,
+    the start is the chain-space origin.
     """
-    median = _bracket_quantile(data, 0.5)
-    cum = np.cumsum(data.counts) / data.total
-    upper_prob = min(0.9, 0.5 + 0.9 * (float(cum[-2]) - 0.5)) if cum[-2] > 0.55 else None
-    upper = _bracket_quantile(data, upper_prob) if upper_prob else None
-
+    cum = np.cumsum(data.counts)[:-1] / data.total  # ecdf at c_1 .. c_{G-1}
+    inside = (cum > 0.0) & (cum < 1.0)
+    cum, edges = cum[inside], data.boundaries[1:-1][inside]
+    start = np.zeros(family_dim(family))
+    if len(np.unique(cum)) < 2:
+        return start
+    y = ndtri(cum) if family == "ln" else np.log(cum / (1.0 - cum))
+    slope, intercept = np.polyfit(np.log(edges), y, 1)
+    if not slope > 0.0:
+        return start
     if family == "ln":
-        if median is None or median <= 0.0:
-            return np.zeros(2)
-        xi = math.log(median)
-        if upper is None or upper <= median or upper_prob is None:
-            return np.array([xi, 0.0])
-        from scipy.special import ndtri
-
-        sigma = (math.log(upper) - xi) / float(ndtri(upper_prob))
-        return np.array([xi, math.log(max(sigma * sigma, 1e-3))])
-
-    # Singh-Maddala-style start with unit shapes: the median pins the scale,
-    # the upper quantile pins the power parameter.
-    if median is None or median <= 0.0:
-        b0, a0 = 1.0, 1.0
-    else:
-        b0 = median
-        if upper is None or upper <= median or upper_prob is None:
-            a0 = 1.0
-        else:
-            odds = upper_prob / (1.0 - upper_prob)
-            a0 = math.log(odds) / math.log(upper / median)
-            if not math.isfinite(a0) or a0 <= 0.0:
-                a0 = 1.0
-    return np.log([a0, b0] + [1.0] * (family_dim(family) - 2))
+        return np.array([-intercept / slope, -2.0 * math.log(slope)])
+    start[:2] = math.log(slope), -intercept / slope
+    return start
 
 
 def _from_chain_space(real: int):
@@ -358,7 +320,7 @@ def _from_chain_space(real: int):
 
 
 def _chain_log_prior(real: int, dim: int):
-    """log_prior plus the log Jacobian of the log transform, per chain state.
+    """The IG(1, 1) log prior plus the log Jacobian of the log transform, per chain state.
 
     A map (t, natural) -> (K,).  For a positive parameter x = exp(t) the
     IG(1, 1) term -2 log x - 1/x and the Jacobian term t add up to

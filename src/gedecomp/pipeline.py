@@ -51,8 +51,6 @@ __all__ = [
     "fit_hierarchy",
     "assemble",
     "run",
-    "bw_ratio",
-    "relative_difference",
     "ge_surface",
     "GeSurface",
 ]
@@ -291,10 +289,6 @@ def _children(fitted: FittedHierarchy, parent: HierarchyNode, theta: float, flag
     return _shares(parent), np.array(mu), ge
 
 
-def _bw(between_sub: float, within_sub: float) -> float | None:
-    return between_sub / within_sub if within_sub > 0.0 else None
-
-
 def _step(method: str, phi, parent: HierarchyNode, be, bayes: np.ndarray, target):
     """The method's rule at one parent.
 
@@ -388,7 +382,7 @@ def assemble(fitted: FittedHierarchy, theta: float, method: str, phi="uniform") 
                 between_sub=float(be_j.between),
                 within_sub=within_j,
                 subresidual=subres_j,
-                bw_ratio=_bw(float(be_j.between), within_j),
+                bw_ratio=float(be_j.between) / within_j if within_j > 0.0 else None,
                 negative=bool(negative[j]),
             )
         )
@@ -432,28 +426,6 @@ def assemble(fitted: FittedHierarchy, theta: float, method: str, phi="uniform") 
 def run(root: HierarchyNode, theta: float, mcmc: McmcConfig, method: str, phi="uniform") -> DecompositionReport:
     """Fit the levels the method uses and assemble its decomposition at theta."""
     return assemble(fit_hierarchy(root, mcmc, levels=_method_levels(method)), theta, method, phi)
-
-
-def bw_ratio(report: DecompositionReport, region_id: str) -> float | None:
-    """Between- over within-subregion inequality for one region.
-
-    None when the within term is nonpositive (ratio undefined).
-    """
-    for row in report.regions:
-        if row.id == region_id:
-            return _bw(row.between_sub, row.within_sub)
-    raise KeyError(f"region {region_id!r} not present in the report")
-
-
-def relative_difference(estimates, pseudo_truth) -> np.ndarray:
-    """(estimate - pseudo-truth) / pseudo-truth, elementwise."""
-    est = np.asarray(estimates, dtype=float)
-    ref = np.asarray(pseudo_truth, dtype=float)
-    if est.shape != ref.shape:
-        raise ValueError("estimates and pseudo-truth must be aligned")
-    if np.any(ref == 0.0):
-        raise ValueError("pseudo-truth entries must be nonzero")
-    return (est - ref) / ref
 
 
 @dataclass(frozen=True)

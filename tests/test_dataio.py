@@ -61,8 +61,12 @@ def test_parse_minimal_two_brackets(tmp_path):
         ("lower,upper,count\n0,2,4\n\n2,inf,nan\n", ":4: count must be finite and nonnegative, got nan"),
         ("lower,upper,count\n0,2,4\n2,inf\n", ":3: expected 3 columns"),
         ("lower,upper,count\n0,two,4\n2,inf,6\n", ":2: expected a number, got 'two'"),
+        ("lower,upper,count\n-1,1,3\n1,inf,5\n", ":2: first boundary must be 0, got -1.0"),
+        ("lower,upper,count\n0,2,3\n2,1,4\n1,inf,5\n", ":3: boundaries must be strictly increasing"),
+        ("lower,upper,count\n0,2,0\n2,inf,0\n", ": total count must be positive"),  # no line to name
     ],
-    ids=["shuffled", "no-inf", "negative", "single", "header", "nan-count", "short-row", "non-numeric"],
+    ids=["shuffled", "no-inf", "negative", "single", "header", "nan-count", "short-row", "non-numeric",
+         "negative-first", "decreasing", "all-zero"],
 )
 def test_parse_rejects_malformed(tmp_path, body, message):
     path = tmp_path / "bad.csv"

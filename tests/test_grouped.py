@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gedecomp as g
-from gedecomp.distributions import LN, SM, make_batch, make_family
+from gedecomp.distributions import LN, SM, family_dim, make_batch, make_family
 from gedecomp.grouped import (
     GroupedSample,
     McmcConfig,
@@ -17,6 +17,8 @@ from gedecomp.grouped import (
     UnderIdentifiedError,
     _abs_curvatures,
     _chain_log_density,
+    _chain_log_prior,
+    _from_chain_space,
     _initial_guess,
     _newton_modes,
     config_for_unit,
@@ -24,13 +26,18 @@ from gedecomp.grouped import (
     fit,
     fit_batch,
     log_likelihood,
-    log_prior,
     posterior_ge,
     posterior_mean_income,
     random_walk_chain,
 )
 
-from conftest import national_sample
+from conftest import NATIONAL_BOUNDARIES, national_sample
+
+
+# 30 of 31 counts in the open top bracket and one in the lowest: the lognormal
+# posterior of sigma2 has a long right tail, so its Laplace importance
+# weights are heavy-tailed (k-hat 1.1 at this seed) and the unit falls back
+TOP_HEAVY = GroupedSample([0, 1, 2, 3, 5, 8, np.inf], [1.0, 0.0, 0.0, 0.0, 0.0, 30.0], "top-heavy")
 
 
 def quantile_bracket_sample(dist, n, G, seed, unit="unit") -> GroupedSample:
@@ -173,22 +180,69 @@ def test_national_table_mle_is_a_local_maximum():
 # prior
 # ---------------------------------------------------------------------------
 
+def chain_prior(real: int, dim: int, t) -> np.ndarray:
+    t = np.array(t, dtype=float)
+    return _chain_log_prior(real, dim)(t, _from_chain_space(real)(t))
+
+
+@pytest.mark.parametrize("real, dim", [(0, 4), (0, 3), (1, 2)], ids=["gb2", "sm", "ln"])
+def test_chain_prior_is_ig11_plus_log_jacobian(real, dim):
+    # sum over positive x = exp(t) of the IG(1, 1) log density -2 log x - 1/x, plus the log Jacobian sum t;
+    # LN's real xi enters neither
+    t = np.random.default_rng(dim).uniform(-2.0, 2.0, (20, dim))
+    x = np.exp(t[:, real:])
+    expected = (-2.0 * np.log(x) - 1.0 / x).sum(axis=1) + t[:, real:].sum(axis=1)
+    assert_allclose(chain_prior(real, dim, t), expected, rtol=1e-13, atol=1e-13)
+
+
 def test_prior_single_parameter_at_one():
-    assert_allclose(log_prior(LN(0.0, 1.0)), -1.0, rtol=1e-14)  # xi is flat
+    assert chain_prior(1, 2, [[0.0, 0.0]])[0] == -1.0  # LN(0, 1): xi is flat
 
 
 def test_prior_gb2_all_ones():
-    assert_allclose(log_prior(g.GB2(1.0, 1.0, 1.0, 1.0)), -4.0, rtol=1e-14)
+    assert chain_prior(0, 4, np.zeros((1, 4)))[0] == -4.0
 
 
 def test_prior_gradient_finite_difference():
+    # d/dt of -(t + exp(-t)) at sigma2 = 2 is -1 + 1/2
     h = 1e-6
-    grad = (log_prior(LN(0.0, 2.0 + h)) - log_prior(LN(0.0, 2.0 - h))) / (2.0 * h)
-    assert_allclose(grad, -0.75, rtol=1e-8)
+    value = chain_prior(1, 2, [[0.0, math.log(2.0) + h], [0.0, math.log(2.0) - h]])
+    assert_allclose((value[0] - value[1]) / (2.0 * h), -0.5, rtol=1e-8)
 
 
 def test_prior_flat_in_ln_location():
-    assert log_prior(LN(-5.0, 0.7)) == log_prior(LN(12.0, 0.7))
+    value = chain_prior(1, 2, [[-5.0, math.log(0.7)], [12.0, math.log(0.7)]])
+    assert value[0] == value[1]
+
+
+# ---------------------------------------------------------------------------
+# Newton start
+# ---------------------------------------------------------------------------
+
+def exact_masses(dist) -> GroupedSample:
+    """The national boundaries with counts equal to the bracket masses of dist."""
+    cdf = np.concatenate([[0.0], dist.cdf(NATIONAL_BOUNDARIES[1:-1]), [1.0]])
+    return GroupedSample(NATIONAL_BOUNDARIES, np.diff(cdf) * 1e6)
+
+
+@pytest.mark.parametrize("family, dist, chain", [
+    ("sm", SM(2.5, 4.0, 1.0), np.log([2.5, 4.0, 1.0])),
+    ("gb2", SM(1.8, 6.0, 1.0), np.log([1.8, 6.0, 1.0, 1.0])),
+    ("ln", LN(1.3, 0.6), [1.3, math.log(0.6)]),
+])
+def test_start_recovers_exact_log_logistic_and_lognormal_tables(family, dist, chain):
+    assert_allclose(_initial_guess(family, exact_masses(dist)), chain, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("data", [
+    TOP_HEAVY,  # a flat ecdf: one distinct value inside (0, 1)
+    # flat at 1/31 on the national boundaries, where the fitted slopes are about +1e-17, not 0 or below
+    GroupedSample(NATIONAL_BOUNDARIES, [1.0] + [0.0] * 8 + [30.0]),
+    GroupedSample(NATIONAL_BOUNDARIES, [0.0] * 4 + [500.0] + [0.0] * 5),  # every count in one bracket
+])
+def test_start_without_a_line_is_the_origin(data):
+    for family in ("gb2", "sm", "ln"):
+        assert np.array_equal(_initial_guess(family, data), np.zeros(family_dim(family)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +413,6 @@ def test_ln_recovery():
     assert_allclose(posterior_mean, [1.5, 0.4], rtol=0.05)
     assert draws.sampler == "laplace"
     assert draws.acceptance_rate > 0.5
-
-
-# 30 of 31 counts in the open top bracket and one in the lowest: the lognormal
-# posterior of sigma2 has a long right tail, so its Laplace importance
-# weights are heavy-tailed (k-hat 1.1 at this seed) and the unit falls back
-TOP_HEAVY = GroupedSample([0, 1, 2, 3, 5, 8, np.inf], [1.0, 0.0, 0.0, 0.0, 0.0, 30.0], "top-heavy")
 
 
 def test_unit_failing_the_gate_runs_the_random_walk():

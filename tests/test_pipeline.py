@@ -5,10 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import gedecomp as g
-from gedecomp.distributions import MomentExistenceError, ParameterDomainError
+from gedecomp.benchmark import RakingInadmissibleError
+from gedecomp.distributions import LIMIT_TOL, MomentExistenceError, ParameterDomainError
 from gedecomp.grouped import (
     GroupedSample,
     McmcConfig,
@@ -23,10 +26,8 @@ from gedecomp.pipeline import (
     HierarchyNode,
     PipelineError,
     assemble,
-    bw_ratio,
     fit_hierarchy,
     ge_surface,
-    relative_difference,
     run,
 )
 from gedecomp.sim import LeafSpec, RegionSpec, SyntheticSpec, generate
@@ -386,29 +387,37 @@ def test_nonfinite_theta_rejected_by_every_method(small_fitted, theta):
         ge_surface([2.0], [2.0], 3.0, (1.0, theta))
 
 
-def test_bw_ratio_lookup(small_fitted):
+# the whole range, and around 0 and 1 both the LIMIT_TOL windows and the values just outside them
+ASSEMBLY_THETAS = st.one_of(
+    st.floats(-1.0, 3.0),
+    st.sampled_from((0.0, 1.0)).flatmap(lambda c: st.floats(c - 1e3 * LIMIT_TOL, c + 1e3 * LIMIT_TOL)),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(theta=ASSEMBLY_THETAS)
+def test_assembled_identity_holds_or_fails_loudly(small_fitted, theta):
+    _, fitted = small_fitted
+    for method in g.METHODS:
+        for phi in ("uniform", "raking"):
+            try:
+                report = assemble(fitted, theta, method, phi)
+            except (PipelineError, RakingInadmissibleError):
+                continue
+            assert abs(report.identity_gap) < 1e-12 * max(1.0, abs(report.ge_total)), (method, phi)
+
+
+def test_region_rows_carry_bw_ratio(small_fitted):
     _, fitted = small_fitted
     report = assemble(fitted, 1.0, "proposed")
-    row = report.regions[0]
-    assert bw_ratio(report, row.id) == pytest.approx(row.between_sub / row.within_sub)
-    assert bw_ratio(report, row.id) == row.bw_ratio
-    with pytest.raises(KeyError):
-        bw_ratio(report, "nowhere")
+    for row in report.regions:
+        assert row.bw_ratio == row.between_sub / row.within_sub
 
 
 def test_bw_ratio_hand_value():
     assert_allclose(0.004 / 0.26, 0.0153846, rtol=1e-5)  # reference arithmetic
     report = run(degenerate_tree(), 0.0, McmcConfig(iterations=300, burnin=80, seed=2), "proposed")
     assert report.regions[0].bw_ratio == 0.0  # single subregion: between_sub = 0
-
-
-def test_relative_difference():
-    assert np.array_equal(relative_difference([0.3, 0.2], [0.3, 0.2]), [0.0, 0.0])
-    assert_allclose(relative_difference([0.3], [0.25]), [0.2], rtol=1e-12)
-    with pytest.raises(ValueError):
-        relative_difference([0.3], [0.0])
-    with pytest.raises(ValueError):
-        relative_difference([0.3, 0.1], [0.2])
 
 
 # ---------------------------------------------------------------------------
