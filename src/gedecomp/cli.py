@@ -104,20 +104,20 @@ def cmd_decompose(args) -> int:
         nested = [_split_by_label(sub, part) for sub, part in zip(sub_columns, parts)]
     doc: dict = {"n": int(len(incomes)), "theta": {}}
     for theta in thetas:
-        entry: dict = {"ge_total": ge_finite(incomes, theta)}
-        if groups is not None:
+        if groups is None:
+            entry: dict = {"ge_total": ge_finite(incomes, theta)}
+        else:
             top = _decompose_groups(incomes, labels, parts, theta)
-            entry["within"] = top.within
-            entry["between"] = top.between
+            entry = {"ge_total": top.total, "within": top.within, "between": top.between}
             entry["groups"] = {
                 str(t.label): {"ge": t.ge, "share": t.share, "income_share": t.income_share, "weight": t.weight}
                 for t in top.groups
             }
             if subgroups is not None:
                 entry["subgroups"] = {}
-                for label, part, (sub_labels, sub_parts) in zip(labels, parts, nested):
-                    sub = _decompose_groups(part, sub_labels, sub_parts, theta)
-                    entry["subgroups"][str(label)] = {"within": sub.within, "between": sub.between}
+                for t, part, (sub_labels, sub_parts) in zip(top.groups, parts, nested):
+                    sub = _decompose_groups(part, sub_labels, sub_parts, theta, total=t.ge)
+                    entry["subgroups"][str(t.label)] = {"within": sub.within, "between": sub.between}
         doc["theta"][f"{theta:g}"] = entry
     _write_or_print(args, "decomposition.json", doc)
     return 0

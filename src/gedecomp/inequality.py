@@ -140,13 +140,14 @@ def _split_by_label(labels: np.ndarray, x: np.ndarray):
     return uniq, [x[labels == label] for label in uniq]
 
 
-def _decompose_groups(x: np.ndarray, labels, parts, theta: float) -> GroupDecomposition:
+def _decompose_groups(x: np.ndarray, labels, parts, theta: float, total: float | None = None) -> GroupDecomposition:
     """Decomposition of the population x already split into groups.
 
     The j-th of the iterable parts holds the incomes of group labels[j];
     together the parts are exactly the elements of x.  Callers that know
     the grouping (a population laid out group by group) pass slices and
-    skip the label search.
+    skip the label search; a caller that already has ge_finite(x, theta)
+    passes it as total.
     """
     n_total = x.size
     mu = x.mean()
@@ -179,7 +180,7 @@ def _decompose_groups(x: np.ndarray, labels, parts, theta: float) -> GroupDecomp
     between = _between_term(lam, means / mu, s, theta)
     return GroupDecomposition(
         theta=theta,
-        total=ge_finite(x, theta),
+        total=ge_finite(x, theta) if total is None else total,
         within=within,
         between=between,
         groups=tuple(terms),

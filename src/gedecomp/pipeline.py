@@ -19,7 +19,7 @@ down the tree applies that step at the country and at each region:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,12 +122,25 @@ class FittedHierarchy:
     root: HierarchyNode
     draws: dict[str, PosteriorDraws]
     mcmc: McmcConfig
+    _summaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def require(self, node_id: str) -> PosteriorDraws:
         try:
             return self.draws[node_id]
         except KeyError:
             raise PipelineError(f"node {node_id!r} has not been fitted") from None
+
+    def mean_income(self, node_id: str) -> PosteriorSummary:
+        """The node's posterior mean income, computed once: it does not depend on theta."""
+        if (node_id, None) not in self._summaries:
+            self._summaries[node_id, None] = posterior_mean_income(self.require(node_id))
+        return self._summaries[node_id, None]
+
+    def ge(self, node_id: str, theta: float) -> PosteriorSummary:
+        """The node's posterior GE at theta, computed once per node and float(theta)."""
+        if (node_id, float(theta)) not in self._summaries:
+            self._summaries[node_id, float(theta)] = posterior_ge(self.require(node_id), theta)
+        return self._summaries[node_id, float(theta)]
 
 
 def fit_hierarchy(root: HierarchyNode, mcmc: McmcConfig, levels: tuple[str, ...] = LEVELS) -> FittedHierarchy:
@@ -253,7 +266,12 @@ def _phi_vector(phi, ids, weights: np.ndarray, bayes: np.ndarray) -> np.ndarray:
     if phi == "raking":
         if np.any(bayes <= 0.0):
             raise benchmark.RakingInadmissibleError("raking requires strictly positive Bayes estimates")
-        return weights / bayes
+        with np.errstate(over="ignore"):
+            phi_j = weights / bayes
+        for child, b, p in zip(ids, bayes.tolist(), phi_j):
+            if not math.isfinite(p):
+                raise benchmark.RakingInadmissibleError(f"raking weight of {child!r} overflows: Bayes estimate {b!r}")
+        return phi_j
     raise PipelineError(f"unknown phi policy {phi!r}")
 
 
@@ -283,9 +301,8 @@ def _children(fitted: FittedHierarchy, parent: HierarchyNode, theta: float, flag
     mu = []
     ge = []
     for child in parent.children:
-        draws = fitted.require(child.id)
-        mu.append(_usable(child, theta, flags, posterior_mean_income(draws), _NO_MEAN).value)
-        ge.append(_usable(child, theta, flags, posterior_ge(draws, theta), _GE_OUTSIDE))
+        mu.append(_usable(child, theta, flags, fitted.mean_income(child.id), _NO_MEAN).value)
+        ge.append(_usable(child, theta, flags, fitted.ge(child.id, theta), _GE_OUTSIDE))
     return _shares(parent), np.array(mu), ge
 
 
@@ -331,7 +348,7 @@ def assemble(fitted: FittedHierarchy, theta: float, method: str, phi="uniform") 
     flags: list[str] = []
     root = fitted.root
     if not mixture:
-        total = _usable(root, theta, flags, posterior_ge(fitted.require(root.id), theta), _GE_OUTSIDE)
+        total = _usable(root, theta, flags, fitted.ge(root.id, theta), _GE_OUTSIDE)
         lam, mu, region_ge = _children(fitted, root, theta, flags)
     leaves = []
     for region in root.children:

@@ -143,7 +143,8 @@ class SyntheticData:
             rid = region.id
             leaves = region.leaves
             sub = _decompose_groups(
-                x[self.node_slices[rid]], [l.id for l in leaves], [x[self.node_slices[l.id]] for l in leaves], theta
+                x[self.node_slices[rid]], [l.id for l in leaves], [x[self.node_slices[l.id]] for l in leaves], theta,
+                total=term.ge,
             )
             region_ge[rid] = term.ge
             region_between[rid] = sub.between

@@ -1,5 +1,7 @@
 """Constrained Bayes solver: closed form vs a dense QP oracle, KKT, the uniform and raking policies."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -204,6 +206,20 @@ def test_raking_rejects_nonpositive_bayes():
     )
     with pytest.raises(RakingInadmissibleError):
         raking(problem)
+
+
+def test_raking_near_zero_bayes_fails_naming_the_child_or_solves():
+    weights = np.array([0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        # 0.5 / 1e-320 overflows: the weight of 'a' is not finite
+        with pytest.raises(RakingInadmissibleError, match=r"^raking weight of 'a' overflows: Bayes estimate 1e-320$"):
+            _phi_vector("raking", ["a", "b"], weights, np.array([1e-320, 0.2]))
+        bayes = np.array([1e-300, 0.2])
+        phi = _phi_vector("raking", ["a", "b"], weights, bayes)
+        solution = solve(BenchmarkProblem(bayes=bayes, weights=weights, target=0.2, between=0.0, loss_weights=phi))
+    assert np.all(np.isfinite(phi)) and np.all(np.isfinite(solution.constrained))
+    assert_allclose(weights @ solution.constrained, 0.2, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

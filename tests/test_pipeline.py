@@ -1,6 +1,7 @@
 """Multilevel pipeline: nested exactness, residual accounting, diagnostics."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import gedecomp as g
+import gedecomp.pipeline as pipeline_module
 from gedecomp.benchmark import RakingInadmissibleError
 from gedecomp.distributions import LIMIT_TOL, MomentExistenceError, ParameterDomainError
 from gedecomp.grouped import (
@@ -319,9 +321,13 @@ def test_unreliable_draw_flags_surface_in_report():
                                families=("gb2", "sm", "sm"))
     draws = dict(fitted.draws)
     draws["s0"] = bad_draws
+    draws["r0"] = exact_draws("sm", light)
+    draws["c"] = exact_draws("gb2", g.GB2(2.5, 3.0, 1.0, 2.0))
     fitted = FittedHierarchy(root=fitted.root, draws=draws, mcmc=fitted.mcmc)
-    report = assemble(fitted, 2.0, "mixture")
-    assert any("s0" in flag for flag in report.flags)
+    # both methods read s0's GE summary, computed once: each report still carries its flag
+    for method in ("proposed", "mixture"):
+        report = assemble(fitted, 2.0, method)
+        assert any("s0" in flag for flag in report.flags), method
 
 
 def test_unit_without_usable_draws_fails_loudly():
@@ -405,6 +411,50 @@ def test_assembled_identity_holds_or_fails_loudly(small_fitted, theta):
             except (PipelineError, RakingInadmissibleError):
                 continue
             assert abs(report.identity_gap) < 1e-12 * max(1.0, abs(report.ge_total)), (method, phi)
+
+
+def test_summaries_computed_once_never_change_a_report(small_fitted, monkeypatch):
+    _, fitted = small_fitted
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(pipeline_module, name)
+
+        def counted(draws, *theta):
+            calls[name, draws.unit, *map(float, theta)] += 1
+            return original(draws, *theta)
+        return counted
+
+    for name in ("posterior_mean_income", "posterior_ge"):
+        monkeypatch.setattr(pipeline_module, name, counting(name))
+
+    def fresh():
+        return FittedHierarchy(root=fitted.root, draws=fitted.draws, mcmc=fitted.mcmc)
+
+    shared = fresh()
+    thetas = (-1.0, 0.0, 1.0, 2.0)
+    reports = {(m, t): assemble(shared, t, m) for t in thetas for m in g.METHODS}
+    assert max(calls.values()) == 1
+    assert sum(name == "posterior_mean_income" for name, *_ in calls) == len(fitted.draws) - 1  # all but the root
+    assert sum(name == "posterior_ge" for name, *_ in calls) == len(fitted.draws) * len(thetas)
+    for (method, theta), report in reports.items():
+        assert report == assemble(fresh(), theta, method), (method, theta)
+    # -0.0 and 0.0 share one summary; the reports differ only in theta
+    for method in g.METHODS:
+        for tree in (shared, fresh()):
+            assert replace(assemble(tree, -0.0, method), theta=0.0) == reports[method, 0.0], method
+
+
+def test_child_populations_sum_within_relative_tolerance():
+    def country(gap):
+        regions = (HierarchyNode("a", "region", 4e5, "sm", toy_sample("a")),
+                   HierarchyNode("b", "region", 6e5 + gap, "sm", toy_sample("b")))
+        return HierarchyNode("c", "country", 1e6, "gb2", toy_sample("c"), regions)
+
+    for sign in (1.0, -1.0):
+        country(sign * 0.9e-9 * 1e6)  # accepted
+        with pytest.raises(PipelineError, match=r"^node 'c': child populations sum to "):
+            country(sign * 1.1e-9 * 1e6)
 
 
 def test_region_rows_carry_bw_ratio(small_fitted):
