@@ -87,16 +87,6 @@ class BenchmarkSolution:
         return bool(self.negative.any())
 
 
-def _build_solution(problem: BenchmarkProblem, adjustments: np.ndarray) -> BenchmarkSolution:
-    constrained = problem.bayes + adjustments
-    return BenchmarkSolution(
-        constrained=constrained,
-        residual=problem.residual,
-        adjustments=adjustments,
-        negative=constrained < 0.0,
-    )
-
-
 def solve(problem: BenchmarkProblem) -> BenchmarkSolution:
     """Minimize sum phi_j (d_j - bayes_j)^2 subject to the exact identity."""
     phi = problem.loss_weights if problem.loss_weights is not None else problem.weights
@@ -105,4 +95,11 @@ def solve(problem: BenchmarkProblem) -> BenchmarkSolution:
     q = float(np.sum(w * w / phi))
     if not np.isfinite(q) or q <= 0.0:
         raise DegenerateProblemError(f"constraint has no leverage (q = {q})")
-    return _build_solution(problem, (r / q) * problem.residual)
+    adjustments = (r / q) * problem.residual
+    constrained = problem.bayes + adjustments
+    return BenchmarkSolution(
+        constrained=constrained,
+        residual=problem.residual,
+        adjustments=adjustments,
+        negative=constrained < 0.0,
+    )

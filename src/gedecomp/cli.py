@@ -24,15 +24,26 @@ from .inequality import _decompose_groups, _split_by_label, ge_finite
 DEFAULT_THETAS = (-1.0, 0.0, 1.0, 2.0)
 
 
+def _theta_key(theta: float) -> str:
+    """The key of theta in output documents; file names use _theta_tag."""
+    return f"{theta:g}"
+
+
 def _theta_list(args, default=DEFAULT_THETAS) -> tuple[float, ...]:
+    """The thetas to run, each finite and each with its own key, so no output replaces another."""
     thetas = tuple(args.theta) if args.theta else default
+    seen: dict[str, float] = {}
     for theta in thetas:
         theta_kind(theta)  # rejects a non-finite theta
+        key = _theta_key(theta)
+        if key in seen:
+            raise ValueError(f"thetas {seen[key]!r} and {theta!r} share the output key {key!r}")
+        seen[key] = theta
     return thetas
 
 
 def _theta_tag(theta: float) -> str:
-    return f"{theta:g}".replace("-", "m").replace(".", "p")
+    return _theta_key(theta).replace("-", "m").replace(".", "p")
 
 
 def _out_dir(args) -> Path:
@@ -87,7 +98,7 @@ def cmd_fit(args) -> int:
         "posterior_mean": {name: float(means[i]) for i, name in enumerate(draws.param_names)},
         "posterior_sd": {name: float(sds[i]) for i, name in enumerate(draws.param_names)},
         "mean_income": _summary_dict(posterior_mean_income(draws)),
-        "ge": {f"{theta:g}": _summary_dict(posterior_ge(draws, theta)) for theta in thetas},
+        "ge": {_theta_key(theta): _summary_dict(posterior_ge(draws, theta)) for theta in thetas},
     }
     _write_or_print(args, f"fit_{draws.unit}_{draws.family}.json", doc)
     return 0
@@ -118,7 +129,7 @@ def cmd_decompose(args) -> int:
                 for t, part, (sub_labels, sub_parts) in zip(top.groups, parts, nested):
                     sub = _decompose_groups(part, sub_labels, sub_parts, theta, total=t.ge)
                     entry["subgroups"][str(t.label)] = {"within": sub.within, "between": sub.between}
-        doc["theta"][f"{theta:g}"] = entry
+        doc["theta"][_theta_key(theta)] = entry
     _write_or_print(args, "decomposition.json", doc)
     return 0
 
@@ -156,6 +167,7 @@ _TRUTH_FIELDS = ("ge_total", "between", "sum_weighted_between_sub", "sum_weighte
 def cmd_simulate(args) -> int:
     spec = dataio.load_synthetic_spec(args.spec)
     data = sim.generate(spec)
+    thetas = _theta_list(args)
     out = _out_dir(args)
     data_dir = out / "data"
     data_dir.mkdir(exist_ok=True)
@@ -166,7 +178,7 @@ def cmd_simulate(args) -> int:
         node_files[node.id] = rel
     manifest = dataio.Manifest(
         root=data.root,
-        thetas=_theta_list(args),
+        thetas=thetas,
         phi="uniform",
         phi_values=None,
         mcmc=McmcConfig(seed=spec.seed),
@@ -177,7 +189,7 @@ def cmd_simulate(args) -> int:
     truth_doc = {}
     for theta in manifest.thetas:
         truth = data.multilevel_truth(theta)
-        truth_doc[f"{theta:g}"] = {name: getattr(truth, name) for name in _TRUTH_FIELDS}
+        truth_doc[_theta_key(theta)] = {name: getattr(truth, name) for name in _TRUTH_FIELDS}
     dataio.write_json(out / "truth.json", truth_doc)
     print(out / "manifest.json")
     return 0

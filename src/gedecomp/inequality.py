@@ -86,19 +86,6 @@ def decomposition_weights(shares, income_shares, theta: float) -> np.ndarray:
     return lam ** (1.0 - theta) * s**theta
 
 
-def _between_term(shares, mean_ratios, income_shares, theta: float) -> float:
-    """Between-group inequality from population shares and mu_j / mu ratios."""
-    lam = np.asarray(shares, dtype=float)
-    t = np.asarray(mean_ratios, dtype=float)
-    kind = theta_kind(theta)
-    if kind == "mld":
-        return float(-np.sum(lam * np.log(t)))
-    if kind == "theil":
-        s = np.asarray(income_shares, dtype=float)
-        return float(np.sum(s * np.log(t)))
-    return float(_power_mean_excess(lambda v: np.sum(lam * v), t, theta) / (theta * (theta - 1.0)))
-
-
 @dataclass(frozen=True)
 class GroupTerm:
     """Per-group quantities entering the decomposition."""
@@ -149,42 +136,51 @@ def _decompose_groups(x: np.ndarray, labels, parts, theta: float, total: float |
     skip the label search; a caller that already has ge_finite(x, theta)
     passes it as total.
     """
-    n_total = x.size
-    mu = x.mean()
-
-    terms = []
+    labels = list(labels)
+    sizes, means, ge = [], [], []
     for label, xj in zip(labels, parts):
         if xj.size == 0:
             raise DomainError(f"group {label!r} is empty")
-        lam = xj.size / n_total
-        mu_j = xj.mean()
-        s_j = lam * mu_j / mu
-        w_j = float(decomposition_weights(np.array([lam]), np.array([s_j]), theta)[0])
-        terms.append(
-            GroupTerm(
-                label=label,
-                n=int(xj.size),
-                share=lam,
-                mean=mu_j,
-                income_share=s_j,
-                weight=w_j,
-                ge=ge_finite(xj, theta),
-            )
-        )
-
-    lam = np.array([t.share for t in terms])
-    s = np.array([t.income_share for t in terms])
-    means = np.array([t.mean for t in terms])
-    w = np.array([t.weight for t in terms])
-    within = float(np.sum(w * np.array([t.ge for t in terms])))
-    between = _between_term(lam, means / mu, s, theta)
+        sizes.append(int(xj.size))
+        means.append(xj.mean())
+        ge.append(ge_finite(xj, theta))
+    lam = np.array(sizes) / x.size
+    s, w, between = _shares_weights_between(lam, np.array(means), x.mean(), theta)
     return GroupDecomposition(
         theta=theta,
         total=ge_finite(x, theta) if total is None else total,
-        within=within,
+        within=float(np.sum(w * np.array(ge))),
         between=between,
-        groups=tuple(terms),
+        groups=tuple(
+            GroupTerm(
+                label=label,
+                n=n,
+                share=float(lam_j),
+                mean=mu_j,
+                income_share=s_j,
+                weight=float(w_j),
+                ge=ge_j,
+            )
+            for label, n, lam_j, mu_j, s_j, w_j, ge_j in zip(labels, sizes, lam, means, s, w, ge)
+        ),
     )
+
+
+def _shares_weights_between(lam: np.ndarray, mu_j: np.ndarray, mu: float, theta: float):
+    """Income shares, within-term weights and between term of groups with shares lam and means mu_j.
+
+    mu is the overall mean: sum(lam * mu_j) for estimated means, the
+    population's own mean for a finite population.
+    """
+    s = lam * mu_j / mu
+    w = decomposition_weights(lam, s, theta)
+    t = mu_j / mu
+    kind = theta_kind(theta)
+    if kind == "mld":
+        return s, w, float(-np.sum(lam * np.log(t)))
+    if kind == "theil":
+        return s, w, float(np.sum(s * np.log(t)))
+    return s, w, float(_power_mean_excess(lambda v: np.sum(lam * v), t, theta) / (theta * (theta - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -209,7 +205,5 @@ def between_from_means(shares, means, theta: float) -> BetweenEstimate:
     if abs(lam.sum() - 1.0) > 1e-9:
         raise DomainError(f"population shares must sum to 1, got {lam.sum()!r}")
     mu = float(np.sum(lam * mu_j))
-    s = lam * mu_j / mu
-    w = decomposition_weights(lam, s, theta)
-    between = _between_term(lam, mu_j / mu, s, theta)
+    s, w, between = _shares_weights_between(lam, mu_j, mu, theta)
     return BetweenEstimate(theta=theta, mean=mu, income_shares=s, weights=w, between=between)

@@ -297,24 +297,26 @@ def _shares(parent: HierarchyNode) -> np.ndarray:
 
 
 def _children(fitted: FittedHierarchy, parent: HierarchyNode, theta: float, flags: list[str]):
-    """Population shares, posterior mean incomes and Bayes GE summaries of a parent's children."""
+    """Posterior mean incomes and Bayes GE summaries of a parent's children."""
     mu = []
     ge = []
     for child in parent.children:
         mu.append(_usable(child, theta, flags, fitted.mean_income(child.id), _NO_MEAN).value)
         ge.append(_usable(child, theta, flags, fitted.ge(child.id, theta), _GE_OUTSIDE))
-    return _shares(parent), np.array(mu), ge
+    return mu, ge
 
 
-def _step(method: str, phi, parent: HierarchyNode, be, bayes: np.ndarray, target):
-    """The method's rule at one parent.
+def _step(method: str, phi, parent: HierarchyNode, be, mu, ge: list[PosteriorSummary], target):
+    """The method's rule at one parent, and the row fields its children share.
 
-    Returns the children's reported GE, their negativity flags, the
-    weighted within term and the parent's residual.  ``proposed``
-    benchmarks the children against the parent's value; ``separate`` keeps
-    the Bayes values and reports what they leave unexplained; ``mixture``
-    keeps them and builds the parent from them, so it has no residual.
+    be is the parent's between estimate from the children's mean incomes
+    mu, and ge their Bayes GE summaries.  ``proposed`` benchmarks the
+    children against the parent's value target; ``separate`` keeps the
+    Bayes values and reports what they leave unexplained; ``mixture`` keeps
+    them and builds the parent from them, so it has no residual.  Returns
+    each child's fields, the weighted within term and the parent's residual.
     """
+    bayes = np.array([g.value for g in ge])
     if method == "proposed":
         phi_j = _phi_vector(phi, [c.id for c in parent.children], be.weights, bayes)
         sol = benchmark.solve(benchmark.BenchmarkProblem(
@@ -325,7 +327,24 @@ def _step(method: str, phi, parent: HierarchyNode, be, bayes: np.ndarray, target
         values, negative = bayes, bayes < 0.0
     within = float(be.weights @ values)
     residual = float(target - be.between - within) if method == "separate" else 0.0
-    return values, negative, within, residual
+    rows = [
+        dict(
+            id=child.id,
+            share=float(lam),
+            mean_income=float(mu_j),
+            income_share=float(s),
+            weight=float(w),
+            ge_bayes=float(b),
+            ge_bayes_sd=g.sd,
+            excluded_draws=g.n_excluded,
+            ge_cb=float(v),
+            negative=bool(neg),
+        )
+        for child, lam, mu_j, s, w, b, g, v, neg in zip(
+            parent.children, _shares(parent), mu, be.income_shares, be.weights, bayes, ge, values, negative
+        )
+    ]
+    return rows, within, residual
 
 
 def _method_levels(method: str) -> tuple[str, ...]:
@@ -349,15 +368,14 @@ def assemble(fitted: FittedHierarchy, theta: float, method: str, phi="uniform") 
     root = fitted.root
     if not mixture:
         total = _usable(root, theta, flags, fitted.ge(root.id, theta), _GE_OUTSIDE)
-        lam, mu, region_ge = _children(fitted, root, theta, flags)
+        mu, region_ge = _children(fitted, root, theta, flags)
     leaves = []
     for region in root.children:
-        sub_lam, sub_mu, sub_ge = _children(fitted, region, theta, flags)
-        leaves.append((sub_lam, sub_mu, sub_ge, between_from_means(sub_lam, sub_mu, theta)))
+        sub_mu, sub_ge = _children(fitted, region, theta, flags)
+        leaves.append((between_from_means(_shares(region), sub_mu, theta), sub_mu, sub_ge))
     if mixture:
         # each region is the known-weight mixture of its subregions
-        lam = _shares(root)
-        mu = np.array([be_j.mean for *_, be_j in leaves])
+        mu = [be_j.mean for be_j, _, _ in leaves]
         region_ge = [
             PosteriorSummary(
                 value=float(be_j.weights @ np.array([g.value for g in sub_ge])) + be_j.between,
@@ -365,60 +383,26 @@ def assemble(fitted: FittedHierarchy, theta: float, method: str, phi="uniform") 
                 n_draws=0,
                 n_excluded=0,
             )
-            for _, _, sub_ge, be_j in leaves
+            for be_j, _, sub_ge in leaves
         ]
-
-    be = between_from_means(lam, mu, theta)
-    bayes = np.array([g.value for g in region_ge])
-    cb, negative, within, residual_region = _step(method, phi, root, be, bayes, None if mixture else total.value)
+    # the root's between term comes last: every unit check and every region's term raise before it
+    be = between_from_means(_shares(root), mu, theta)
+    region_fields, within, residual_region = _step(method, phi, root, be, mu, region_ge, None if mixture else total.value)
 
     region_rows = []
     sub_rows = []
-    sum_w_between = 0.0
-    sum_w_within = 0.0
-    residual_subregion = 0.0
-    for j, region in enumerate(root.children):
-        sub_lam, sub_mu, sub_ge, be_j = leaves[j]
-        sub_bayes = np.array([g.value for g in sub_ge])
-        sub_cb, sub_negative, within_j, subres_j = _step(method, phi, region, be_j, sub_bayes, float(cb[j]))
-        w_j = float(be.weights[j])
-        sum_w_between += w_j * be_j.between
-        sum_w_within += w_j * within_j
-        residual_subregion += w_j * subres_j
+    for region, fields, (be_j, sub_mu, sub_ge) in zip(root.children, region_fields, leaves):
+        sub_fields, within_j, subres_j = _step(method, phi, region, be_j, sub_mu, sub_ge, fields["ge_cb"])
         region_rows.append(
             RegionRow(
-                id=region.id,
-                share=float(lam[j]),
-                mean_income=float(mu[j]),
-                income_share=float(be.income_shares[j]),
-                weight=w_j,
-                ge_bayes=float(bayes[j]),
-                ge_bayes_sd=region_ge[j].sd,
-                excluded_draws=region_ge[j].n_excluded,
-                ge_cb=float(cb[j]),
-                between_sub=float(be_j.between),
+                **fields,
+                between_sub=be_j.between,
                 within_sub=within_j,
                 subresidual=subres_j,
-                bw_ratio=float(be_j.between) / within_j if within_j > 0.0 else None,
-                negative=bool(negative[j]),
+                bw_ratio=be_j.between / within_j if within_j > 0.0 else None,
             )
         )
-        for k, sub in enumerate(region.children):
-            sub_rows.append(
-                SubregionRow(
-                    id=sub.id,
-                    region=region.id,
-                    share=float(sub_lam[k]),
-                    mean_income=float(sub_mu[k]),
-                    income_share=float(be_j.income_shares[k]),
-                    weight=float(be_j.weights[k]),
-                    ge_bayes=float(sub_bayes[k]),
-                    ge_bayes_sd=sub_ge[k].sd,
-                    excluded_draws=sub_ge[k].n_excluded,
-                    ge_cb=float(sub_cb[k]),
-                    negative=bool(sub_negative[k]),
-                )
-            )
+        sub_rows.extend(SubregionRow(**f, region=region.id) for f in sub_fields)
 
     return DecompositionReport(
         method=method,
@@ -430,10 +414,10 @@ def assemble(fitted: FittedHierarchy, theta: float, method: str, phi="uniform") 
         ge_total=within + be.between if mixture else total.value,
         ge_total_sd=None if mixture else total.sd,
         between=be.between,
-        sum_weighted_between_sub=sum_w_between,
-        sum_weighted_within_sub=sum_w_within,
+        sum_weighted_between_sub=sum(r.weight * r.between_sub for r in region_rows),
+        sum_weighted_within_sub=sum(r.weight * r.within_sub for r in region_rows),
         residual_region=residual_region,
-        residual_subregion=residual_subregion,
+        residual_subregion=sum(r.weight * r.subresidual for r in region_rows),
         regions=tuple(region_rows),
         subregions=tuple(sub_rows),
         flags=tuple(flags),

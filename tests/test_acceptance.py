@@ -17,6 +17,9 @@ runs on the rounded table itself.
 """
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,4 +429,21 @@ def test_criterion_9_pipeline_determinism(tmp_path, capsys):
         for csv_name in (f"regions_theta_{theta_tag}.csv", f"subregions_theta_{theta_tag}.csv"):
             identical = identical and (out_a / csv_name).read_bytes() == (out_b / csv_name).read_bytes()
     report_line(9, identical, "two pipeline runs over theta {-1,0,1,2}: all report JSONs byte-identical")
+    assert identical
+
+
+def test_criterion_9_every_command_writes_the_same_bytes_twice(tmp_path):
+    sweep = Path(__file__).resolve().parents[1] / "tools" / "output_sweep.py"
+    trees = []
+    for name in ("a", "b"):
+        subprocess.run([sys.executable, str(sweep), str(tmp_path / name)], check=True, capture_output=True)
+        root = tmp_path / name
+        trees.append({p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()})
+    runs = {name.removesuffix(".stdout") for name in trees[0] if name.endswith(".stdout")}
+    assert runs == {"fit_gb2", "fit_sm", "fit_ln", "decompose_income", "decompose_grouped", "decompose_nested",
+                    "simulate", "compare", "pipeline_proposed", "pipeline_separate", "pipeline_mixture",
+                    "pipeline_raking", "surface"}
+    assert "pipeline_raking/report_theta_1em09.json" in trees[0]
+    identical = trees[0] == trees[1]
+    report_line(9, identical, f"two output sweeps over every command: {len(trees[0])} files byte-identical")
     assert identical

@@ -222,6 +222,30 @@ def test_pipeline_rejects_nonfinite_theta_before_fitting(tmp_path, spec_file, ca
     assert not out_dir.exists()  # no report of the valid theta either
 
 
+@pytest.mark.parametrize("command", ["decompose", "pipeline"])
+def test_thetas_sharing_an_output_key_fail_before_any_work(tmp_path, spec_file, capsys, monkeypatch, command):
+    # f"{theta:g}" keeps six significant digits: 1 and 1.0000001 would both write the "1" entry
+    if command == "decompose":
+        data = tmp_path / "micro.csv"
+        data.write_text("income,group\n1.5,a\n2.5,a\n3.0,b\n")
+        args = ["decompose", "--data", str(data)]
+    else:
+        main(["simulate", "--spec", str(spec_file), "--out", str(tmp_path / "sim")])
+
+        def no_fit(*_, **__):
+            raise AssertionError("fitted before the thetas were checked")
+
+        monkeypatch.setattr("gedecomp.pipeline.fit_hierarchy", no_fit)
+        args = ["pipeline", "--manifest", str(tmp_path / "sim" / "manifest.json"), "--iters", "400", "--burnin", "100"]
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    code = main([*args, "--out", str(out_dir), "--theta", "1", "--theta", "1.0000001"])
+    doc = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert doc == {"error": "ValueError", "message": "thetas 1.0 and 1.0000001 share the output key '1'"}
+    assert not out_dir.exists()
+
+
 def test_surface_command(tmp_path, capsys):
     out_dir = tmp_path / "surf"
     code = main([

@@ -413,6 +413,51 @@ def test_assembled_identity_holds_or_fails_loudly(small_fitted, theta):
             assert abs(report.identity_gap) < 1e-12 * max(1.0, abs(report.ge_total)), (method, phi)
 
 
+# a * q >= 3 and a >= 2.5: every SM node has its mean and its GE for theta in [-1, 2]
+NODE_PARAMS = st.one_of(
+    st.builds(g.LN, st.floats(-1.0, 2.0), st.floats(0.05, 1.0)),
+    st.builds(g.SM, st.floats(2.5, 5.0), st.floats(1.0, 6.0), st.floats(1.2, 3.0)),
+)
+
+
+@st.composite
+def exact_trees(draw):
+    """A 1-4 region by 1-4 leaf tree with random populations, every node with degenerate draws."""
+    draws = {}
+
+    def node(node_id, level, population, children=()):
+        params = draw(NODE_PARAMS)
+        family = "ln" if isinstance(params, g.LN) else "sm"
+        draws[node_id] = exact_draws(family, params)
+        return HierarchyNode(node_id, level, population, family, toy_sample(node_id), children)
+
+    regions = []
+    for r in range(draw(st.integers(1, 4))):
+        pops = draw(st.lists(st.floats(1.0, 1e6), min_size=1, max_size=4))
+        leaves = tuple(node(f"r{r}s{k}", "subregion", pop) for k, pop in enumerate(pops))
+        regions.append(node(f"r{r}", "region", sum(pops), leaves))
+    root = node("c", "country", sum(r.population for r in regions), tuple(regions))
+    return FittedHierarchy(root=root, draws=draws, mcmc=McmcConfig(seed=0))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(fitted=exact_trees(), theta=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(-1.0, 2.0)))
+def test_assembled_identity_over_random_trees(fitted, theta):
+    regions = fitted.root.children
+    region_ids = [r.id for r in regions]
+    leaves = [(s.id, r.id) for r in regions for s in r.children]
+    for method in g.METHODS:
+        for phi in ("uniform", "raking"):
+            report = assemble(fitted, theta, method, phi)
+            tol = 1e-12 * max(1.0, abs(report.ge_total))
+            assert abs(report.identity_gap) <= tol, (method, phi)
+            assert [r.id for r in report.regions] == region_ids
+            assert [(s.id, s.region) for s in report.subregions] == leaves
+            if method == "proposed":
+                for row in report.regions:
+                    assert abs(row.ge_cb - (row.within_sub + row.between_sub)) <= tol, (phi, row.id)
+
+
 def test_summaries_computed_once_never_change_a_report(small_fitted, monkeypatch):
     _, fitted = small_fitted
     calls = Counter()

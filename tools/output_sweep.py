@@ -1,0 +1,115 @@
+"""Write the output of every gedecomp command for fixed inputs.
+
+Usage: python tools/output_sweep.py OUT
+
+Runs ``fit`` (gb2, sm, ln), ``decompose`` (income only, with groups, with
+groups and subgroups), ``simulate``, ``compare``, ``pipeline`` (proposed,
+separate, mixture and proposed with raking) and ``surface`` on inputs the
+script writes itself, with the code of this checkout's ``src/``.  Each run
+writes its files under ``OUT/<run>/`` and its standard output to
+``OUT/<run>.stdout``; every path is relative to OUT, so the tree does not
+depend on where OUT is.  The outputs of two checkouts are byte-identical
+exactly when ``diff -r OUT_A OUT_B`` prints nothing.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from gedecomp.cli import main  # noqa: E402
+
+# distinct output keys; 1e-9 lies inside the limit window of theta = 0
+THETA_ARGS = [arg for theta in (-1.0, 0.0, 1e-9, 0.5, 1.0, 2.0) for arg in ("--theta", repr(theta))]
+SHORT_CHAIN = ["--iters", "800", "--burnin", "200"]
+
+# the 2013 national bracket table (millions of yen) at 2,000 households
+NATIONAL_BOUNDARIES = ("0", "1", "2", "3", "4", "5", "7", "10", "15", "20", "inf")
+NATIONAL_COUNTS = (136, 278, 356, 314, 252, 318, 220, 94, 18, 12)
+
+SPEC = {
+    "seed": 7,
+    "sampling_fraction": 0.2,
+    "brackets": 8,
+    "fit_families": {"country": "gb2", "region": "sm", "subregion": "ln"},
+    "regions": [
+        {"id": "r1", "leaves": [
+            {"id": "r1a", "population": 4000, "params": {"family": "sm", "a": 2.2, "b": 4.0, "q": 1.8}},
+            {"id": "r1b", "population": 3000, "params": {"family": "ln", "xi": 1.2, "sigma2": 0.4}},
+        ]},
+        {"id": "r2", "leaves": [
+            {"id": "r2a", "population": 3500, "params": {"family": "gb2", "a": 2.5, "b": 5.0, "p": 1.2, "q": 1.6}},
+            {"id": "r2b", "population": 2500, "params": {"family": "sm", "a": 2.0, "b": 4.5, "q": 2.0}},
+            {"id": "r2c", "population": 2000, "params": {"family": "ln", "xi": 1.5, "sigma2": 0.3}},
+        ]},
+        {"id": "r3", "leaves": [
+            {"id": "r3a", "population": 5000, "params": {"family": "sm", "a": 2.8, "b": 3.5, "q": 1.5}},
+        ]},
+    ],
+}
+
+
+def write_inputs() -> None:
+    Path("inputs").mkdir()
+    Path("inputs/spec.json").write_text(json.dumps(SPEC, indent=2) + "\n")
+    rows = ["lower,upper,count"]
+    rows += [f"{lo},{hi},{n}" for lo, hi, n in zip(NATIONAL_BOUNDARIES, NATIONAL_BOUNDARIES[1:], NATIONAL_COUNTS)]
+    Path("inputs/national.csv").write_text("\n".join(rows) + "\n")
+    rng = np.random.default_rng(2013)
+    micro = []
+    for group, subgroups in (("a", ("a1", "a2")), ("b", ("b1",)), ("c", ("c1", "c2", "c3"))):
+        for k, sub in enumerate(subgroups):
+            for value in np.exp(rng.normal(1.0 + 0.2 * k, 0.5 + 0.1 * len(subgroups), 300)):
+                micro.append((repr(float(value)), group, sub))
+    for columns, name in ((1, "income"), (2, "grouped"), (3, "nested")):
+        header = ",".join(("income", "group", "subgroup")[:columns])
+        lines = [header] + [",".join(row[:columns]) for row in micro]
+        Path(f"inputs/micro_{name}.csv").write_text("\n".join(lines) + "\n")
+
+
+def runs() -> list[tuple[str, list[str]]]:
+    manifest = "simulate/manifest.json"
+    return [
+        *[(f"fit_{family}", ["fit", "--family", family, "--data", "inputs/national.csv", *SHORT_CHAIN,
+                             "--seed", "3", "--out", f"fit_{family}", *THETA_ARGS])
+          for family in ("gb2", "sm", "ln")],
+        *[(f"decompose_{name}", ["decompose", "--data", f"inputs/micro_{name}.csv", "--out", f"decompose_{name}",
+                                 *THETA_ARGS])
+          for name in ("income", "grouped", "nested")],
+        ("simulate", ["simulate", "--spec", "inputs/spec.json", "--out", "simulate", *THETA_ARGS]),
+        ("compare", ["compare", "--spec", "inputs/spec.json", "--out", "compare", *SHORT_CHAIN, "--seed", "5",
+                     *THETA_ARGS]),
+        *[(f"pipeline_{method}", ["pipeline", "--manifest", manifest, "--method", method, "--out", f"pipeline_{method}",
+                                  *SHORT_CHAIN])
+          for method in ("proposed", "separate", "mixture")],
+        ("pipeline_raking", ["pipeline", "--manifest", manifest, "--phi", "raking", "--out", "pipeline_raking",
+                             *SHORT_CHAIN]),
+        ("surface", ["surface", "--a-num", "7", "--q-num", "5", "--out", "surface", *THETA_ARGS]),
+    ]
+
+
+def sweep(out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=False)
+    os.chdir(out)
+    write_inputs()
+    for name, argv in runs():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        if code != 0:
+            raise SystemExit(f"{name}: gedecomp {' '.join(argv)} exited {code}\n{stderr.getvalue()}")
+        Path(f"{name}.stdout").write_text(stdout.getvalue())
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    sweep(Path(sys.argv[1]).resolve())
