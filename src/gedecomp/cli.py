@@ -19,7 +19,7 @@ import numpy as np
 from . import dataio, pipeline, sim
 from .distributions import FAMILIES, theta_kind
 from .grouped import McmcConfig, fit, posterior_ge, posterior_mean_income
-from .inequality import _decompose_groups, _split_by_label, ge_finite
+from .inequality import _decompose_two_levels, _split_by_label, ge_finite
 
 DEFAULT_THETAS = (-1.0, 0.0, 1.0, 2.0)
 
@@ -110,6 +110,7 @@ def cmd_decompose(args) -> int:
     # the grouping does not depend on theta: split the rows once
     if groups is not None:
         labels, parts = _split_by_label(groups, incomes)
+        nested = []
     if subgroups is not None:  # a subgroup column comes with a group column
         _, sub_columns = _split_by_label(groups, subgroups)
         nested = [_split_by_label(sub, part) for sub, part in zip(sub_columns, parts)]
@@ -118,17 +119,16 @@ def cmd_decompose(args) -> int:
         if groups is None:
             entry: dict = {"ge_total": ge_finite(incomes, theta)}
         else:
-            top = _decompose_groups(incomes, labels, parts, theta)
+            top, subs = _decompose_two_levels(incomes, labels, parts, nested, theta)
             entry = {"ge_total": top.total, "within": top.within, "between": top.between}
             entry["groups"] = {
                 str(t.label): {"ge": t.ge, "share": t.share, "income_share": t.income_share, "weight": t.weight}
                 for t in top.groups
             }
             if subgroups is not None:
-                entry["subgroups"] = {}
-                for t, part, (sub_labels, sub_parts) in zip(top.groups, parts, nested):
-                    sub = _decompose_groups(part, sub_labels, sub_parts, theta, total=t.ge)
-                    entry["subgroups"][str(t.label)] = {"within": sub.within, "between": sub.between}
+                entry["subgroups"] = {
+                    str(t.label): {"within": sub.within, "between": sub.between} for t, sub in zip(top.groups, subs)
+                }
         doc["theta"][_theta_key(theta)] = entry
     _write_or_print(args, "decomposition.json", doc)
     return 0

@@ -21,6 +21,7 @@ import numpy as np
 from .distributions import FAMILIES, make_family, theta_kind
 from .grouped import GroupedSample, McmcConfig
 from .pipeline import (
+    METHODS,
     DecompositionReport,
     HierarchyNode,
     RegionRow,
@@ -438,24 +439,15 @@ def write_surface_csv(path, surfaces) -> None:
 
 def render_comparison(comparison: MethodComparison, theta: float) -> str:
     """Per-theta table with one column per method, mirroring the report rows."""
-    methods = ("proposed", "separate", "mixture")
     by_key = {(r.method, r.component): r for r in comparison.rows if r.theta == theta}
-    lines = [f"theta = {theta:g}", f"{'component':<28}" + "".join(f"{m:>12}" for m in methods) + f"{'truth':>12}"]
+    lines = [f"theta = {theta:g}", f"{'component':<28}" + "".join(f"{m:>12}" for m in METHODS) + f"{'truth':>12}"]
     for component in MethodComparison.COMPONENTS:
-        cells = []
-        truth_txt = "--"
-        for m in methods:
-            row = by_key.get((m, component))
-            if row is None:
-                cells.append(f"{'--':>12}")
-                continue
-            estimate = row.estimate
-            if component.startswith("residual") and m != "separate":
-                cells.append(f"{'--':>12}")
-            else:
-                cells.append(f"{estimate:>12.5f}")
-            if row.truth is not None:
-                truth_txt = f"{row.truth:.5f}"
+        rows = [by_key[(m, component)] for m in METHODS]
+        cells = [
+            f"{'--':>12}" if component.startswith("residual") and r.method != "separate" else f"{r.estimate:>12.5f}"
+            for r in rows
+        ]
+        truth_txt = "--" if rows[0].truth is None else f"{rows[0].truth:.5f}"
         lines.append(f"{component:<28}" + "".join(cells) + f"{truth_txt:>12}")
     return "\n".join(lines)
 

@@ -305,33 +305,20 @@ def _initial_guess(family: str, data: GroupedSample) -> np.ndarray:
     return start
 
 
-def _from_chain_space(real: int):
-    """Map of chain states to natural parameters, chosen once per layout (real: the family's n_real)."""
-    if not real:
-        return np.exp
-    head = (Ellipsis, slice(None, real))
-
-    def to_natural(t: np.ndarray) -> np.ndarray:
-        natural = np.exp(t)
-        natural[head] = t[head]
-        return natural
-
-    return to_natural
+def _from_chain_space(t: np.ndarray, real: int) -> np.ndarray:
+    """Natural parameters of chain states t; the first real (the family's n_real) stay as they are."""
+    natural = np.exp(t)
+    natural[..., :real] = t[..., :real]
+    return natural
 
 
-def _chain_log_prior(real: int, dim: int):
-    """The IG(1, 1) log prior plus the log Jacobian of the log transform, per chain state.
+def _chain_log_prior(t: np.ndarray, natural: np.ndarray, real: int) -> np.ndarray:
+    """The IG(1, 1) log prior plus the log Jacobian of the log transform, per chain state (K,).
 
-    A map (t, natural) -> (K,).  For a positive parameter x = exp(t) the
-    IG(1, 1) term -2 log x - 1/x and the Jacobian term t add up to
-    -(t + 1/x); real parameters add nothing.  Chosen once per layout, so a
-    chain step slices nothing when all are positive and sums no one column.
+    For a positive parameter x = exp(t) the IG(1, 1) term -2 log x - 1/x and
+    the Jacobian term t add up to -(t + 1/x); real parameters add nothing.
     """
-    if not real:
-        return lambda t, natural: -(t + 1.0 / natural).sum(axis=1)
-    if real == dim - 1:
-        return lambda t, natural: -(t[:, real] + 1.0 / natural[:, real])
-    return lambda t, natural: -(t[:, real:] + 1.0 / natural[:, real:]).sum(axis=1)
+    return -(t[:, real:] + 1.0 / natural[:, real:]).sum(axis=1)
 
 
 def _check_unit(family: str, data: GroupedSample) -> None:
@@ -364,14 +351,13 @@ def _chain_log_density(family: str, samples):
         np.array([data.boundaries for data in samples]), np.array([data.counts for data in samples])
     )
     real, dim = family_class(family).n_real, family_dim(family)
-    to_natural, log_prior_t = _from_chain_space(real), _chain_log_prior(real, dim)
     # open lower bounds of the natural parameters
     lower = np.zeros(dim)
     lower[:real] = -math.inf
 
     def log_density(t: np.ndarray, units=None) -> np.ndarray:
         data = stack if units is None else _SampleStack(stack.boundaries[units], stack.counts[units])
-        natural = to_natural(t)
+        natural = _from_chain_space(t, real)
         inside = (natural > lower) & (natural < math.inf)
         if inside.all():
             ll = log_likelihood(make_batch(family, natural), data)
@@ -380,7 +366,7 @@ def _chain_log_density(family: str, samples):
             natural = np.where(ok[:, None], natural, 1.0)
             ll = np.where(ok, log_likelihood(make_batch(family, natural), data), -math.inf)
         # fmax turns NaN (a cdf that failed at extreme parameters) into -inf
-        return np.fmax(ll + log_prior_t(t, natural), -math.inf)
+        return np.fmax(ll + _chain_log_prior(t, natural, real), -math.inf)
 
     return log_density
 

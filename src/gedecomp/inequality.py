@@ -166,6 +166,20 @@ def _decompose_groups(x: np.ndarray, labels, parts, theta: float, total: float |
     )
 
 
+def _decompose_two_levels(x: np.ndarray, labels, parts, nested, theta: float):
+    """The decomposition of x into groups (as _decompose_groups), and of each group into its subgroups.
+
+    nested holds each group's subgroup labels and parts, or nothing for one
+    level only; each sub-decomposition's total is its group's GE.
+    """
+    top = _decompose_groups(x, labels, parts, theta)
+    subs = [
+        _decompose_groups(xj, sub_labels, sub_parts, theta, total=term.ge)
+        for term, xj, (sub_labels, sub_parts) in zip(top.groups, parts, nested)
+    ]
+    return top, subs
+
+
 def _shares_weights_between(lam: np.ndarray, mu_j: np.ndarray, mu: float, theta: float):
     """Income shares, within-term weights and between term of groups with shares lam and means mu_j.
 

@@ -293,7 +293,9 @@ def _usable(node: HierarchyNode, theta: float, flags: list[str], summary: Poster
 
 
 def _shares(parent: HierarchyNode) -> np.ndarray:
-    return np.array([c.population / parent.population for c in parent.children])
+    """Each child's population over the children's sum, which may lie up to 1e-9 relative off the parent's."""
+    total = sum(c.population for c in parent.children)
+    return np.array([c.population / total for c in parent.children])
 
 
 def _children(fitted: FittedHierarchy, parent: HierarchyNode, theta: float, flags: list[str]):

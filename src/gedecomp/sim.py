@@ -16,7 +16,7 @@ import numpy as np
 
 from .distributions import FamilyParams
 from .grouped import GroupedSample, McmcConfig, derive_seed
-from .inequality import _decompose_groups, ge_finite
+from .inequality import _decompose_two_levels, ge_finite
 from .pipeline import METHODS, DecompositionReport, HierarchyNode, assemble, fit_hierarchy
 
 __all__ = [
@@ -130,39 +130,26 @@ class SyntheticData:
         return ge_finite(self.incomes[self.node_slices[node_id]], theta)
 
     def multilevel_truth(self, theta: float) -> MultilevelTruth:
-        x = self.incomes
+        x, at = self.incomes, self.node_slices
         regions = self.spec.regions
-        top = _decompose_groups(x, [r.id for r in regions], [x[self.node_slices[r.id]] for r in regions], theta)
-        region_ge = {}
-        region_between = {}
-        region_within = {}
-        leaf_ge = {}
-        sum_wb = 0.0
-        sum_ww = 0.0
-        for region, term in zip(regions, top.groups):
-            rid = region.id
-            leaves = region.leaves
-            sub = _decompose_groups(
-                x[self.node_slices[rid]], [l.id for l in leaves], [x[self.node_slices[l.id]] for l in leaves], theta,
-                total=term.ge,
-            )
-            region_ge[rid] = term.ge
-            region_between[rid] = sub.between
-            region_within[rid] = sub.within
-            sum_wb += term.weight * sub.between
-            sum_ww += term.weight * sub.within
-            for leaf_term in sub.groups:
-                leaf_ge[leaf_term.label] = leaf_term.ge
+        top, subs = _decompose_two_levels(
+            x,
+            [r.id for r in regions],
+            [x[at[r.id]] for r in regions],
+            [([l.id for l in r.leaves], [x[at[l.id]] for l in r.leaves]) for r in regions],
+            theta,
+        )
+        pairs = list(zip(top.groups, subs))
         return MultilevelTruth(
             theta=theta,
             ge_total=top.total,
             between=top.between,
-            sum_weighted_between_sub=sum_wb,
-            sum_weighted_within_sub=sum_ww,
-            region_ge=region_ge,
-            region_between_sub=region_between,
-            region_within_sub=region_within,
-            leaf_ge=leaf_ge,
+            sum_weighted_between_sub=sum(term.weight * sub.between for term, sub in pairs),
+            sum_weighted_within_sub=sum(term.weight * sub.within for term, sub in pairs),
+            region_ge={term.label: term.ge for term in top.groups},
+            region_between_sub={term.label: sub.between for term, sub in pairs},
+            region_within_sub={term.label: sub.within for term, sub in pairs},
+            leaf_ge={leaf.label: leaf.ge for sub in subs for leaf in sub.groups},
         )
 
 
@@ -177,11 +164,6 @@ def _resolve_brackets(spec: SyntheticSpec, pooled_sample: np.ndarray) -> np.ndar
     if np.any(np.diff(boundaries) <= 0.0):
         raise ValueError("bracket boundaries must be strictly increasing (degenerate sample?)")
     return boundaries
-
-
-def _bracket_counts(incomes: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    counts, _ = np.histogram(incomes, bins=boundaries)
-    return counts.astype(float)
 
 
 def generate(spec: SyntheticSpec) -> SyntheticData:
@@ -215,48 +197,29 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
 
     boundaries = _resolve_brackets(spec, incomes[sampled])
 
-    def counts_of(node_id: str) -> np.ndarray:
-        part = node_slices[node_id]
-        return _bracket_counts(incomes[part][sampled[part]], boundaries)
-
     samples: dict[str, GroupedSample] = {}
-    nodes = []
-    for region in spec.regions:
-        leaves = []
-        for leaf in region.leaves:
-            counts = counts_of(leaf.id)
-            if counts.sum() <= 0:
-                raise ValueError(f"leaf {leaf.id!r}: bracket scheme left no observations")
-            samples[leaf.id] = GroupedSample(boundaries, counts, leaf.id)
-            leaves.append(
-                HierarchyNode(
-                    id=leaf.id,
-                    level="subregion",
-                    population=float(leaf.population),
-                    family=spec.leaf_family,
-                    data=samples[leaf.id],
-                )
-            )
-        samples[region.id] = GroupedSample(boundaries, counts_of(region.id), region.id)
-        nodes.append(
-            HierarchyNode(
-                id=region.id,
-                level="region",
-                population=float(sum(l.population for l in region.leaves)),
-                family=spec.region_family,
-                data=samples[region.id],
-                children=tuple(leaves),
-            )
+
+    def node(node_id: str, level: str, family: str, children=()) -> HierarchyNode:
+        part = node_slices[node_id]
+        counts = np.histogram(incomes[part][sampled[part]], bins=boundaries)[0].astype(float)
+        if not children and counts.sum() <= 0:
+            raise ValueError(f"leaf {node_id!r}: bracket scheme left no observations")
+        samples[node_id] = GroupedSample(boundaries, counts, node_id)
+        return HierarchyNode(
+            id=node_id,
+            level=level,
+            population=float(part.stop - part.start),
+            family=family,
+            data=samples[node_id],
+            children=tuple(children),
         )
-    samples[spec.country_id] = GroupedSample(boundaries, counts_of(spec.country_id), spec.country_id)
-    root = HierarchyNode(
-        id=spec.country_id,
-        level="country",
-        population=float(len(incomes)),
-        family=spec.country_family,
-        data=samples[spec.country_id],
-        children=tuple(nodes),
-    )
+
+    # children before their parent, so samples lists the leaves of a region, then the region
+    regions = [
+        node(r.id, "region", spec.region_family, [node(l.id, "subregion", spec.leaf_family) for l in r.leaves])
+        for r in spec.regions
+    ]
+    root = node(spec.country_id, "country", spec.country_family, regions)
     return SyntheticData(
         spec=spec,
         incomes=incomes,
@@ -296,17 +259,13 @@ class MethodComparison:
 
 
 def _report_rows(report: DecompositionReport, truth: MultilevelTruth) -> list[ComparisonRow]:
-    pairs = [
-        ("ge_total", report.ge_total, truth.ge_total),
-        ("between", report.between, truth.between),
-        ("residual_region", report.residual_region, None),
-        ("sum_weighted_between_sub", report.sum_weighted_between_sub, truth.sum_weighted_between_sub),
-        ("sum_weighted_within_sub", report.sum_weighted_within_sub, truth.sum_weighted_within_sub),
-        ("residual_subregion", report.residual_subregion, None),
-    ]
+    # the residuals have no truth field
     return [
-        ComparisonRow(theta=report.theta, method=report.method, component=c, estimate=v, truth=t)
-        for c, v, t in pairs
+        ComparisonRow(
+            theta=report.theta, method=report.method, component=c, estimate=getattr(report, c),
+            truth=getattr(truth, c, None),
+        )
+        for c in MethodComparison.COMPONENTS
     ]
 
 

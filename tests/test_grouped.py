@@ -182,7 +182,7 @@ def test_national_table_mle_is_a_local_maximum():
 
 def chain_prior(real: int, dim: int, t) -> np.ndarray:
     t = np.array(t, dtype=float)
-    return _chain_log_prior(real, dim)(t, _from_chain_space(real)(t))
+    return _chain_log_prior(t, _from_chain_space(t, real), real)
 
 
 @pytest.mark.parametrize("real, dim", [(0, 4), (0, 3), (1, 2)], ids=["gb2", "sm", "ln"])

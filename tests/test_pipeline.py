@@ -420,9 +420,16 @@ NODE_PARAMS = st.one_of(
 )
 
 
+# a parent's population relative to its children's sum, inside HierarchyNode's 1e-9 tolerance
+OFF_SUM = st.one_of(st.just(0.0), st.floats(-0.999e-9, 0.999e-9))
+
+
 @st.composite
 def exact_trees(draw):
-    """A 1-4 region by 1-4 leaf tree with random populations, every node with degenerate draws."""
+    """A 1-4 region by 1-4 leaf tree with random populations, every node with degenerate draws.
+
+    Each parent's population lies up to 0.999e-9 relative off its children's sum.
+    """
     draws = {}
 
     def node(node_id, level, population, children=()):
@@ -435,8 +442,8 @@ def exact_trees(draw):
     for r in range(draw(st.integers(1, 4))):
         pops = draw(st.lists(st.floats(1.0, 1e6), min_size=1, max_size=4))
         leaves = tuple(node(f"r{r}s{k}", "subregion", pop) for k, pop in enumerate(pops))
-        regions.append(node(f"r{r}", "region", sum(pops), leaves))
-    root = node("c", "country", sum(r.population for r in regions), tuple(regions))
+        regions.append(node(f"r{r}", "region", sum(pops) * (1.0 + draw(OFF_SUM)), leaves))
+    root = node("c", "country", sum(r.population for r in regions) * (1.0 + draw(OFF_SUM)), tuple(regions))
     return FittedHierarchy(root=root, draws=draws, mcmc=McmcConfig(seed=0))
 
 
@@ -500,6 +507,27 @@ def test_child_populations_sum_within_relative_tolerance():
         country(sign * 0.9e-9 * 1e6)  # accepted
         with pytest.raises(PipelineError, match=r"^node 'c': child populations sum to "):
             country(sign * 1.1e-9 * 1e6)
+
+
+def test_tree_within_population_tolerance_assembles():
+    # the regions' shares of the country's population sum to 1 + 1e-9, past between_from_means' check
+    draws = {}
+
+    def node(node_id, level, population, params, children=()):
+        draws[node_id] = exact_draws("ln", params)
+        return HierarchyNode(node_id, level, population, "ln", toy_sample(node_id), children)
+
+    regions = tuple(
+        node(rid, "region", pop, params, (node(f"{rid}1", "subregion", pop, params),))
+        for rid, pop, params in (("a", 2011712.2053071766, g.LN(0.8, 0.4)), ("b", 4357905.037315296, g.LN(1.2, 0.6)))
+    )
+    root = node("c", "country", 6369617.2362528555, g.LN(1.0, 0.5), regions)
+    fitted = FittedHierarchy(root=root, draws=draws, mcmc=McmcConfig(seed=0))
+    for theta in (-1.0, 0.0, 1.0, 2.0):
+        for method in g.METHODS:
+            report = assemble(fitted, theta, method)
+            assert abs(report.identity_gap) <= 1e-12 * max(1.0, abs(report.ge_total)), (theta, method)
+            assert sum(r.share for r in report.regions) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_region_rows_carry_bw_ratio(small_fitted):

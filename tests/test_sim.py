@@ -1,9 +1,12 @@
 """Synthetic generation: oracle fidelity, truth identities, method comparison."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import gedecomp as g
+from gedecomp import dataio
 from gedecomp.distributions import LIMIT_TOL
 from gedecomp.grouped import McmcConfig
 from gedecomp.inequality import decompose_finite, ge_finite
@@ -50,6 +53,27 @@ def test_generate_deterministic():
     for node_id in d1.samples:
         assert np.array_equal(d1.samples[node_id].counts, d2.samples[node_id].counts)
         assert np.array_equal(d1.samples[node_id].boundaries, d2.samples[node_id].boundaries)
+
+
+def test_generated_tree_follows_the_spec():
+    spec = replace(small_spec(), country_id="nation", country_family="sm", region_family="ln", leaf_family="gb2")
+    data = generate(spec)
+    nodes = list(data.root.walk())
+    assert [(n.id, n.level, n.family) for n in nodes] == [
+        ("nation", "country", "sm"),
+        ("north", "region", "ln"),
+        ("n1", "subregion", "gb2"),
+        ("n2", "subregion", "gb2"),
+        ("south", "region", "ln"),
+        ("s1", "subregion", "gb2"),
+    ]
+    assert [s.population for r in data.root.children for s in r.children] == [3000.0, 2000.0, 2500.0]
+    assert [r.population for r in data.root.children] == [5000.0, 2500.0]
+    assert data.root.population == 7500.0 == len(data.incomes)
+    assert all(type(n.population) is float for n in nodes)
+    for node in nodes:
+        assert node.data is data.samples[node.id]
+    assert list(data.samples) == ["n1", "n2", "north", "s1", "south", "nation"]
 
 
 def test_leaf_streams_independent_of_siblings():
@@ -219,6 +243,25 @@ def test_compare_methods_schema_and_identities():
     ge_rows = [r for r in comparison.rows if r.component == "ge_total" and r.theta == 1.0]
     for row in ge_rows:
         assert row.error == pytest.approx(row.estimate - row.truth)
+
+
+def test_render_comparison_table():
+    comparison = compare_methods(small_spec(seed=9), (1.0,), McmcConfig(iterations=300, burnin=100, seed=2))
+    lines = dataio.render_comparison(comparison, 1.0).splitlines()
+    assert lines[0] == "theta = 1"
+    assert lines[1] == f"{'component':<28}{'proposed':>12}{'separate':>12}{'mixture':>12}{'truth':>12}"
+    assert [line.split()[0] for line in lines[2:]] == list(MethodComparison.COMPONENTS)
+    rows = {(r.method, r.component): r for r in comparison.rows}
+    for line in lines[2:]:
+        assert len(line) == 28 + 4 * 12
+        component, *cells, truth = line.split()
+        estimates = [f"{rows[m, component].estimate:.5f}" for m in ("proposed", "separate", "mixture")]
+        if component.startswith("residual"):
+            assert cells == ["--", estimates[1], "--"]
+            assert truth == "--"
+        else:
+            assert cells == estimates
+            assert truth == f"{rows['proposed', component].truth:.5f}"
 
 
 def test_estimator_consistency_over_doubling():
