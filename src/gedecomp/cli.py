@@ -21,15 +21,13 @@ from .distributions import FAMILIES, theta_kind
 from .grouped import McmcConfig, fit, posterior_ge, posterior_mean_income
 from .inequality import _decompose_two_levels, _split_by_label, ge_finite
 
-DEFAULT_THETAS = (-1.0, 0.0, 1.0, 2.0)
-
 
 def _theta_key(theta: float) -> str:
     """The key of theta in output documents; file names use _theta_tag."""
     return f"{theta:g}"
 
 
-def _theta_list(args, default=DEFAULT_THETAS) -> tuple[float, ...]:
+def _theta_list(args, default=dataio.DEFAULT_THETAS) -> tuple[float, ...]:
     """The thetas to run, each finite and each with its own key, so no output replaces another."""
     thetas = tuple(args.theta) if args.theta else default
     seen: dict[str, float] = {}
@@ -53,17 +51,21 @@ def _out_dir(args) -> Path:
 
 
 def _add_mcmc_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--iters", type=int, default=10_000,
-                        help="MCMC iterations; iters - burnin draws are kept (default 10000)")
-    parser.add_argument("--burnin", type=int, default=2_000,
+    default = McmcConfig()
+    note = "(default {}; pipeline takes the manifest's)".format
+    parser.add_argument("--iters", type=int,
+                        help=f"MCMC iterations; iters - burnin draws are kept {note(default.iterations)}")
+    parser.add_argument("--burnin", type=int,
                         help="burn-in iterations: iters - burnin is the number of Laplace proposals, and "
                         "the fixed-kernel random-walk fallback, started at the mode, discards its first "
-                        "burnin iterations (default 2000)")
-    parser.add_argument("--seed", type=int, default=0, help="master random seed")
+                        f"burnin iterations {note(default.burnin)}")
+    parser.add_argument("--seed", type=int, help=f"master random seed {note(default.seed)}")
 
 
-def _mcmc_from_args(args) -> McmcConfig:
-    return McmcConfig(iterations=args.iters, burnin=args.burnin, seed=args.seed)
+def _mcmc_from_args(args, base=McmcConfig()) -> McmcConfig:
+    """base with the MCMC flags that were given."""
+    given = {"iterations": args.iters, "burnin": args.burnin, "seed": args.seed}
+    return dataclasses.replace(base, **{name: value for name, value in given.items() if value is not None})
 
 
 def _write_or_print(args, name: str, doc: dict) -> None:
@@ -136,22 +138,16 @@ def cmd_decompose(args) -> int:
 
 def cmd_pipeline(args) -> int:
     manifest = dataio.load_manifest(args.manifest)
-    base = manifest.mcmc
-    mcmc = McmcConfig(
-        iterations=args.iters if args.iters is not None else base.iterations,
-        burnin=args.burnin if args.burnin is not None else base.burnin,
-        seed=args.seed if args.seed is not None else base.seed,
-    )
+    mcmc = _mcmc_from_args(args, manifest.mcmc)
     thetas = _theta_list(args, manifest.thetas)
-    phi = manifest.phi_policy()
     if args.phi is not None:  # overrides the manifest; a file path is relative to the working directory
-        spec, values = dataio.resolve_phi(args.phi, Path())
-        phi = values if values is not None else spec
+        phi, phi_values = dataio.resolve_phi(args.phi, Path())
+        manifest = dataclasses.replace(manifest, phi=phi, phi_values=phi_values)
 
     fitted = pipeline.fit_hierarchy(manifest.root, mcmc, levels=pipeline.METHODS[args.method])
     out = _out_dir(args)
     for theta in thetas:
-        report = pipeline.assemble(fitted, theta, args.method, phi)
+        report = pipeline.assemble(fitted, theta, args.method, manifest.phi_policy())
         tag = _theta_tag(theta)
         dataio.save_report(out / f"report_theta_{tag}.json", report)
         dataio.write_region_csv(out / f"regions_theta_{tag}.csv", report)
@@ -245,10 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--method", choices=tuple(pipeline.METHODS), default="proposed")
     p_pipe.add_argument("--theta", type=float, action="append", help="override manifest theta list")
     p_pipe.add_argument("--phi", help="uniform, raking, or file:PATH (override manifest)")
-    p_pipe.add_argument("--iters", type=int)
-    p_pipe.add_argument("--burnin", type=int)
-    p_pipe.add_argument("--seed", type=int)
     p_pipe.add_argument("--out", required=True)
+    _add_mcmc_flags(p_pipe)
     p_pipe.set_defaults(func=cmd_pipeline)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic hierarchy with truth")

@@ -24,6 +24,7 @@ from .pipeline import (
     METHODS,
     DecompositionReport,
     HierarchyNode,
+    PipelineError,
     RegionRow,
     SubregionRow,
     validate_tree,
@@ -62,6 +63,10 @@ class CsvFormatError(ValueError):
 
 class ManifestError(ValueError):
     """Raised for malformed JSON input: manifests, synthetic specs and reports."""
+
+
+#: the thetas a manifest without a theta list, and a command without --theta, runs
+DEFAULT_THETAS = (-1.0, 0.0, 1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,64 +239,61 @@ def resolve_phi(phi_spec: str, base: Path) -> tuple[str, dict[str, float] | None
 def load_manifest(path) -> Manifest:
     """Parse and validate a hierarchy manifest JSON file.
 
-    Data paths are resolved relative to the manifest's directory.
+    Data paths are resolved relative to the manifest's directory.  Every
+    node record must be reachable from the one root.
     """
     path = Path(path)
     raw = _read_json(path)
     base = path.parent
-
     try:
         node_specs = raw["nodes"]
-        thetas = tuple(float(t) for t in raw.get("theta", (-1.0, 0.0, 1.0, 2.0)))
+        thetas = tuple(float(t) for t in raw.get("theta", DEFAULT_THETAS))
         for theta in thetas:
             theta_kind(theta)  # rejects a non-finite theta
-        seed = operator.index(raw.get("seed", 0))
+        given = {"seed": operator.index(raw["seed"])} if "seed" in raw else {}
         scale = float(raw.get("scale_counts", 1.0))
-        phi_spec = raw.get("phi", "uniform")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"scale_counts must be positive and finite, got {scale}")
         mcmc_raw = dict(raw.get("mcmc", {}))
         unknown = sorted(set(mcmc_raw) - {"iterations", "burnin"})
         if unknown:
             raise ValueError(f"unknown mcmc settings {unknown}; expected iterations and burnin")
-        mcmc = McmcConfig(operator.index(mcmc_raw.get("iterations", 10_000)),
-                          operator.index(mcmc_raw.get("burnin", 2_000)), seed)
-        phi, phi_values = resolve_phi(phi_spec, base)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(f"{path}: {exc}") from None
+        given.update((key, operator.index(value)) for key, value in mcmc_raw.items())
+        mcmc = McmcConfig(**given)
+        phi, phi_values = resolve_phi(raw.get("phi", "uniform"), base)
 
-    seen: dict[str, dict] = {}
-    for spec in node_specs:
-        for key in ("id", "level", "population", "family", "data"):
-            if key not in spec:
-                raise ManifestError(f"{path}: node record {spec.get('id', '?')!r} is missing {key!r}")
-        if spec["id"] in seen:
-            raise ManifestError(f"{path}: duplicate node id {spec['id']!r}")
-        seen[spec["id"]] = spec
+        seen: dict[str, dict] = {}
+        children: dict[str | None, list[dict]] = {}  # parent id (None for the root) -> records in file order
+        for spec in node_specs:
+            if not isinstance(spec, dict):
+                raise ValueError(f"node record {spec!r} is not a JSON object")
+            for key in ("id", "level", "population", "family", "data"):
+                if key not in spec:
+                    raise ValueError(f"node record {spec.get('id', '?')!r} is missing {key!r}")
+            if spec["id"] in seen:
+                raise ValueError(f"duplicate node id {spec['id']!r}")
+            seen[spec["id"]] = spec
+            parent = spec.get("parent")
+            children.setdefault(None if parent in (None, "") else parent, []).append(spec)
+        roots = children.pop(None, [])
+        if len(roots) != 1:
+            raise ValueError(f"expected exactly one root node, found {len(roots)}")
+        for parent, kids in children.items():
+            if parent not in seen:
+                raise ValueError(f"node {kids[0]['id']!r} references unknown parent {parent!r}")
 
-    roots = [s for s in seen.values() if s.get("parent") in (None, "")]
-    if len(roots) != 1:
-        raise ManifestError(f"{path}: expected exactly one root node, found {len(roots)}")
-    children: dict[str, list[dict]] = {}
-    for spec in seen.values():
-        parent = spec.get("parent")
-        if parent in (None, ""):
-            continue
-        if parent not in seen:
-            raise ManifestError(f"{path}: node {spec['id']!r} references unknown parent {parent!r}")
-        children.setdefault(parent, []).append(spec)
+        node_files: dict[str, str] = {}
 
-    node_files: dict[str, str] = {}
-
-    def build(spec: dict) -> HierarchyNode:
-        data_path = base / spec["data"]
-        if not data_path.exists():
-            raise ManifestError(f"{path}: node {spec['id']!r} data file not found: {data_path}")
-        try:
-            sample = parse_grouped_csv(data_path, scale=scale, unit=spec["id"])
-        except CsvFormatError as exc:
-            raise ManifestError(f"node {spec['id']!r}: {exc}") from None
-        node_files[spec["id"]] = spec["data"]
-        kids = tuple(build(c) for c in children.get(spec["id"], []))
-        try:
+        def build(spec: dict) -> HierarchyNode:
+            data_path = base / spec["data"]
+            if not data_path.exists():
+                raise ValueError(f"node {spec['id']!r} data file not found: {data_path}")
+            try:
+                sample = parse_grouped_csv(data_path, scale=scale, unit=spec["id"])
+            except CsvFormatError as exc:
+                raise ValueError(f"node {spec['id']!r}: {exc}") from None
+            node_files[spec["id"]] = spec["data"]
+            kids = tuple(build(c) for c in children.get(spec["id"], []))
             return HierarchyNode(
                 id=spec["id"],
                 level=spec["level"],
@@ -300,13 +302,13 @@ def load_manifest(path) -> Manifest:
                 data=sample,
                 children=kids,
             )
-        except Exception as exc:
-            raise ManifestError(f"{path}: {exc}") from None
 
-    root = build(roots[0])
-    try:
+        root = build(roots[0])
+        unreachable = [node_id for node_id in seen if node_id not in node_files]
+        if unreachable:
+            raise ValueError(f"nodes {unreachable} are not reachable from the root {root.id!r}")
         validate_tree(root)
-    except Exception as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, PipelineError) as exc:
         raise ManifestError(f"{path}: {exc}") from None
     return Manifest(
         root=root,
@@ -456,6 +458,9 @@ def render_comparison(comparison: MethodComparison, theta: float) -> str:
 # Synthetic-spec JSON
 # ---------------------------------------------------------------------------
 
+_FIT_FAMILY_FIELDS = {"country": "country_family", "region": "region_family", "subregion": "leaf_family"}
+
+
 def load_synthetic_spec(path) -> SyntheticSpec:
     """Parse a synthetic-hierarchy spec (truth parameters and shape)."""
     path = Path(path)
@@ -482,19 +487,17 @@ def load_synthetic_spec(path) -> SyntheticSpec:
                     )
                 )
             regions.append(RegionSpec(id=region_raw["id"], leaves=tuple(leaves)))
-        brackets = raw.get("brackets", 10)
-        if isinstance(brackets, list):
-            brackets = tuple(math.inf if str(b).lower() == "inf" else float(b) for b in brackets)
+        # only the settings the file gives: SyntheticSpec holds the defaults
+        given = {key: raw[key] for key in ("brackets", "sampling_fraction", "seed", "country_id") if key in raw}
+        if isinstance(given.get("brackets"), list):
+            given["brackets"] = tuple(math.inf if str(b).lower() == "inf" else float(b) for b in given["brackets"])
+        for key, convert in (("sampling_fraction", float), ("seed", operator.index)):
+            if key in given:
+                given[key] = convert(given[key])
         fit_families = raw.get("fit_families", {})
-        return SyntheticSpec(
-            regions=tuple(regions),
-            brackets=brackets,
-            sampling_fraction=float(raw.get("sampling_fraction", 0.1)),
-            seed=operator.index(raw.get("seed", 0)),
-            country_id=raw.get("country_id", "country"),
-            country_family=fit_families.get("country", "gb2"),
-            region_family=fit_families.get("region", "sm"),
-            leaf_family=fit_families.get("subregion", "ln"),
-        )
+        if not isinstance(fit_families, dict) or set(fit_families) - set(_FIT_FAMILY_FIELDS):
+            raise ValueError(f"fit_families takes only the keys country, region and subregion, got {fit_families!r}")
+        given.update((_FIT_FAMILY_FIELDS[level], tag) for level, tag in fit_families.items())
+        return SyntheticSpec(regions=tuple(regions), **given)
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"{path}: {exc}") from None

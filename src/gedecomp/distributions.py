@@ -86,31 +86,20 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
+def _cdf(x, of_log):
+    """A family's cdf at x from its kernel of log x: 0 for x <= 0 (and NaN), 1 at x = +inf."""
+    x = np.asarray(x, dtype=float)
+    pos = x > 0
+    with np.errstate(divide="ignore", over="ignore"):
+        out = of_log(np.log(np.where(pos, x, 1.0)))
+    out = np.where(pos, out, 0.0)
+    return np.where(np.isposinf(x), 1.0, out)
+
+
 # ---------------------------------------------------------------------------
 # GB2 kernels, shared by GB2 and SM.  All operate on float arrays and assume
 # parameters already validated.
 # ---------------------------------------------------------------------------
-
-def _gb2_cdf(x, a, b, p, q):
-    x = np.asarray(x, dtype=float)
-    pos = x > 0
-    with np.errstate(divide="ignore", over="ignore"):
-        z = a * (np.log(np.where(pos, x, 1.0)) - np.log(b))
-    u = special.expit(z)
-    out = np.where(pos, special.betainc(p, q, u), 0.0)
-    return np.where(np.isposinf(x), 1.0, out)
-
-
-def _sm_cdf(x, a, b, q):
-    # algebraic closed form 1 - (1 + (x/b)^a)^(-q), evaluated via log1p(exp)
-    x = np.asarray(x, dtype=float)
-    pos = x > 0
-    with np.errstate(divide="ignore", over="ignore"):
-        z = a * (np.log(np.where(pos, x, 1.0)) - np.log(b))
-    out = -np.expm1(-q * np.logaddexp(0.0, z))
-    out = np.where(pos, out, 0.0)
-    return np.where(np.isposinf(x), 1.0, out)
-
 
 def _gb2_logpdf(x, a, b, p, q):
     x = np.asarray(x, dtype=float)
@@ -233,7 +222,7 @@ class GB2(_Family):
 
     def cdf(self, x):
         """P(X <= x), via the regularized incomplete beta function."""
-        return _gb2_cdf(x, self.a, self.b, self.p, self.q)
+        return _cdf(x, lambda log_x: special.betainc(self.p, self.q, special.expit(self.a * (log_x - np.log(self.b)))))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -276,8 +265,8 @@ class SM(GB2):
     param_names: ClassVar[tuple[str, ...]] = ("a", "b", "q")
 
     def cdf(self, x):
-        """P(X <= x), algebraic form 1 - (1 + (x/b)^a)^(-q)."""
-        return _sm_cdf(x, self.a, self.b, self.q)
+        """P(X <= x), algebraic form 1 - (1 + (x/b)^a)^(-q), evaluated via log1p(exp)."""
+        return _cdf(x, lambda log_x: -np.expm1(-self.q * np.logaddexp(0.0, self.a * (log_x - np.log(self.b)))))
 
 
 @dataclass(frozen=True)
@@ -306,14 +295,9 @@ class LN(_Family):
         return (-math.inf, math.inf)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
         if np.ndim(self.sigma2) == 0 and self.sigma2 == 0.0:
-            return np.where(x >= math.exp(self.xi), 1.0, 0.0)
-        pos = x > 0
-        with np.errstate(divide="ignore"):
-            z = (np.log(np.where(pos, x, 1.0)) - self.xi) / np.sqrt(self.sigma2)
-        out = np.where(pos, special.ndtr(z), 0.0)
-        return np.where(np.isposinf(x), 1.0, out)
+            return np.where(np.asarray(x, dtype=float) >= math.exp(self.xi), 1.0, 0.0)
+        return _cdf(x, lambda log_x: special.ndtr((log_x - self.xi) / np.sqrt(self.sigma2)))
 
     def pdf(self, x):
         if self.sigma2 == 0.0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import FamilyParams
+from .distributions import FamilyParams, family_class
 from .grouped import GroupedSample, McmcConfig, derive_seed
 from .inequality import _decompose_two_levels, ge_finite
 from .pipeline import METHODS, DecompositionReport, HierarchyNode, assemble, fit_hierarchy
@@ -90,6 +90,8 @@ class SyntheticSpec:
             if node_id in seen:
                 raise ValueError(f"node id {node_id!r} is used more than once")
             seen.add(node_id)
+        for tag in (self.country_family, self.region_family, self.leaf_family):
+            family_class(tag)  # rejects an unknown fit family
 
 
 @dataclass(frozen=True)

@@ -286,6 +286,54 @@ def test_simulate_rejects_duplicate_node_ids(tmp_path, capsys):
     assert not (tmp_path / "sim" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "fit_families, message",
+    [({"country": "gbb2"}, "unknown family tag 'gbb2'"), ({"country": "gb2", "leaf": "gb2"}, "'leaf'")],
+    ids=["unknown-tag", "unknown-level"],
+)
+def test_simulate_rejects_bad_fit_families_before_writing(tmp_path, capsys, fit_families, message):
+    doc = {**SPEC_DOC, "fit_families": fit_families}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code = main(["simulate", "--spec", str(path), "--out", str(tmp_path / "sim")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "ManifestError"
+    assert err["message"].startswith(f"{path}: ") and message in err["message"]
+    assert not (tmp_path / "sim").exists()
+
+
+def short_manifest(tmp_path, spec_file, capsys) -> Path:
+    """A simulated manifest with a 400-iteration chain and burn-in 100."""
+    main(["simulate", "--spec", str(spec_file), "--out", str(tmp_path / "sim"), "--theta", "1"])
+    capsys.readouterr()
+    path = tmp_path / "sim" / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["mcmc"] = {"iterations": 400, "burnin": 100}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_pipeline_flag_replaces_only_its_own_mcmc_setting(tmp_path, spec_file, capsys):
+    manifest_path = short_manifest(tmp_path, spec_file, capsys)
+    assert main(["pipeline", "--manifest", str(manifest_path), "--out", str(tmp_path / "run"), "--seed", "9"]) == 0
+    capsys.readouterr()
+    report = dataio.load_report(tmp_path / "run" / "report_theta_1.json")
+    assert (report.iterations, report.burnin, report.seed) == (400, 100, 9)
+    assert report.phi_policy == "uniform"
+
+
+def test_pipeline_phi_flag_replaces_the_manifest_policy(tmp_path, spec_file, capsys):
+    manifest_path = short_manifest(tmp_path, spec_file, capsys)
+    assert json.loads(manifest_path.read_text())["phi"] == "uniform"
+    code = main(["pipeline", "--manifest", str(manifest_path), "--out", str(tmp_path / "run"), "--phi", "raking"])
+    capsys.readouterr()
+    assert code == 0
+    report = dataio.load_report(tmp_path / "run" / "report_theta_1.json")
+    assert report.phi_policy == "raking"
+    assert (report.iterations, report.burnin, report.seed) == (400, 100, SPEC_DOC["seed"])
+
+
 def test_structured_error_and_exit_code(tmp_path, capsys):
     code = main(["pipeline", "--manifest", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()

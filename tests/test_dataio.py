@@ -170,6 +170,34 @@ def test_manifest_validation_errors(tmp_path):
         dataio.load_manifest(tmp_path / "roots.json")
 
 
+def test_manifest_rejects_records_unreachable_from_the_root(tmp_path):
+    write_manifest_tree(tmp_path)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    record = {"level": "subregion", "population": 10.0, "family": "ln", "data": "data/e1.csv"}
+    doc["nodes"] += [
+        {**record, "id": "x", "parent": "y"},
+        {**record, "id": "y", "parent": "x"},
+        {**record, "id": "z", "parent": "z", "data": "data/nowhere.csv"},
+    ]
+    (tmp_path / "cycle.json").write_text(json.dumps(doc))
+    message = f"{tmp_path / 'cycle.json'}: nodes ['x', 'y', 'z'] are not reachable from the root 'country'"
+    with pytest.raises(dataio.ManifestError, match=re.escape(message)):
+        dataio.load_manifest(tmp_path / "cycle.json")
+
+    doc["nodes"][-3:] = ["e2"]
+    (tmp_path / "string.json").write_text(json.dumps(doc))
+    with pytest.raises(dataio.ManifestError, match=re.escape("node record 'e2' is not a JSON object")):
+        dataio.load_manifest(tmp_path / "string.json")
+
+
+def test_manifest_csv_error_names_the_manifest_and_the_node(tmp_path):
+    write_manifest_tree(tmp_path)
+    (tmp_path / "data" / "e2.csv").write_text("lower,upper,count\n0,1,5\n1,inf,abc\n")
+    message = f"{tmp_path / 'manifest.json'}: node 'e2': {tmp_path / 'data' / 'e2.csv'}:3: expected a number"
+    with pytest.raises(dataio.ManifestError, match=re.escape(message)):
+        dataio.load_manifest(tmp_path / "manifest.json")
+
+
 def test_manifest_rejects_nonfinite_theta(tmp_path):
     write_manifest_tree(tmp_path)
     doc = json.loads((tmp_path / "manifest.json").read_text())
@@ -205,9 +233,13 @@ def test_manifest_rejects_unknown_mcmc_settings(tmp_path, stale):
         ("seed", 2.5, "'float' object cannot be interpreted as an integer"),
         ("phi", 3, "unknown phi policy 3"),
         ("phi", "file:short.csv", "short.csv:2: expected 2 columns"),
+        ("scale_counts", 0, "scale_counts must be positive and finite, got 0.0"),
+        ("scale_counts", -2.5, "scale_counts must be positive and finite, got -2.5"),
+        ("scale_counts", math.nan, "scale_counts must be positive and finite, got nan"),
+        ("scale_counts", math.inf, "scale_counts must be positive and finite, got inf"),
     ],
     ids=["burnin-too-long", "string", "fraction", "zero-iterations", "mcmc-not-an-object", "seed-fraction",
-         "phi-not-a-string", "phi-file-short-row"],
+         "phi-not-a-string", "phi-file-short-row", "scale-zero", "scale-negative", "scale-nan", "scale-inf"],
 )
 def test_manifest_rejects_malformed_settings_naming_the_file(tmp_path, field, value, message):
     write_manifest_tree(tmp_path)
@@ -393,6 +425,31 @@ def test_synthetic_spec_rejects_leaf_params_of_another_family(tmp_path, params, 
     (tmp_path / "spec.json").write_text(json.dumps(doc))
     with pytest.raises(dataio.ManifestError, match=match):
         dataio.load_synthetic_spec(tmp_path / "spec.json")
+
+
+@pytest.mark.parametrize(
+    "fit_families, message",
+    [
+        ({"country": "gbb2"}, "unknown family tag 'gbb2'"),
+        ({"country": "gb2", "leaf": "gb2"}, "fit_families takes only the keys country, region and subregion, "
+                                             "got {'country': 'gb2', 'leaf': 'gb2'}"),
+        (["country"], "fit_families takes only the keys country, region and subregion, got ['country']"),
+    ],
+    ids=["unknown-tag", "unknown-level", "not-an-object"],
+)
+def test_synthetic_spec_rejects_bad_fit_families_naming_the_file(tmp_path, fit_families, message):
+    leaf = {"id": "m1", "population": 10, "params": {"family": "ln", "xi": 1.0, "sigma2": 0.4}}
+    doc = {"fit_families": fit_families, "regions": [{"id": "r1", "leaves": [leaf]}]}
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    with pytest.raises(dataio.ManifestError, match=re.escape(f"{tmp_path / 'spec.json'}: {message}")):
+        dataio.load_synthetic_spec(tmp_path / "spec.json")
+
+
+def test_synthetic_spec_defaults_come_from_the_dataclass(tmp_path):
+    leaf = {"id": "m1", "population": 10, "params": {"family": "ln", "xi": 1.0, "sigma2": 0.4}}
+    (tmp_path / "spec.json").write_text(json.dumps({"regions": [{"id": "r1", "leaves": [leaf]}]}))
+    spec = dataio.load_synthetic_spec(tmp_path / "spec.json")
+    assert spec == SyntheticSpec(regions=(RegionSpec("r1", (LeafSpec("m1", g.LN(1.0, 0.4), 10),)),))
 
 
 @pytest.mark.parametrize("seed, population", [(5.5, 10), (5, 10.5)], ids=["seed", "population"])

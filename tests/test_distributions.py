@@ -52,6 +52,8 @@ def test_cdf_monotone_and_boundary_values():
         assert 0.0 <= values[-1] <= 1.0
         assert dist.cdf(np.inf) == 1.0
         assert dist.cdf(1e9) > 1.0 - 1e-6
+        assert np.array_equal(dist.cdf(np.array([-np.inf, -5.0, -1e-300, -0.0])), np.zeros(4))
+        assert dist.cdf(-1.0) == 0.0
 
 
 def test_degenerate_ln_cdf_is_step():
