@@ -254,7 +254,9 @@ def load_manifest(path) -> Manifest:
         scale = float(raw.get("scale_counts", 1.0))
         if not (math.isfinite(scale) and scale > 0):
             raise ValueError(f"scale_counts must be positive and finite, got {scale}")
-        mcmc_raw = dict(raw.get("mcmc", {}))
+        mcmc_raw = raw.get("mcmc", {})
+        if not isinstance(mcmc_raw, dict):
+            raise ValueError(f"mcmc must be a JSON object of iterations and burnin, got {mcmc_raw!r}")
         unknown = sorted(set(mcmc_raw) - {"iterations", "burnin"})
         if unknown:
             raise ValueError(f"unknown mcmc settings {unknown}; expected iterations and burnin")
@@ -290,7 +292,7 @@ def load_manifest(path) -> Manifest:
                 raise ValueError(f"node {spec['id']!r} data file not found: {data_path}")
             try:
                 sample = parse_grouped_csv(data_path, scale=scale, unit=spec["id"])
-            except CsvFormatError as exc:
+            except (CsvFormatError, OSError) as exc:  # a data path that is a directory, or unreadable
                 raise ValueError(f"node {spec['id']!r}: {exc}") from None
             node_files[spec["id"]] = spec["data"]
             kids = tuple(build(c) for c in children.get(spec["id"], []))
@@ -308,7 +310,7 @@ def load_manifest(path) -> Manifest:
         if unreachable:
             raise ValueError(f"nodes {unreachable} are not reachable from the root {root.id!r}")
         validate_tree(root)
-    except (KeyError, TypeError, ValueError, OverflowError, PipelineError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, OSError, PipelineError) as exc:
         raise ManifestError(f"{path}: {exc}") from None
     return Manifest(
         root=root,

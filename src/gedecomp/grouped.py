@@ -25,13 +25,15 @@ search stopped at the domain's edge, without a Hessian, steps 0.1 in each
 chain coordinate.  The walk discards its first burnin iterations.
 
 Units of one family and bracket count are fitted together (``fit_batch``):
-the mode search, the proposals' log densities and the fallback chain each
-take one vectorised log density per step for all units of the batch.  Each
-unit keeps its own random stream, so its draws are those of the same unit
-fitted alone (``fit`` is the batch of one).  Either sampler reads the stream
-one 50-draw window at a time, so a shorter chain is a prefix of a longer
-one when both take the same sampler, and the walk's draws at one burn-in
-are a slice of its draws at a shorter one.  The gate reads all of a unit's
+the mode search and the fallback chain take one vectorised log density per
+step for all units of the batch, and the proposals' log densities are
+evaluated in blocks of at most 2,048 rows, or one window of every unit when
+the batch is larger.  Each unit keeps its own random stream, so its draws
+are those of the same unit fitted alone (``fit`` is the batch of one).
+Either sampler reads the stream one 50-draw window at a time, whatever the
+block, so a shorter chain is a prefix of a longer one when both take the
+same sampler, and the walk's draws at one burn-in are a slice of its draws
+at a shorter one.  The gate reads all of a unit's
 proposals, so a unit can pass it at one length and fall back at another.
 """
 
@@ -222,6 +224,7 @@ def log_likelihood(params: FamilyParams, data: GroupedSample) -> float | np.ndar
 
 # draws per random-stream window of either sampler
 _WINDOW = 50
+_BLOCK_ROWS = 2048  # rows per log density call of the independence sampler, or one window of every unit when more
 
 
 def random_walk_chain(
@@ -474,37 +477,40 @@ def _independence_chains(log_density, modes, lp_modes, scales, n, rngs):
     Proposal i of unit k is modes[k] + sqrt(nu / w_i) * scales[k] @ z_i with
     z_i standard normal and w_i chi-square(nu).  Each unit reads its own
     stream one window at a time: a (50, d) block of normals, 50 chi-square
-    draws, 50 uniforms; each window's proposals of all units take one log
-    density call.  The chain starts at the mode and accepts on the
-    precomputed log importance weights, one unit at a time.
+    draws, 50 uniforms.  The log densities are evaluated in blocks: one call
+    takes the next windows of all units, at most 2,048 rows, or one window
+    of every unit when the batch is larger.  A row's log density does not
+    depend on its batch-mates, so the block size moves no bit.  The chain
+    starts at the mode and accepts on the precomputed log importance
+    weights, one unit at a time.
 
     Returns (draws (K, n, d), acceptance rate per unit, log importance
     weights (K, n)).
     """
     n_units, dim = modes.shape
-    units = np.repeat(np.arange(n_units), _WINDOW)
-    n_windows = -(-n // _WINDOW)
-    proposals = np.empty((n_units, n_windows * _WINDOW, dim))
-    log_w = np.empty((n_units, n_windows * _WINDOW))
-    log_u = np.empty_like(log_w)
-    z = np.empty((n_units, _WINDOW, dim))
-    chi2 = np.empty((n_units, _WINDOW))
-    for j in range(n_windows):
-        window = slice(j * _WINDOW, (j + 1) * _WINDOW)
-        for rng, z_unit, chi2_unit, u_unit in zip(rngs, z, chi2, log_u[:, window]):
-            rng.standard_normal(out=z_unit)
-            chi2_unit[:] = rng.chisquare(_T_DOF, _WINDOW)
-            rng.random(out=u_unit)
-        spread = np.sqrt(_T_DOF / chi2)[:, :, None] * (z[:, :, None, :] * scales[:, None]).sum(axis=3)
-        proposals[:, window] = modes[:, None, :] + spread
-        log_q = -0.5 * (_T_DOF + dim) * np.log1p((z * z).sum(axis=2) / chi2)  # up to a constant, 0 at the mode
-        log_w[:, window] = log_density(proposals[:, window].reshape(-1, dim), units).reshape(n_units, _WINDOW) - log_q
+    length = -(-n // _WINDOW) * _WINDOW  # whole windows
+    span = max(1, _BLOCK_ROWS // (n_units * _WINDOW)) * _WINDOW  # draws per unit in one log density call
+    proposals, log_w, log_u = np.empty((n_units, length, dim)), np.empty((n_units, length)), np.empty((n_units, length))
+    z, chi2 = np.empty((n_units, span, dim)), np.empty((n_units, span))
+    for first in range(0, length, span):
+        block = slice(first, min(first + span, length))
+        rows = block.stop - first
+        for rng, z_unit, chi2_unit, u_unit in zip(rngs, z, chi2, log_u[:, block]):
+            for j in range(0, rows, _WINDOW):  # one window: normals, then chi-squares, then uniforms
+                rng.standard_normal(out=z_unit[j : j + _WINDOW])
+                chi2_unit[j : j + _WINDOW] = rng.chisquare(_T_DOF, _WINDOW)
+                rng.random(out=u_unit[j : j + _WINDOW])
+        z_b, chi2_b = z[:, :rows], chi2[:, :rows]
+        spread = (z_b[:, :, None, :] * scales[:, None]).sum(axis=3)
+        proposals[:, block] = modes[:, None, :] + np.sqrt(_T_DOF / chi2_b)[:, :, None] * spread
+        log_q = -0.5 * (_T_DOF + dim) * np.log1p((z_b * z_b).sum(axis=2) / chi2_b)  # up to a constant, 0 at the mode
+        lp = log_density(proposals[:, block].reshape(-1, dim), np.repeat(np.arange(n_units), rows))
+        log_w[:, block] = lp.reshape(n_units, rows) - log_q
     np.log(log_u, out=log_u)
 
     rates = np.empty(n_units)
     for k in range(n_units):
-        path, current, accepted = [], lp_modes[k], 0
-        state = -1  # the mode
+        path, current, accepted, state = [], lp_modes[k], 0, -1  # state -1 is the mode
         for i, (w, u) in enumerate(zip(log_w[k, :n].tolist(), log_u[k, :n].tolist())):
             if u < w - current:
                 state, current, accepted = i, w, accepted + 1
@@ -529,7 +535,9 @@ def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
     such a mismatch.  The units need the same number of brackets, and their
     configs may differ only in seed.  Each unit's draws equal those of
     ``fit(family, sample, config)``: the batch shares vectorised log density
-    calls, never a unit's randomness or Newton steps.  Raises
+    calls (the proposals' in blocks of at most 2,048 rows, or one 50-draw
+    window of every unit when the batch is larger), never a unit's
+    randomness or Newton steps.  Raises
     UnderIdentifiedError when the family has more parameters than free
     bracket cells, and ValueError naming the unit whose log density is not
     finite at its start.
@@ -545,8 +553,7 @@ def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
     if len({data.n_brackets for data in samples}) > 1:
         raise ValueError("samples in one batch need the same number of brackets")
     iterations, burnin = shared.pop()
-    dim = family_dim(family)
-    real = family_class(family).n_real
+    dim, real = family_dim(family), family_class(family).n_real
     log_density = _chain_log_density(family, samples)
     start = np.array([_initial_guess(family, data) for data in samples])
     bad = ~np.isfinite(log_density(start))

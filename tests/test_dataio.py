@@ -198,6 +198,16 @@ def test_manifest_csv_error_names_the_manifest_and_the_node(tmp_path):
         dataio.load_manifest(tmp_path / "manifest.json")
 
 
+def test_manifest_data_path_that_is_a_directory_names_the_manifest_and_the_node(tmp_path):
+    write_manifest_tree(tmp_path)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc["nodes"][-1]["data"] = ""  # the manifest's own directory, which exists
+    (tmp_path / "dir.json").write_text(json.dumps(doc))
+    message = f"{tmp_path / 'dir.json'}: node {doc['nodes'][-1]['id']!r}: [Errno 21] Is a directory"
+    with pytest.raises(dataio.ManifestError, match=re.escape(message)):
+        dataio.load_manifest(tmp_path / "dir.json")
+
+
 def test_manifest_rejects_nonfinite_theta(tmp_path):
     write_manifest_tree(tmp_path)
     doc = json.loads((tmp_path / "manifest.json").read_text())
@@ -229,17 +239,21 @@ def test_manifest_rejects_unknown_mcmc_settings(tmp_path, stale):
         ("mcmc", {"iterations": "abc"}, "'str' object cannot be interpreted as an integer"),
         ("mcmc", {"iterations": 3.7, "burnin": 1}, "'float' object cannot be interpreted as an integer"),
         ("mcmc", {"iterations": 0}, "iterations must be positive"),
-        ("mcmc", 500, "object is not iterable"),
+        ("mcmc", 500, "mcmc must be a JSON object of iterations and burnin, got 500"),
+        ("mcmc", [], "mcmc must be a JSON object of iterations and burnin, got []"),
+        ("mcmc", "", "mcmc must be a JSON object of iterations and burnin, got ''"),
         ("seed", 2.5, "'float' object cannot be interpreted as an integer"),
         ("phi", 3, "unknown phi policy 3"),
         ("phi", "file:short.csv", "short.csv:2: expected 2 columns"),
+        ("phi", "file:none.csv", "No such file or directory: "),
         ("scale_counts", 0, "scale_counts must be positive and finite, got 0.0"),
         ("scale_counts", -2.5, "scale_counts must be positive and finite, got -2.5"),
         ("scale_counts", math.nan, "scale_counts must be positive and finite, got nan"),
         ("scale_counts", math.inf, "scale_counts must be positive and finite, got inf"),
     ],
-    ids=["burnin-too-long", "string", "fraction", "zero-iterations", "mcmc-not-an-object", "seed-fraction",
-         "phi-not-a-string", "phi-file-short-row", "scale-zero", "scale-negative", "scale-nan", "scale-inf"],
+    ids=["burnin-too-long", "string", "fraction", "zero-iterations", "mcmc-not-an-object", "mcmc-empty-list",
+         "mcmc-empty-string", "seed-fraction", "phi-not-a-string", "phi-file-short-row", "phi-file-missing",
+         "scale-zero", "scale-negative", "scale-nan", "scale-inf"],
 )
 def test_manifest_rejects_malformed_settings_naming_the_file(tmp_path, field, value, message):
     write_manifest_tree(tmp_path)

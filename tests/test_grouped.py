@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 import gedecomp as g
 from gedecomp.distributions import LN, SM, family_dim, make_batch, make_family
+import gedecomp.grouped as grouped
 from gedecomp.grouped import (
     GroupedSample,
     McmcConfig,
@@ -19,6 +20,7 @@ from gedecomp.grouped import (
     _chain_log_density,
     _chain_log_prior,
     _from_chain_space,
+    _independence_chains,
     _initial_guess,
     _newton_modes,
     config_for_unit,
@@ -31,7 +33,7 @@ from gedecomp.grouped import (
     random_walk_chain,
 )
 
-from conftest import NATIONAL_BOUNDARIES, national_sample
+from conftest import NATIONAL_BOUNDARIES, NATIONAL_MCMC, national_sample
 
 
 # 30 of 31 counts in the open top bracket and one in the lowest: the lognormal
@@ -343,6 +345,67 @@ def test_chain_reads_each_stream_in_window_blocks():
         assert_allclose(draws[k], np.array(expected[120:]), rtol=1e-13, atol=1e-13)
         if k == 0:  # a diagonal factor scales each coordinate alone: exact
             assert np.array_equal(draws[k], np.array(expected[120:]))
+
+
+@pytest.mark.parametrize("n_units", [1, 2])
+def test_independence_chains_read_each_stream_in_window_blocks(n_units):
+    # 4,130 draws span more than one 2,048-row log density block and end in
+    # a partly used window; each unit's stream is read per 50-draw window as
+    # a (50, d) normal block, then 50 chi-square(5) draws, then 50 uniforms,
+    # so the block size cannot move a bit of the proposals or the weights
+    n, dim, seeds = 4_130, 3, (21, 22)[:n_units]
+    modes = np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -0.5]])[:n_units]
+    lp_modes = np.array([0.0, -0.3])[:n_units]
+    scales = np.array([np.diag([0.1, 0.2, 0.3]), [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, -0.5, 2.0]]])[:n_units]
+    seen = []
+
+    def log_density(t, units):  # a standard normal per unit, each row alone
+        seen.append((t.copy(), units.copy()))
+        return -0.5 * (t * t).sum(axis=1)
+
+    draws, rates, log_w = _independence_chains(
+        log_density, modes, lp_modes, scales, n, [np.random.default_rng(s) for s in seeds]
+    )
+    rows = np.concatenate([t for t, _ in seen])
+    units = np.concatenate([u for _, u in seen])
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        z, chi2, u = [], [], []
+        for _ in range(83):  # 4,150 draws in whole windows
+            z.append(rng.standard_normal((50, dim)))
+            chi2.append(rng.chisquare(5.0, 50))
+            u.append(rng.random(50))
+        z, chi2, log_u = np.concatenate(z), np.concatenate(chi2), np.log(np.concatenate(u))
+        # scales @ z as an elementwise sum, as the sampler forms it
+        proposals = modes[k] + np.sqrt(5.0 / chi2)[:, None] * (z[:, None, :] * scales[k]).sum(axis=2)
+        weights = -0.5 * (proposals * proposals).sum(axis=1) + 0.5 * (5.0 + dim) * np.log1p((z * z).sum(axis=1) / chi2)
+        assert np.array_equal(rows[units == k], proposals)
+        assert np.array_equal(log_w[k], weights[:n])
+        state, current, accepted, chain = -1, lp_modes[k], 0, []
+        for i in range(n):
+            if log_u[i] < weights[i] - current:
+                state, current, accepted = i, weights[i], accepted + 1
+            chain.append(modes[k] if state < 0 else proposals[state])
+        assert np.array_equal(draws[k], np.array(chain))
+        assert rates[k] == accepted / n
+
+
+def test_default_fit_of_the_national_table_takes_few_log_likelihood_calls(monkeypatch):
+    # the independence sampler evaluates its proposals in blocks of up to
+    # 2,048 rows, so a unit alone takes four calls for 8,000 draws, not 160
+    calls = []
+    original = grouped.log_likelihood
+
+    def counting(params, data):
+        calls.append(None)
+        return original(params, data)
+
+    monkeypatch.setattr(grouped, "log_likelihood", counting)
+    for family in ("gb2", "sm", "ln"):
+        calls.clear()
+        draws = fit(family, national_sample(), NATIONAL_MCMC)
+        assert draws.sampler == "laplace"
+        assert len(calls) <= 24, (family, len(calls))
 
 
 def test_shorter_fit_is_a_prefix_of_a_longer_one():
