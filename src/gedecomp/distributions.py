@@ -33,6 +33,7 @@ __all__ = [
     "make_batch",
     "family_dim",
     "family_param_names",
+    "ge_terms",
     "ge_over_draws",
     "mean_over_draws",
 ]
@@ -113,14 +114,9 @@ def _gb2_logpdf(x, a, b, p, q):
     )
 
 
-def _gb2_log_moment_ratio(theta, a, p, q):
-    # log E[(X/b)^theta]; caller handles the existence window
-    return (
-        special.gammaln(p + theta / a)
-        + special.gammaln(q - theta / a)
-        - special.gammaln(p)
-        - special.gammaln(q)
-    )
+def _gb2_log_moment_ratio(theta, a, p, q, gammaln_p, gammaln_q):
+    # log E[(X/b)^theta] from gammaln(p) and gammaln(q); caller handles the existence window
+    return special.gammaln(p + theta / a) + special.gammaln(q - theta / a) - gammaln_p - gammaln_q
 
 
 def _gammaln_increment(x, h):
@@ -128,52 +124,71 @@ def _gammaln_increment(x, h):
 
     Gamma(x + 1) = x Gamma(x) moves the interval to [x + 1, x + 1 + h], away
     from the pole at 0 that x + h may approach; there the 16-point
-    Gauss-Legendre rule integrates digamma to double precision.
+    Gauss-Legendre rule integrates digamma to double precision, summed in node
+    order so that no entry depends on its neighbours (a matrix product's may).
     """
-    t = (x + 1.0)[:, None] + (0.5 * h)[:, None] * (1.0 + _GL_NODES)
-    return 0.5 * h * (special.digamma(t) @ _GL_WEIGHTS) - np.log1p(h / x)
+    half = 0.5 * h
+    total = sum(w * special.digamma(x + 1.0 + half * (1.0 + node)) for node, w in zip(_GL_NODES, _GL_WEIGHTS))
+    return half * total - np.log1p(h / x)
 
 
-def _gb2_ge_vec(theta, a, b, p, q):
-    """Vectorized GB2 generalized entropy with an admissibility mask.
+class _GB2Terms:
+    """GB2-type rows' columns and, over the rows with a mean (a*q > 1), gammaln(p), gammaln(q) and log E[X/b]."""
 
-    Returns (values, ok): entries with the moment window excluding theta or
-    1 (mean nonexistent) are masked out and left as NaN.
-    """
-    a, p, q = (np.asarray(v, dtype=float) for v in (a, p, q))
-    ok = (a * q > 1.0) & (-a * p < theta) & (theta < a * q)
-    values = np.full(ok.shape, np.nan)
-    if not np.any(ok):
-        return values, ok
-    av, pv, qv = a[ok], p[ok], q[ok]
-    kind = theta_kind(theta)
-    log_mean_ratio = _gb2_log_moment_ratio(1.0, av, pv, qv)
-    if kind == "mld":
-        vals = -(special.digamma(pv) - special.digamma(qv)) / av + log_mean_ratio
-    elif kind == "theil":
-        vals = (special.digamma(pv + 1.0 / av) - special.digamma(qv - 1.0 / av)) / av - log_mean_ratio
-    else:
-        limit = 1.0 if theta > 0.5 else 0.0
-        if abs(theta - limit) < _NEAR_LIMIT:  # increments of theta - limit about the MLD or Theil arguments
-            h = (theta - limit) / av
-            log_ratio = (_gammaln_increment(pv + limit / av, h) + _gammaln_increment(qv - limit / av, -h)
-                         - (theta - limit) * log_mean_ratio)
+    def __init__(self, a, b, p, q):
+        self.a, self.b, self.p, self.q = a, b, p, q
+        self.has_mean = m = a * q > 1.0
+        gammaln_p, gammaln_q = special.gammaln(p[m]), special.gammaln(q[m])
+        self.logs = gammaln_p, gammaln_q, _gb2_log_moment_ratio(1.0, a[m], p[m], q[m], gammaln_p, gammaln_q)
+
+    def ge(self, theta):
+        """GE of each row and its mask: rows without theta or 1 in the moment window are NaN."""
+        ok = self.has_mean & (-self.a * self.p < theta) & (theta < self.a * self.q)
+        values = np.full(ok.shape, np.nan)
+        if not np.any(ok):
+            return values, ok
+        av, pv, qv = self.a[ok], self.p[ok], self.q[ok]
+        gammaln_p, gammaln_q, log_mean_ratio = (row[ok[self.has_mean]] for row in self.logs)
+        kind = theta_kind(theta)
+        if kind == "mld":
+            vals = -(special.digamma(pv) - special.digamma(qv)) / av + log_mean_ratio
+        elif kind == "theil":
+            vals = (special.digamma(pv + 1.0 / av) - special.digamma(qv - 1.0 / av)) / av - log_mean_ratio
         else:
-            log_ratio = _gb2_log_moment_ratio(theta, av, pv, qv) - theta * log_mean_ratio
-        vals = np.expm1(log_ratio) / (theta * (theta - 1.0))
-    values[ok] = vals
-    return values, ok
+            limit = 1.0 if theta > 0.5 else 0.0
+            if abs(theta - limit) < _NEAR_LIMIT:  # increments of theta - limit about the MLD or Theil arguments
+                h = (theta - limit) / av
+                log_ratio = (_gammaln_increment(pv + limit / av, h) + _gammaln_increment(qv - limit / av, -h)
+                             - (theta - limit) * log_mean_ratio)
+            else:
+                log_ratio = _gb2_log_moment_ratio(theta, av, pv, qv, gammaln_p, gammaln_q) - theta * log_mean_ratio
+            vals = np.expm1(log_ratio) / (theta * (theta - 1.0))
+        values[ok] = vals
+        return values, ok
+
+    def mean(self):
+        values = np.full(len(self.a), np.nan)
+        values[self.has_mean] = self.b[self.has_mean] * np.exp(self.logs[2])
+        return values, self.has_mean.copy()
 
 
-def _ln_ge_vec(theta, sigma2):
-    sigma2 = np.asarray(sigma2, dtype=float)
-    kind = theta_kind(theta)
-    if kind in ("mld", "theil"):
-        vals = sigma2 / 2.0
-    else:
-        c = theta * (theta - 1.0)
-        vals = np.expm1(sigma2 * c / 2.0) / c
-    return vals, np.ones(sigma2.shape, dtype=bool)
+@dataclass(frozen=True)
+class _LNTerms:
+    """LN rows hold no terms beyond their xi and sigma2 columns."""
+
+    xi: np.ndarray
+    sigma2: np.ndarray
+
+    def ge(self, theta):
+        if theta_kind(theta) in ("mld", "theil"):
+            vals = self.sigma2 / 2.0
+        else:
+            c = theta * (theta - 1.0)
+            vals = np.expm1(self.sigma2 * c / 2.0) / c
+        return vals, np.ones(len(self.sigma2), dtype=bool)
+
+    def mean(self):
+        return np.exp(self.xi + self.sigma2 / 2.0), np.ones(len(self.xi), dtype=bool)
 
 
 class _Family:
@@ -235,7 +250,8 @@ class GB2(_Family):
         low, high = self.moment_window
         if not (low < theta < high):
             raise MomentExistenceError(theta, low, high)
-        return float(np.exp(theta * np.log(self.b) + _gb2_log_moment_ratio(theta, self.a, self.p, self.q)))
+        log_ratio = _gb2_log_moment_ratio(theta, self.a, self.p, self.q, *special.gammaln([self.p, self.q]))
+        return float(self.b**theta * np.exp(log_ratio))  # at theta = 1, the mean of ``ge_terms`` bitwise
 
     def ge(self, theta: float) -> float:
         """Generalized entropy of order theta (MLD at 0, Theil at 1)."""
@@ -244,8 +260,7 @@ class GB2(_Family):
             raise MomentExistenceError(1.0, low, high, "mean does not exist (requires q > 1/a)")
         if not (low < theta < high):
             raise MomentExistenceError(theta, low, high)
-        values, _ = _gb2_ge_vec(theta, np.array([self.a]), self.b, np.array([self.p]), np.array([self.q]))
-        return float(values[0])
+        return float(_GB2Terms(np.array([self.a]), self.b, np.array([self.p]), np.array([self.q])).ge(theta)[0][0])
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n incomes via the beta construction; deterministic given rng."""
@@ -317,8 +332,7 @@ class LN(_Family):
 
     def ge(self, theta: float) -> float:
         """GE of order theta; equals sigma2/2 at both limits."""
-        values, _ = _ln_ge_vec(theta, np.array([self.sigma2]))
-        return float(values[0])
+        return float(_LNTerms(np.array([self.xi]), np.array([self.sigma2])).ge(theta)[0][0])
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:
@@ -367,35 +381,26 @@ def family_param_names(tag: str) -> tuple[str, ...]:
     return family_class(tag).param_names
 
 
-def _gb2_columns(cls: type, draws: np.ndarray):
-    """a, b, p, q columns of GB2-type draws; a fixed shape (SM's p) is a constant column."""
-    columns = dict(zip(cls.param_names, draws.T))
-    return [columns[name] if name in columns else np.full(len(draws), getattr(cls, name))
-            for name in GB2.param_names]
+def ge_terms(tag: str, draws):
+    """Theta-invariant GE terms of parameter draws (rows, native order).
 
-
-def ge_over_draws(tag: str, draws: np.ndarray, theta: float):
-    """GE of each parameter draw (rows), with an admissibility mask.
-
-    Draws outside the moment-existence window are masked, not raised, so
-    posterior summaries can count and report them.
+    ``.ge(theta)`` and ``.mean()`` give each row's value and admissibility mask: draws
+    outside the moment window are masked, not raised, so posterior summaries can count them.
     """
     cls = family_class(tag)
     draws = np.asarray(draws, dtype=float)
+    columns = dict(zip(cls.param_names, draws.T))
     if cls is LN:
-        return _ln_ge_vec(theta, draws[:, 1])
-    return _gb2_ge_vec(theta, *_gb2_columns(cls, draws))
+        return _LNTerms(**columns)
+    return _GB2Terms(*(columns[name] if name in columns else np.broadcast_to(getattr(cls, name), len(draws))
+                       for name in GB2.param_names))
+
+
+def ge_over_draws(tag: str, draws: np.ndarray, theta: float):
+    """GE of each parameter draw (rows), with an admissibility mask (see ``ge_terms``)."""
+    return ge_terms(tag, draws).ge(theta)
 
 
 def mean_over_draws(tag: str, draws: np.ndarray):
     """Distribution mean of each parameter draw, with an admissibility mask."""
-    cls = family_class(tag)
-    draws = np.asarray(draws, dtype=float)
-    if cls is LN:
-        values = np.exp(draws[:, 0] + draws[:, 1] / 2.0)
-        return values, np.ones(len(draws), dtype=bool)
-    a, b, p, q = _gb2_columns(cls, draws)
-    ok = a * q > 1.0
-    values = np.full(len(draws), np.nan)
-    values[ok] = b[ok] * np.exp(_gb2_log_moment_ratio(1.0, a[ok], p[ok], q[ok]))
-    return values, ok
+    return ge_terms(tag, draws).mean()

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import benchmark
-from .distributions import _gb2_ge_vec, _require_positive, theta_kind
+from .distributions import _require_positive, ge_terms, theta_kind
 from .grouped import (
     UNDEFINED_FRACTION,
     GroupedSample,
@@ -457,13 +457,14 @@ def ge_surface(a_values, q_values, b: float, thetas) -> list[GeSurface]:
         for value in values:
             _require_positive(name, value)
     a, q = np.meshgrid(a_values, q_values)
+    terms = ge_terms("sm", np.column_stack([a.ravel(), np.full(a.size, float(b)), q.ravel()]))
     return [
         GeSurface(
             theta=theta,
             b=float(b),
             a_values=a_values,
             q_values=q_values,
-            values=_gb2_ge_vec(theta, a, b, np.ones_like(a), q)[0],
+            values=terms.ge(theta)[0].reshape(a.shape),
         )
         for theta in thetas
     ]

@@ -351,3 +351,15 @@ def test_bad_phi_flag_fails(tmp_path, spec_file, capsys):
         "--phi", "nonsense", "--iters", "300", "--burnin", "80",
     ])
     assert code == 2
+
+
+def test_negative_seed_fails_naming_the_seed(tmp_path, spec_file, capsys):
+    csv_path = tmp_path / "unit.csv"
+    csv_path.write_text("lower,upper,count\n0,1,10\n1,2,25\n2,3,30\n3,inf,5\n")
+    manifest_path = short_manifest(tmp_path, spec_file, capsys)
+    for argv in (["fit", "--family", "ln", "--data", str(csv_path)],
+                 ["pipeline", "--manifest", str(manifest_path), "--out", str(tmp_path / "run")]):
+        assert main(argv + ["--seed", "-1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "seed must be a non-negative integer, got -1"}
+    assert not (tmp_path / "run").exists()

@@ -9,12 +9,23 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gedecomp as g
-from gedecomp.distributions import LN, SM, family_dim, make_batch, make_family
+from gedecomp.distributions import (
+    GB2,
+    LN,
+    SM,
+    MomentExistenceError,
+    family_dim,
+    family_param_names,
+    ge_terms,
+    make_batch,
+    make_family,
+)
 import gedecomp.grouped as grouped
 from gedecomp.grouped import (
     GroupedSample,
     McmcConfig,
     PosteriorDraws,
+    PosteriorSummary,
     UnderIdentifiedError,
     _abs_curvatures,
     _chain_log_density,
@@ -583,7 +594,7 @@ def make_draws(family, rows, unit="u") -> PosteriorDraws:
         family=family,
         unit=unit,
         draws=rows,
-        param_names=("a", "b", "q") if family == "sm" else ("xi", "sigma2"),
+        param_names=family_param_names(family),
         acceptance_rate=0.3,
         config=McmcConfig(iterations=len(rows) + 1, burnin=1),
     )
@@ -622,6 +633,85 @@ def test_posterior_ge_exclusions_flagged():
     assert_allclose(summary.value, SM(2.0, 3.0, 1.5).ge(2.0), rtol=1e-12)
     all_bad = posterior_ge(make_draws("sm", np.tile(bad, (5, 1))), 2.0)
     assert math.isnan(all_bad.value) and all_bad.n_excluded == 5
+
+
+# ordinary rows, rows without a mean (a*q <= 1, one of them a*q == 1 exactly),
+# and rows whose moment window (-a*p, a*q) excludes the low or the high thetas
+MIXED_ROWS = {
+    "gb2": [[2.5, 3.0, 1.2, 1.6], [3.1, 2.2, 0.9, 2.4], [1.8, 4.0, 1.5, 3.0], [4.0, 1.5, 0.7, 1.1],
+            [1.5, 3.0, 1.0, 0.6], [2.0, 3.0, 1.3, 0.5], [1.2, 2.5, 0.5, 2.0], [1.5, 3.0, 2.0, 1.2],
+            [0.8, 2.0, 3.0, 2.5], [6.0, 3.5, 0.4, 0.9]],
+    "sm": [[2.5, 3.0, 1.6], [3.1, 2.2, 2.4], [1.8, 4.0, 3.0], [4.0, 1.5, 1.1], [1.5, 3.0, 0.6],
+           [2.0, 3.0, 0.5], [1.2, 2.5, 2.0], [1.5, 3.0, 1.2], [0.9, 2.0, 2.5], [6.0, 3.5, 0.9]],
+}
+MIXED_THETAS = (-2.0, -1.0, 0.0, 1e-10, 0.05, 0.5, 0.95, 1.0, 1.03, 2.0, 3.0)
+
+
+def per_row_values(rows, value_of) -> np.ndarray:
+    """The per-row closed forms, NaN where the moment does not exist."""
+    values = []
+    for row in rows:
+        try:
+            values.append(value_of(row))
+        except MomentExistenceError:
+            values.append(math.nan)
+    return np.array(values)
+
+
+def summary_of(values) -> PosteriorSummary:
+    used = values[~np.isnan(values)]
+    sd = float(used.std(ddof=1)) if used.size > 1 else 0.0
+    return PosteriorSummary(value=float(used.mean()), sd=sd, n_draws=len(values), n_excluded=len(values) - used.size)
+
+
+@pytest.mark.parametrize("family", ["gb2", "sm"])
+def test_posterior_summaries_equal_the_per_row_closed_forms_exactly(family):
+    cls = {"gb2": GB2, "sm": SM}[family]
+    rng = np.random.default_rng(17)
+    random_rows = np.exp(rng.normal(0.4, 0.6, (200, family_dim(family))))
+    rows = np.vstack([np.tile(MIXED_ROWS[family], (3, 1)), random_rows])
+    draws = make_draws(family, rows)
+    values = per_row_values(rows, lambda row: cls(*row).mean())
+    np.testing.assert_array_equal(draws.terms.mean()[0], values)
+    mean = summary_of(values)
+    assert posterior_mean_income(draws) == mean
+    assert mean.n_excluded > 0
+    for theta in MIXED_THETAS:
+        values = per_row_values(rows, lambda row: cls(*row).ge(theta))
+        np.testing.assert_array_equal(draws.terms.ge(theta)[0], values, err_msg=f"theta={theta}")
+        expected = summary_of(values)
+        assert posterior_ge(draws, theta) == expected, theta
+        # rows without a mean are always out; at the extreme thetas, rows with a mean too
+        assert expected.n_excluded > mean.n_excluded if abs(theta) >= 2.0 else expected.n_excluded >= mean.n_excluded
+
+
+def test_posterior_summaries_build_the_terms_once(monkeypatch):
+    built = []
+
+    def counting(family, rows):
+        built.append(family)
+        return ge_terms(family, rows)
+
+    monkeypatch.setattr(grouped, "ge_terms", counting)
+    draws = make_draws("sm", MIXED_ROWS["sm"])
+    first = [posterior_ge(draws, theta) for theta in (-1.0, 0.0, 1.0, 2.0)] + [posterior_mean_income(draws)]
+    assert built == ["sm"]
+    assert [posterior_ge(draws, theta) for theta in (-1.0, 0.0, 1.0, 2.0)] + [posterior_mean_income(draws)] == first
+    assert built == ["sm"]
+    # a copy with other draws gets its own terms, not the original's
+    other = replace(draws, draws=np.tile(SM(2.2, 4.0, 1.8).to_vector(), (4, 1)))
+    assert_allclose(posterior_ge(other, 1.0).value, SM(2.2, 4.0, 1.8).ge(1.0), rtol=1e-14)
+    assert_allclose(posterior_mean_income(other).value, SM(2.2, 4.0, 1.8).mean(), rtol=1e-14)
+    assert posterior_ge(other, 1.0).n_excluded == 0
+    assert built == ["sm", "sm"]
+    assert posterior_ge(draws, 1.0) == first[2]
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_mcmc_config_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got "):
+        McmcConfig(seed=seed)
+    assert McmcConfig(seed=np.int64(3)).seed == 3 and McmcConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
 # ---------------------------------------------------------------------------

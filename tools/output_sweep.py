@@ -27,8 +27,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from gedecomp.cli import main  # noqa: E402
 
-# distinct output keys; 1e-9 lies inside the limit window of theta = 0
-THETA_ARGS = [arg for theta in (-1.0, 0.0, 1e-9, 0.5, 1.0, 2.0) for arg in ("--theta", repr(theta))]
+# distinct output keys; 1e-9 lies inside the limit window of theta = 0, and 0.05
+# and 0.95 are generic thetas near 0 and 1 (the near-limit increment forms)
+THETA_ARGS = [arg for theta in (-1.0, 0.0, 1e-9, 0.05, 0.5, 0.95, 1.0, 2.0) for arg in ("--theta", repr(theta))]
 SHORT_CHAIN = ["--iters", "800", "--burnin", "200"]
 
 # the 2013 national bracket table (millions of yen) at 2,000 households
