@@ -34,8 +34,6 @@ __all__ = [
     "family_dim",
     "family_param_names",
     "ge_terms",
-    "ge_over_draws",
-    "mean_over_draws",
 ]
 
 #: theta values within this distance of 0 or 1 dispatch to the MLD / Theil
@@ -394,13 +392,3 @@ def ge_terms(tag: str, draws):
         return _LNTerms(**columns)
     return _GB2Terms(*(columns[name] if name in columns else np.broadcast_to(getattr(cls, name), len(draws))
                        for name in GB2.param_names))
-
-
-def ge_over_draws(tag: str, draws: np.ndarray, theta: float):
-    """GE of each parameter draw (rows), with an admissibility mask (see ``ge_terms``)."""
-    return ge_terms(tag, draws).ge(theta)
-
-
-def mean_over_draws(tag: str, draws: np.ndarray):
-    """Distribution mean of each parameter draw, with an admissibility mask."""
-    return ge_terms(tag, draws).mean()

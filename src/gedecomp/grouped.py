@@ -27,14 +27,15 @@ chain coordinate.  The walk discards its first burnin iterations.
 Units of one family and bracket count are fitted together (``fit_batch``):
 the mode search and the fallback chain take one vectorised log density per
 step for all units of the batch, and the proposals' log densities are
-evaluated in blocks of at most 2,048 rows, or one window of every unit when
-the batch is larger.  Each unit keeps its own random stream, so its draws
-are those of the same unit fitted alone (``fit`` is the batch of one).
-Either sampler reads the stream one 50-draw window at a time, whatever the
-block, so a shorter chain is a prefix of a longer one when both take the
-same sampler, and the walk's draws at one burn-in are a slice of its draws
-at a shorter one.  The gate reads all of a unit's
-proposals, so a unit can pass it at one length and fall back at another.
+evaluated in blocks of at most 2,048 rows.  Each unit spawns three random
+streams from its seed, one per draw kind (normals, chi-squares, uniforms),
+so its draws are those of the same unit fitted alone (``fit`` is the batch
+of one).  Either sampler reads a unit's whole chain from each stream in one
+call; a stream read in pieces gives the draws of one whole read, so a
+shorter chain is a prefix of a longer one when both take the same
+sampler, and the walk's draws at one burn-in are a slice of its draws at a
+shorter one.  The gate reads all of a unit's proposals, so a unit can pass
+it at one length and fall back at another.
 """
 
 from __future__ import annotations
@@ -123,8 +124,8 @@ class GroupedSample:
         return float(self.counts.sum())
 
     def scaled(self, factor: float) -> "GroupedSample":
-        if factor <= 0.0:
-            raise ValueError("scale factor must be positive")
+        if not (math.isfinite(factor) and factor > 0.0):
+            raise ValueError("scale factor must be positive and finite")
         return GroupedSample(self.boundaries, self.counts * factor, self.unit)
 
 
@@ -142,12 +143,20 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("iterations", "burnin"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.iterations <= 0:
             raise ValueError("iterations must be positive")
         if not 0 <= self.burnin < self.iterations:
             raise ValueError("burn-in must satisfy 0 <= burnin < iterations")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -232,9 +241,12 @@ def log_likelihood(params: FamilyParams, data: GroupedSample) -> float | np.ndar
 # Sampler
 # ---------------------------------------------------------------------------
 
-# draws per random-stream window of either sampler
-_WINDOW = 50
-_BLOCK_ROWS = 2048  # rows per log density call of the independence sampler, or one window of every unit when more
+_BLOCK_ROWS = 2048  # rows per log density call of the independence sampler
+
+
+def _unit_streams(seed: int) -> list[np.random.Generator]:
+    """A unit's three random streams, one per draw kind: normals, chi-squares, uniforms."""
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3)]
 
 
 def random_walk_chain(
@@ -243,19 +255,19 @@ def random_walk_chain(
     factors: np.ndarray,
     iterations: int,
     burnin: int,
-    rngs,
+    streams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-kernel Gaussian random-walk Metropolis chains for K units in lockstep.
 
     start is (K, d) and factors (K, d, d): unit k proposes t + factors[k] @ z
     with z standard normal.  log_density maps a (K, d) state to K log
-    densities, and rngs holds one Generator per unit.  The units share only
-    the loop: each reads its own stream and keeps its own kernel.  Every 50
-    iterations each unit reads its next window from its stream: a (50, d)
-    block of normals, then a block of 50 uniforms.  A window is drawn whole
-    even past the last iteration, and the kernel never changes, so the draws
-    of (iterations, burnin) are iterations burnin .. iterations - 1 of any
-    longer chain from the same start and streams.
+    densities, and streams yields one (normals, chi-squares, uniforms) triple
+    of Generators per unit; the walk reads the first and the last.  The
+    units share only the loop: each reads its own streams and keeps its own
+    kernel.  Each unit reads its whole chain's normals, (iterations, d), and
+    its iterations uniforms in one call per stream, and the kernel never
+    changes, so the draws of (iterations, burnin) are iterations burnin ..
+    iterations - 1 of any longer chain from the same start and streams.
 
     Returns (retained draws (K, iterations - burnin, d), acceptance rate per
     unit over the retained iterations).
@@ -266,30 +278,26 @@ def random_walk_chain(
     if not np.all(np.isfinite(lp)):
         raise ValueError(f"log density is not finite at the starting point of row {np.argmin(np.isfinite(lp))}")
 
-    factors = np.asarray(factors, dtype=float)[:, None]  # (K, 1, d, d): one kernel per unit, for every draw
-    kept = np.empty((n_units, iterations - burnin, d))
+    factors = np.asarray(factors, dtype=float)
+    chain = np.empty((n_units, iterations, d))  # the normals, each overwritten by its iteration's state
+    log_u = np.empty((n_units, iterations))
+    for (normals, _, uniforms), z_unit, u_unit in zip(streams, chain, log_u):
+        normals.standard_normal(out=z_unit)
+        uniforms.random(out=u_unit)
+    np.log(log_u, out=log_u)
     accepted = np.zeros(n_units, dtype=np.int64)
-    z_window = np.empty((n_units, _WINDOW, d))
-    log_u_window = np.empty((n_units, _WINDOW))
     for i in range(iterations):
-        j = i % _WINDOW
-        if j == 0:  # each unit's next window, straight into its contiguous slice
-            for rng, z_unit, u_unit in zip(rngs, z_window, log_u_window):
-                rng.standard_normal(out=z_unit)
-                rng.random(out=u_unit)
-            np.log(log_u_window, out=log_u_window)
-            # the window's steps factors @ z as elementwise sums, never BLAS, so no row depends on the batch
-            steps = (factors * z_window[:, :, None, :]).sum(axis=3)
-        proposal = t + steps[:, j]
+        # the step factors @ z as an elementwise sum, never BLAS, so no row depends on the batch
+        proposal = t + (factors * chain[:, i, None, :]).sum(axis=2)
         lp_prop = log_density(proposal)
-        accept = log_u_window[:, j] < lp_prop - lp
+        accept = log_u[:, i] < lp_prop - lp
         if accept.any():
             t = np.where(accept[:, None], proposal, t)
             lp = np.where(accept, lp_prop, lp)
+        chain[:, i] = t
         if i >= burnin:
-            kept[:, i - burnin] = t
             accepted += accept
-    return kept, accepted / (iterations - burnin)
+    return chain[:, burnin:], accepted / (iterations - burnin)
 
 
 def _initial_guess(family: str, data: GroupedSample) -> np.ndarray:
@@ -481,55 +489,50 @@ def _newton_modes(log_density, start: np.ndarray):
     return t, lp, hess
 
 
-def _independence_chains(log_density, modes, lp_modes, scales, n, rngs):
+def _independence_chains(log_density, modes, lp_modes, scales, n, streams):
     """Independence MH chains for K units, proposals from a t around each mode.
 
     Proposal i of unit k is modes[k] + sqrt(nu / w_i) * scales[k] @ z_i with
-    z_i standard normal and w_i chi-square(nu).  Each unit reads its own
-    stream one window at a time: a (50, d) block of normals, 50 chi-square
-    draws, 50 uniforms.  The log densities are evaluated in blocks: one call
-    takes the next windows of all units, at most 2,048 rows, or one window
-    of every unit when the batch is larger.  A row's log density does not
-    depend on its batch-mates, so the block size moves no bit.  The chain
-    starts at the mode and accepts on the precomputed log importance
+    z_i standard normal and w_i chi-square(nu).  Each unit reads its n
+    normals (n, d), n chi-square draws and n uniforms in one call per
+    stream of its (normals, chi-squares, uniforms) triple, and its proposals
+    are formed in place of its normals.  The log densities are evaluated in
+    blocks of at most 2,048 rows of the units' proposals in turn; a row's
+    log density does not depend on its batch-mates, so the block size moves
+    no bit.  The chain starts at the mode and accepts on the log importance
     weights, one unit at a time.
 
     Returns (draws (K, n, d), acceptance rate per unit, log importance
     weights (K, n)).
     """
     n_units, dim = modes.shape
-    length = -(-n // _WINDOW) * _WINDOW  # whole windows
-    span = max(1, _BLOCK_ROWS // (n_units * _WINDOW)) * _WINDOW  # draws per unit in one log density call
-    proposals, log_w, log_u = np.empty((n_units, length, dim)), np.empty((n_units, length)), np.empty((n_units, length))
-    z, chi2 = np.empty((n_units, span, dim)), np.empty((n_units, span))
-    for first in range(0, length, span):
-        block = slice(first, min(first + span, length))
-        rows = block.stop - first
-        for rng, z_unit, chi2_unit, u_unit in zip(rngs, z, chi2, log_u[:, block]):
-            for j in range(0, rows, _WINDOW):  # one window: normals, then chi-squares, then uniforms
-                rng.standard_normal(out=z_unit[j : j + _WINDOW])
-                chi2_unit[j : j + _WINDOW] = rng.chisquare(_T_DOF, _WINDOW)
-                rng.random(out=u_unit[j : j + _WINDOW])
-        z_b, chi2_b = z[:, :rows], chi2[:, :rows]
-        spread = (z_b[:, :, None, :] * scales[:, None]).sum(axis=3)
-        proposals[:, block] = modes[:, None, :] + np.sqrt(_T_DOF / chi2_b)[:, :, None] * spread
-        log_q = -0.5 * (_T_DOF + dim) * np.log1p((z_b * z_b).sum(axis=2) / chi2_b)  # up to a constant, 0 at the mode
-        lp = log_density(proposals[:, block].reshape(-1, dim), np.repeat(np.arange(n_units), rows))
-        log_w[:, block] = lp.reshape(n_units, rows) - log_q
+    proposals, log_w, log_u = np.empty((n_units, n, dim)), np.empty((n_units, n)), np.empty((n_units, n))
+    for k, (normals, chi_squares, uniforms) in enumerate(streams):
+        z = proposals[k]
+        normals.standard_normal(out=z)
+        chi2 = chi_squares.chisquare(_T_DOF, n)
+        uniforms.random(out=log_u[k])
+        log_w[k] = -0.5 * (_T_DOF + dim) * np.log1p((z * z).sum(axis=1) / chi2)  # log q up to a constant, 0 at the mode
+        # scales @ z as an elementwise sum, never BLAS, so no row depends on n (a shorter chain is a prefix)
+        z[:] = modes[k] + np.sqrt(_T_DOF / chi2)[:, None] * (z[:, None, :] * scales[k]).sum(axis=2)
     np.log(log_u, out=log_u)
+    rows, flat_w = proposals.reshape(-1, dim), log_w.reshape(-1)
+    for first in range(0, len(rows), _BLOCK_ROWS):
+        block = slice(first, min(first + _BLOCK_ROWS, len(rows)))
+        flat_w[block] = log_density(rows[block], np.arange(block.start, block.stop) // n) - flat_w[block]
 
     rates = np.empty(n_units)
     for k in range(n_units):
         path, current, accepted, state = [], lp_modes[k], 0, -1  # state -1 is the mode
-        for i, (w, u) in enumerate(zip(log_w[k, :n].tolist(), log_u[k, :n].tolist())):
+        for i, (w, u) in enumerate(zip(log_w[k].tolist(), log_u[k].tolist())):
             if u < w - current:
                 state, current, accepted = i, w, accepted + 1
             path.append(state)
         states = np.array(path)
         # the chain in place of the proposals: state i is proposal i or an earlier one
-        proposals[k, :n] = np.where(states[:, None] < 0, modes[k], proposals[k, states])
+        proposals[k] = np.where(states[:, None] < 0, modes[k], proposals[k, states])
         rates[k] = accepted / n
-    return proposals[:, :n], rates, log_w[:, :n]
+    return proposals, rates, log_w
 
 
 def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
@@ -545,9 +548,8 @@ def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
     such a mismatch.  The units need the same number of brackets, and their
     configs may differ only in seed.  Each unit's draws equal those of
     ``fit(family, sample, config)``: the batch shares vectorised log density
-    calls (the proposals' in blocks of at most 2,048 rows, or one 50-draw
-    window of every unit when the batch is larger), never a unit's
-    randomness or Newton steps.  Raises
+    calls (the proposals' in blocks of at most 2,048 rows), never a unit's
+    random streams (three spawned from its seed) or Newton steps.  Raises
     UnderIdentifiedError when the family has more parameters than free
     bracket cells, and ValueError naming the unit whose log density is not
     finite at its start.
@@ -584,9 +586,9 @@ def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
     k_hat = np.full(n_units, math.nan)
     if laplace.size:
         scales = vec[concave] / np.sqrt(curv[concave])[:, None, :]  # scales @ scales.T = (-H)^-1
-        rngs = [np.random.default_rng(configs[k].seed) for k in laplace]
+        streams = (_unit_streams(configs[k].seed) for k in laplace)  # a generator: a unit's streams (6 kB) live while read
         draws[laplace], acc_rates[laplace], log_w = _independence_chains(
-            lambda t, units: log_density(t, laplace[units]), modes[laplace], lp_modes[laplace], scales, n, rngs
+            lambda t, units: log_density(t, laplace[units]), modes[laplace], lp_modes[laplace], scales, n, streams
         )
         k_hat[laplace] = [pareto_k(w) for w in log_w]
     passed = np.zeros(n_units, dtype=bool)
@@ -596,9 +598,9 @@ def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
         # the walk's kernel: the Laplace covariance, |eigenvalues| of -H, scaled by 2.38^2 / d
         factors = np.tile(_WALK_STEP * np.eye(dim), (n_units, 1, 1))
         factors[finite] = (_WALK_SCALE / math.sqrt(dim)) * vec / np.sqrt(_abs_curvatures(curv))[:, None, :]
-        rngs = [np.random.default_rng(configs[k].seed) for k in fallback]
+        streams = (_unit_streams(configs[k].seed) for k in fallback)
         draws[fallback], acc_rates[fallback] = random_walk_chain(
-            lambda t: log_density(t, fallback), modes[fallback], factors[fallback], iterations, burnin, rngs
+            lambda t: log_density(t, fallback), modes[fallback], factors[fallback], iterations, burnin, streams
         )
     # to natural parameters in place, so the batch never holds its draws twice
     positive = draws[..., real:]

@@ -13,9 +13,8 @@ from gedecomp.distributions import (
     SM,
     MomentExistenceError,
     ParameterDomainError,
-    ge_over_draws,
+    ge_terms,
     make_family,
-    mean_over_draws,
     theta_kind,
 )
 
@@ -203,7 +202,7 @@ def test_ge_near_the_limits_matches_40_digit_closed_form():
             if not low < theta < high:
                 continue
             expected = _mp_ge(theta, dist.a, dist.p, dist.q)
-            drawn, ok = ge_over_draws(tag, dist.to_vector()[None, :], theta)
+            drawn, ok = ge_terms(tag, dist.to_vector()[None, :]).ge(theta)
             assert ok.all()
             for value in (dist.ge(theta), drawn[0]):
                 assert abs(value - expected) <= 1e-12 * abs(expected), (dist, theta)
@@ -346,8 +345,8 @@ def test_sm_is_gb2_with_unit_first_shape(a, b, q):
             assert _outcome(getattr(sm, method), theta) == _outcome(getattr(gb2, method), theta)
     draws = np.array([[a, b, q], [a, b, 0.3], [1.5, 2.0, 2.5], [0.9, 3.0, 1.05]])
     gb2_draws = np.insert(draws, 2, 1.0, axis=1)
-    pairs = [(ge_over_draws("sm", draws, t), ge_over_draws("gb2", gb2_draws, t)) for t in (-1.0, 0.0, 1.0, 2.0)]
-    pairs.append((mean_over_draws("sm", draws), mean_over_draws("gb2", gb2_draws)))
+    pairs = [(ge_terms("sm", draws).ge(t), ge_terms("gb2", gb2_draws).ge(t)) for t in (-1.0, 0.0, 1.0, 2.0)]
+    pairs.append((ge_terms("sm", draws).mean(), ge_terms("gb2", gb2_draws).mean()))
     for (sm_values, sm_ok), (gb2_values, gb2_ok) in pairs:
         assert np.array_equal(sm_values, gb2_values, equal_nan=True)
         assert np.array_equal(sm_ok, gb2_ok)
@@ -355,9 +354,9 @@ def test_sm_is_gb2_with_unit_first_shape(a, b, q):
 
 def test_draw_matrix_helpers_mask_inadmissible_rows():
     draws = np.array([[2.0, 3.0, 1.5], [1.5, 3.0, 0.5]])  # second row: a*q = 0.75
-    values, ok = ge_over_draws("sm", draws, 1.0)
+    values, ok = ge_terms("sm", draws).ge(1.0)
     assert ok.tolist() == [True, False]
     assert np.isnan(values[1]) and values[0] > 0.0
-    means, ok2 = mean_over_draws("sm", draws)
+    means, ok2 = ge_terms("sm", draws).mean()
     assert ok2.tolist() == [True, False]
     assert_allclose(means[0], SM(2.0, 3.0, 1.5).mean(), rtol=1e-12)

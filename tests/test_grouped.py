@@ -1,6 +1,7 @@
 """Grouped likelihood, priors, the Laplace sampler and its random-walk fallback."""
 
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -53,6 +54,11 @@ from conftest import NATIONAL_BOUNDARIES, NATIONAL_MCMC, national_sample
 TOP_HEAVY = GroupedSample([0, 1, 2, 3, 5, 8, np.inf], [1.0, 0.0, 0.0, 0.0, 0.0, 30.0], "top-heavy")
 
 
+def spawned(seed) -> list[np.random.Generator]:
+    """A unit's three streams as the samplers spawn them from its seed: normals, chi-squares, uniforms."""
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3)]
+
+
 def quantile_bracket_sample(dist, n, G, seed, unit="unit") -> GroupedSample:
     x = dist.sample(n, np.random.default_rng(seed))
     interior = np.quantile(x, np.arange(1, G) / G)
@@ -82,6 +88,9 @@ def test_sample_validation():
     sample = GroupedSample([0, 1, inf], [2.5, 7.5], "u")
     assert sample.total == 10.0
     assert sample.scaled(0.1).total == 1.0
+    for factor in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^scale factor must be positive and finite$"):
+            sample.scaled(factor)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +275,7 @@ def test_chain_normal_target_conjugate_mean():
     log_density = lambda t: -0.5 * ((t[:, 0] - 3.0) / 2.0) ** 2
     # 2.38 sd: the scaled kernel of a one-dimensional Gaussian target
     draws, rate = random_walk_chain(
-        log_density, np.array([[0.0]]), np.array([[[2.38 * 2.0]]]), 20_000, 4_000, [np.random.default_rng(0)]
+        log_density, np.array([[0.0]]), np.array([[[2.38 * 2.0]]]), 20_000, 4_000, [spawned(0)]
     )
     assert draws.shape == (1, 16_000, 1)
     assert abs(draws.mean() - 3.0) < 0.15
@@ -281,7 +290,7 @@ def test_chain_beta_target_mean():
             return np.where((0.0 < x) & (x < 1.0), 4.0 * np.log(x) + 2.0 * np.log1p(-x), -math.inf)  # Beta(5, 3)
 
     draws, _ = random_walk_chain(
-        log_density, np.array([[0.5]]), np.array([[[0.2]]]), 20_000, 4_000, [np.random.default_rng(1)]
+        log_density, np.array([[0.5]]), np.array([[[0.2]]]), 20_000, 4_000, [spawned(1)]
     )
     assert abs(draws.mean() - 5.0 / 8.0) < 0.02
 
@@ -304,11 +313,11 @@ def test_chain_rows_match_chains_run_alone():
     starts = np.zeros((3, 2))
     seeds = (7, 8, 9)
     together, rates = random_walk_chain(
-        gaussian_rows([0, 1, 2]), starts, FACTORS, 1_200, 400, [np.random.default_rng(s) for s in seeds]
+        gaussian_rows([0, 1, 2]), starts, FACTORS, 4_000, 400, [spawned(s) for s in seeds]
     )
     for k in range(3):
         alone, rate = random_walk_chain(
-            gaussian_rows([k]), starts[k : k + 1], FACTORS[k : k + 1], 1_200, 400, [np.random.default_rng(seeds[k])]
+            gaussian_rows([k]), starts[k : k + 1], FACTORS[k : k + 1], 4_000, 400, [spawned(seeds[k])]
         )
         assert np.array_equal(together[k], alone[0])
         assert rates[k] == rate[0]
@@ -322,7 +331,7 @@ def test_chain_with_burnin_is_a_slice_of_the_whole_chain():
 
     def chain(iterations, burnin):
         return random_walk_chain(
-            gaussian_rows([0, 1, 2]), starts, FACTORS, iterations, burnin, [np.random.default_rng(s) for s in seeds]
+            gaussian_rows([0, 1, 2]), starts, FACTORS, iterations, burnin, [spawned(s) for s in seeds]
         )[0]
 
     whole = chain(400, 0)
@@ -330,40 +339,52 @@ def test_chain_with_burnin_is_a_slice_of_the_whole_chain():
         assert np.array_equal(chain(iterations, burnin), whole[:, burnin:iterations])
 
 
-def test_chain_reads_each_stream_in_window_blocks():
-    # a flat density accepts every proposal, so each row is its start plus
-    # the cumulated factor @ normals of its own stream, read per 50-iteration
-    # window as one (50, d) normal block and then 50 uniforms; the burn-in
-    # spans two windows, and the last window is only partly used
-    starts = np.array([[0.0, 1.0, 2.0], [5.0, -1.0, 0.5]])
-    factors = np.array([np.diag([0.1, 0.2, 0.3]), [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, -0.5, 2.0]]])
+def test_chain_reads_each_stream_in_one_call():
+    # each unit reads its whole chain's normals from the first of its three
+    # spawned streams and its uniforms from the third, one call each, and
+    # never touches the chi-squares; the burn-in and the lengths are not
+    # multiples of 50
+    starts = np.array([[0.0, 0.0], [4.0, 1.0]])
     seeds = (3, 4)
-    draws, rates = random_walk_chain(
-        lambda t: np.zeros(len(t)), starts, factors, 230, 120, [np.random.default_rng(s) for s in seeds]
-    )
-    assert np.array_equal(rates, [1.0, 1.0])
+    draws, rates = random_walk_chain(gaussian_rows([0, 1]), starts, FACTORS[:2], 230, 120, [spawned(s) for s in seeds])
     for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        normals = []
-        for _ in range(5):
-            normals.append(rng.standard_normal((50, 3)))
-            rng.random(50)
-        t = starts[k]
-        expected = []
-        for z in np.concatenate(normals)[:230]:
-            t = t + factors[k] @ z
-            expected.append(t)
-        assert_allclose(draws[k], np.array(expected[120:]), rtol=1e-13, atol=1e-13)
-        if k == 0:  # a diagonal factor scales each coordinate alone: exact
-            assert np.array_equal(draws[k], np.array(expected[120:]))
+        normals, _, uniforms = spawned(seed)
+        z, log_u = normals.standard_normal((230, 2)), np.log(uniforms.random(230))
+        log_density = gaussian_rows([k])
+        t, lp, chain, accepted = starts[k], log_density(starts[k : k + 1])[0], [], []
+        for i in range(230):
+            proposal = t + (FACTORS[k] * z[i]).sum(axis=1)  # factor @ z as the sampler forms it
+            lp_prop = log_density(proposal[None])[0]
+            accepted.append(log_u[i] < lp_prop - lp)
+            if accepted[-1]:
+                t, lp = proposal, lp_prop
+            chain.append(t)
+        assert np.array_equal(draws[k], np.array(chain[120:]))
+        assert rates[k] == np.mean(accepted[120:])
+        assert 0.0 < rates[k] < 1.0
+
+
+@pytest.mark.parametrize("kind", ["normals", "chi-squares", "uniforms"])
+def test_a_spawned_stream_read_in_chunks_equals_one_whole_read(kind):
+    # so a chain's draws do not depend on how its stream is read, and a
+    # shorter chain is a prefix of a longer one
+    index, read = {
+        "normals": (0, lambda rng, m: rng.standard_normal((m, 3))),
+        "chi-squares": (1, lambda rng, m: rng.chisquare(5.0, m)),
+        "uniforms": (2, lambda rng, m: rng.random(m)),
+    }[kind]
+    whole = read(spawned(8)[index], 4_130)
+    stream = spawned(8)[index]
+    chunks = np.concatenate([read(stream, m) for m in (1, 49, 50, 977, 2_048, 1_005)])
+    assert np.array_equal(chunks, whole)
 
 
 @pytest.mark.parametrize("n_units", [1, 2])
-def test_independence_chains_read_each_stream_in_window_blocks(n_units):
-    # 4,130 draws span more than one 2,048-row log density block and end in
-    # a partly used window; each unit's stream is read per 50-draw window as
-    # a (50, d) normal block, then 50 chi-square(5) draws, then 50 uniforms,
-    # so the block size cannot move a bit of the proposals or the weights
+def test_independence_chains_read_each_stream_in_one_call(n_units):
+    # 4,130 draws span more than one 2,048-row log density block; each unit
+    # reads its (n, d) normals, n chi-square(5) draws and n uniforms whole,
+    # one call to each of its three spawned streams, so the block size
+    # cannot move a bit of the proposals or the weights
     n, dim, seeds = 4_130, 3, (21, 22)[:n_units]
     modes = np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -0.5]])[:n_units]
     lp_modes = np.array([0.0, -0.3])[:n_units]
@@ -374,24 +395,18 @@ def test_independence_chains_read_each_stream_in_window_blocks(n_units):
         seen.append((t.copy(), units.copy()))
         return -0.5 * (t * t).sum(axis=1)
 
-    draws, rates, log_w = _independence_chains(
-        log_density, modes, lp_modes, scales, n, [np.random.default_rng(s) for s in seeds]
-    )
+    draws, rates, log_w = _independence_chains(log_density, modes, lp_modes, scales, n, [spawned(s) for s in seeds])
+    assert max(len(t) for t, _ in seen) == 2_048
     rows = np.concatenate([t for t, _ in seen])
     units = np.concatenate([u for _, u in seen])
     for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        z, chi2, u = [], [], []
-        for _ in range(83):  # 4,150 draws in whole windows
-            z.append(rng.standard_normal((50, dim)))
-            chi2.append(rng.chisquare(5.0, 50))
-            u.append(rng.random(50))
-        z, chi2, log_u = np.concatenate(z), np.concatenate(chi2), np.log(np.concatenate(u))
+        normals, chi_squares, uniforms = spawned(seed)
+        z, chi2, log_u = normals.standard_normal((n, dim)), chi_squares.chisquare(5.0, n), np.log(uniforms.random(n))
         # scales @ z as an elementwise sum, as the sampler forms it
         proposals = modes[k] + np.sqrt(5.0 / chi2)[:, None] * (z[:, None, :] * scales[k]).sum(axis=2)
         weights = -0.5 * (proposals * proposals).sum(axis=1) + 0.5 * (5.0 + dim) * np.log1p((z * z).sum(axis=1) / chi2)
         assert np.array_equal(rows[units == k], proposals)
-        assert np.array_equal(log_w[k], weights[:n])
+        assert np.array_equal(log_w[k], weights)
         state, current, accepted, chain = -1, lp_modes[k], 0, []
         for i in range(n):
             if log_u[i] < weights[i] - current:
@@ -421,15 +436,17 @@ def test_default_fit_of_the_national_table_takes_few_log_likelihood_calls(monkey
 
 def test_shorter_fit_is_a_prefix_of_a_longer_one():
     data = quantile_bracket_sample(SM(2.2, 3.5, 1.8), 10_000, 10, seed=4)
-    short = fit("sm", data, McmcConfig(iterations=230, burnin=120, seed=5))
-    long = fit("sm", data, McmcConfig(iterations=260, burnin=120, seed=5))
-    assert np.array_equal(short.draws, long.draws[:110])
+    for family, sample, sampler in (("sm", data, "laplace"), ("ln", TOP_HEAVY, "random-walk")):
+        short = fit(family, sample, McmcConfig(iterations=2_013, burnin=120, seed=5))
+        long = fit(family, sample, McmcConfig(iterations=2_777, burnin=120, seed=5))
+        assert short.sampler == long.sampler == sampler
+        assert np.array_equal(short.draws, long.draws[:1_893])
 
 
 def test_chain_rejects_bad_start():
     with pytest.raises(ValueError):
         random_walk_chain(
-            lambda t: np.full(len(t), -math.inf), np.zeros((1, 1)), np.ones((1, 1, 1)), 100, 10, [np.random.default_rng(0)]
+            lambda t: np.full(len(t), -math.inf), np.zeros((1, 1)), np.ones((1, 1, 1)), 100, 10, [spawned(0)]
         )
 
 
@@ -496,28 +513,29 @@ def test_unit_failing_the_gate_runs_the_random_walk():
     assert draws.pareto_k > 0.7
     assert 0.1 < draws.acceptance_rate < 0.6
     # the fixed walk from the Newton mode, its kernel the Laplace covariance
-    # times 2.38^2 / d, on a fresh stream
+    # times 2.38^2 / d, on fresh streams
     density = _chain_log_density("ln", [TOP_HEAVY])
     mode, _, hess = _newton_modes(density, _initial_guess("ln", TOP_HEAVY)[None])
     curv, vec = np.linalg.eigh(-hess)
     factor = (2.38 / math.sqrt(2.0)) * vec / np.sqrt(_abs_curvatures(curv))[:, None, :]
-    chain, rate = random_walk_chain(density, mode, factor, 2_000, 500, [np.random.default_rng(0)])
+    chain, rate = random_walk_chain(density, mode, factor, 2_000, 500, [spawned(0)])
     chain[0, :, 1] = np.exp(chain[0, :, 1])
     assert np.array_equal(draws.draws, chain[0])
     assert draws.acceptance_rate == rate[0]
 
 
 # 24,000 counts in ten equal brackets: the gb2 posterior has a ridge in
-# (a, p, q) that the Laplace proposal often misses, so about half of the
+# (a, p, q) that the Laplace proposal often misses, so about a third of the
 # seeds fall back to the random walk at 800/200
 EQUAL_BRACKETS = GroupedSample([0, 1.67, 2.19, 2.66, 3.11, 3.60, 4.17, 4.86, 5.91, 7.79, np.inf], [2400.0] * 10)
 
 
 def test_fallback_walk_matches_a_long_run_reference():
     reference = fit("gb2", EQUAL_BRACKETS, McmcConfig(60_000, 10_000, seed=7)).param_means()
+    seeds = range(48)
+    batch = fit_batch("gb2", [EQUAL_BRACKETS] * len(seeds), [McmcConfig(800, 200, seed=seed) for seed in seeds])
     fallbacks = 0
-    for seed in range(12):
-        draws = fit("gb2", EQUAL_BRACKETS, McmcConfig(800, 200, seed=seed))
+    for seed, draws in zip(seeds, batch):
         if draws.sampler == "random-walk":
             fallbacks += 1
             assert_allclose(draws.param_means(), reference, rtol=0.15, err_msg=f"seed {seed}")
@@ -582,6 +600,12 @@ def test_mcmc_config_validation():
         McmcConfig(iterations=0)
     with pytest.raises(ValueError):
         McmcConfig(iterations=100, burnin=-1)
+    # a fraction, a bool or a string fails naming the field, not deep in the sampler
+    for field, value in (("iterations", 300.5), ("iterations", True), ("iterations", "300"),
+                         ("burnin", 100.5), ("burnin", False), ("burnin", None)):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            McmcConfig(**{"iterations": 300, "burnin": 100, field: value})
+    assert McmcConfig(iterations=np.int64(300), burnin=np.int32(100)).iterations == 300
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +731,7 @@ def test_posterior_summaries_build_the_terms_once(monkeypatch):
     assert posterior_ge(draws, 1.0) == first[2]
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
 def test_mcmc_config_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
     with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got "):
         McmcConfig(seed=seed)
