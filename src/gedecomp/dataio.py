@@ -12,7 +12,6 @@ import dataclasses
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,8 +122,19 @@ def _attribute_rows(records, columns: tuple[str, ...]):
 
 
 def json_text(doc) -> str:
-    """Indented JSON with a stable key order and a final newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Indented JSON with a stable key order and a final newline; a NaN or infinite float is null."""
+    return json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _finite_or_null(doc):
+    """doc with each NaN or infinite float as None: JSON (RFC 8259) has no such numbers."""
+    if isinstance(doc, float):  # the commonest leaf, tested first
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {key: _finite_or_null(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite_or_null(value) for value in doc]
+    return doc
 
 
 def write_json(path, doc) -> None:
@@ -247,10 +257,14 @@ def load_manifest(path) -> Manifest:
     base = path.parent
     try:
         node_specs = raw["nodes"]
-        thetas = tuple(float(t) for t in raw.get("theta", DEFAULT_THETAS))
+        thetas = raw.get("theta", list(DEFAULT_THETAS))
+        if not (isinstance(thetas, list) and thetas and all(type(t) in (int, float) for t in thetas)):  # no bool
+            raise ValueError(f"theta must be a non-empty list of numbers, got {thetas!r}")
+        thetas = tuple(float(t) for t in thetas)
         for theta in thetas:
             theta_kind(theta)  # rejects a non-finite theta
-        given = {"seed": operator.index(raw["seed"])} if "seed" in raw else {}
+        # seed, iterations and burnin go to McmcConfig as written: its checks are the one rule
+        given = {"seed": raw["seed"]} if "seed" in raw else {}
         scale = float(raw.get("scale_counts", 1.0))
         if not (math.isfinite(scale) and scale > 0):
             raise ValueError(f"scale_counts must be positive and finite, got {scale}")
@@ -260,7 +274,7 @@ def load_manifest(path) -> Manifest:
         unknown = sorted(set(mcmc_raw) - {"iterations", "burnin"})
         if unknown:
             raise ValueError(f"unknown mcmc settings {unknown}; expected iterations and burnin")
-        given.update((key, operator.index(value)) for key, value in mcmc_raw.items())
+        given.update(mcmc_raw)
         mcmc = McmcConfig(**given)
         phi, phi_values = resolve_phi(raw.get("phi", "uniform"), base)
 
@@ -485,7 +499,7 @@ def load_synthetic_spec(path) -> SyntheticSpec:
                     LeafSpec(
                         id=leaf_raw["id"],
                         params=make_family(family, vector),
-                        population=operator.index(leaf_raw["population"]),
+                        population=leaf_raw["population"],
                     )
                 )
             regions.append(RegionSpec(id=region_raw["id"], leaves=tuple(leaves)))
@@ -493,9 +507,8 @@ def load_synthetic_spec(path) -> SyntheticSpec:
         given = {key: raw[key] for key in ("brackets", "sampling_fraction", "seed", "country_id") if key in raw}
         if isinstance(given.get("brackets"), list):
             given["brackets"] = tuple(math.inf if str(b).lower() == "inf" else float(b) for b in given["brackets"])
-        for key, convert in (("sampling_fraction", float), ("seed", operator.index)):
-            if key in given:
-                given[key] = convert(given[key])
+        if "sampling_fraction" in given:
+            given["sampling_fraction"] = float(given["sampling_fraction"])
         fit_families = raw.get("fit_families", {})
         if not isinstance(fit_families, dict) or set(fit_families) - set(_FIT_FAMILY_FIELDS):
             raise ValueError(f"fit_families takes only the keys country, region and subregion, got {fit_families!r}")

@@ -24,24 +24,27 @@ with the Hessian's eigenvalues taken in absolute value; a unit whose mode
 search stopped at the domain's edge, without a Hessian, steps 0.1 in each
 chain coordinate.  The walk discards its first burnin iterations.
 
-Units of one family and bracket count are fitted together (``fit_batch``):
-the mode search and the fallback chain take one vectorised log density per
-step for all units of the batch, and the proposals' log densities are
-evaluated in blocks of at most 2,048 rows.  Each unit spawns three random
-streams from its seed, one per draw kind (normals, chi-squares, uniforms),
-so its draws are those of the same unit fitted alone (``fit`` is the batch
-of one).  Either sampler reads a unit's whole chain from each stream in one
-call; a stream read in pieces gives the draws of one whole read, so a
-shorter chain is a prefix of a longer one when both take the same
-sampler, and the walk's draws at one burn-in are a slice of its draws at a
-shorter one.  The gate reads all of a unit's proposals, so a unit can pass
-it at one length and fall back at another.
+Units of one family and bracket count are fitted together (``fit_batch``,
+one config and one seed per unit): the mode search and the fallback chain
+take one vectorised log density per step for all units of the batch, and
+the proposals' log densities are evaluated in blocks of at most 2,048 rows.
+Each unit spawns three random streams from its seed, one per draw kind
+(normals, chi-squares, uniforms), so its draws are those of the same unit
+fitted alone (``fit`` is the batch of one).  Either sampler reads a unit's
+whole chain from each stream in one call; a stream read in pieces gives the
+draws of one whole read, so a shorter chain is a prefix of a longer one
+when both take the same sampler, and the walk's draws at one burn-in are a
+slice of its draws at a shorter one.  The gate reads all of a unit's
+proposals, so a unit can pass it at one length and fall back at another.
+
+``posterior_ge`` and ``posterior_mean_income`` keep each summary they make
+on the unit's ``PosteriorDraws``, beside the theta-invariant terms they read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -183,6 +186,8 @@ class PosteriorDraws:
     config: McmcConfig
     sampler: str = "random-walk"
     pareto_k: float = math.nan
+    # posterior_ge's summaries by float(theta), posterior_mean_income's under None; a copy starts empty
+    _summaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_draws(self) -> int:
@@ -211,6 +216,10 @@ class PosteriorSummary:
     @property
     def unreliable(self) -> bool:
         return self.n_excluded > UNRELIABLE_FRACTION * self.n_draws
+
+    @property
+    def undefined(self) -> bool:
+        return self.n_excluded > UNDEFINED_FRACTION * self.n_draws
 
 
 def log_likelihood(params: FamilyParams, data: GroupedSample) -> float | np.ndarray:
@@ -535,7 +544,7 @@ def _independence_chains(log_density, modes, lp_modes, scales, n, streams):
     return proposals, rates, log_w
 
 
-def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
+def fit_batch(family: str, samples, config: McmcConfig, seeds) -> list[PosteriorDraws]:
     """Posterior sampling for K units of one family, batched across units.
 
     Each unit gets the Laplace-anchored independence sampler; a unit whose
@@ -545,26 +554,24 @@ def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
     and the fallback units of a batch share one lockstep chain.  k-hat
     reads only the weights of the proposals drawn, so it cannot see
     posterior mass the proposals never reach; a low acceptance rate shows
-    such a mismatch.  The units need the same number of brackets, and their
-    configs may differ only in seed.  Each unit's draws equal those of
-    ``fit(family, sample, config)``: the batch shares vectorised log density
-    calls (the proposals' in blocks of at most 2,048 rows), never a unit's
-    random streams (three spawned from its seed) or Newton steps.  Raises
+    such a mismatch.  The units need the same number of brackets.  Every
+    unit runs config's chain length from its own seed: unit k's draws carry
+    config with seed seeds[k], and equal that config's single ``fit``.  The
+    batch shares vectorised log density calls (the proposals' in blocks of
+    at most 2,048 rows), never a unit's random streams (three spawned from
+    its seed) or Newton steps.  Raises
     UnderIdentifiedError when the family has more parameters than free
     bracket cells, and ValueError naming the unit whose log density is not
     finite at its start.
     """
-    samples, configs = list(samples), list(configs)
+    samples, configs = list(samples), [replace(config, seed=seed) for seed in seeds]  # McmcConfig checks each seed
     if not samples or len(samples) != len(configs):
-        raise ValueError("need one config per sample, and at least one sample")
+        raise ValueError("need one seed per sample, and at least one sample")
     for data in samples:
         _check_unit(family, data)
-    shared = {(c.iterations, c.burnin) for c in configs}
-    if len(shared) > 1:
-        raise ValueError("configs in one batch may differ only in seed")
     if len({data.n_brackets for data in samples}) > 1:
         raise ValueError("samples in one batch need the same number of brackets")
-    iterations, burnin = shared.pop()
+    iterations, burnin = config.iterations, config.burnin
     dim, real = family_dim(family), family_class(family).n_real
     log_density = _chain_log_density(family, samples)
     start = np.array([_initial_guess(family, data) for data in samples])
@@ -612,11 +619,11 @@ def fit_batch(family: str, samples, configs) -> list[PosteriorDraws]:
             draws=draws[k],
             param_names=family_param_names(family),
             acceptance_rate=float(acc_rates[k]),
-            config=config,
+            config=unit_config,
             sampler="laplace" if passed[k] else "random-walk",
             pareto_k=float(k_hat[k]),
         )
-        for k, (data, config) in enumerate(zip(samples, configs))
+        for k, (data, unit_config) in enumerate(zip(samples, configs))
     ]
 
 
@@ -626,7 +633,7 @@ def fit(family: str, data: GroupedSample, config: McmcConfig) -> PosteriorDraws:
     Deterministic given config.seed.  Raises UnderIdentifiedError when the
     family has more parameters than free bracket cells.
     """
-    return fit_batch(family, [data], [config])[0]
+    return fit_batch(family, [data], config, [config.seed])[0]
 
 
 def _summarize(values: np.ndarray, ok: np.ndarray) -> PosteriorSummary:
@@ -643,21 +650,30 @@ def _summarize(values: np.ndarray, ok: np.ndarray) -> PosteriorSummary:
     )
 
 
+def _kept_summary(draws: PosteriorDraws, key, evaluate) -> PosteriorSummary:
+    """The summary kept on draws under key, made on first use from the (values, mask) of evaluate()."""
+    if key not in draws._summaries:
+        draws._summaries[key] = _summarize(*evaluate())
+    return draws._summaries[key]
+
+
 def posterior_ge(draws: PosteriorDraws, theta: float) -> PosteriorSummary:
     """Posterior mean (and sd) of the generalized entropy over retained draws.
 
     Draws whose moment window excludes theta are dropped and counted;
-    crossing the 1% exclusion fraction marks the summary unreliable.  Reads
-    ``draws.terms``, built on first use: gammaln(p), gammaln(q) and log E[X/b]
-    of each GB2/SM draw (about three floats per draw); LN caches none.
+    crossing the 1% exclusion fraction marks the summary unreliable, and
+    crossing one half undefined.  Reads ``draws.terms``, built on first use:
+    gammaln(p), gammaln(q) and log E[X/b] of each GB2/SM draw (about three
+    floats per draw); LN caches none.  The summary is made once per
+    float(theta), so -0.0 and 0.0 share it, and kept on draws.
     """
-    return _summarize(*draws.terms.ge(theta))
+    return _kept_summary(draws, float(theta), lambda: draws.terms.ge(theta))
 
 
 def posterior_mean_income(draws: PosteriorDraws) -> PosteriorSummary:
     """Posterior mean (and sd) of the distribution mean over retained draws,
-    from ``draws.terms`` (see ``posterior_ge``), built on first use."""
-    return _summarize(*draws.terms.mean())
+    from ``draws.terms``, made once and kept on draws (see ``posterior_ge``)."""
+    return _kept_summary(draws, None, lambda: draws.terms.mean())
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -670,8 +686,3 @@ def derive_seed(master_seed: int, name: str) -> int:
 
     digest = hashlib.sha256(f"{master_seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def config_for_unit(config: McmcConfig, master_seed: int, unit: str) -> McmcConfig:
-    """Config with a per-unit derived seed (see derive_seed)."""
-    return replace(config, seed=derive_seed(master_seed, unit))

@@ -19,20 +19,19 @@ down the tree applies that step at the country and at each region:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import benchmark
 from .distributions import _require_positive, ge_terms, theta_kind
 from .grouped import (
-    UNDEFINED_FRACTION,
     GroupedSample,
     McmcConfig,
     PosteriorDraws,
     PosteriorSummary,
     _check_unit,
-    config_for_unit,
+    derive_seed,
     fit,
     fit_batch,
     posterior_ge,
@@ -117,30 +116,17 @@ def validate_tree(root: HierarchyNode) -> None:
 
 @dataclass(frozen=True)
 class FittedHierarchy:
-    """Posterior draws per node id, reusable across theta values and methods."""
+    """Posterior draws per node id, reusable across theta values and methods (summaries stay on the draws)."""
 
     root: HierarchyNode
     draws: dict[str, PosteriorDraws]
     mcmc: McmcConfig
-    _summaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def require(self, node_id: str) -> PosteriorDraws:
         try:
             return self.draws[node_id]
         except KeyError:
             raise PipelineError(f"node {node_id!r} has not been fitted") from None
-
-    def mean_income(self, node_id: str) -> PosteriorSummary:
-        """The node's posterior mean income, computed once: it does not depend on theta."""
-        if (node_id, None) not in self._summaries:
-            self._summaries[node_id, None] = posterior_mean_income(self.require(node_id))
-        return self._summaries[node_id, None]
-
-    def ge(self, node_id: str, theta: float) -> PosteriorSummary:
-        """The node's posterior GE at theta, computed once per node and float(theta)."""
-        if (node_id, float(theta)) not in self._summaries:
-            self._summaries[node_id, float(theta)] = posterior_ge(self.require(node_id), theta)
-        return self._summaries[node_id, float(theta)]
 
 
 def fit_hierarchy(root: HierarchyNode, mcmc: McmcConfig, levels: tuple[str, ...] = LEVELS) -> FittedHierarchy:
@@ -163,20 +149,19 @@ def fit_hierarchy(root: HierarchyNode, mcmc: McmcConfig, levels: tuple[str, ...]
         sample = node.data
         if sample.unit != node.id:
             sample = GroupedSample(sample.boundaries, sample.counts, node.id)
-        config = config_for_unit(mcmc, mcmc.seed, node.id)
         try:
             _check_unit(node.family, sample)
         except Exception as exc:
             raise PipelineError(f"node {node.id!r}: {exc}") from exc
-        batches.setdefault((node.family, sample.n_brackets), []).append((sample, config))
+        batches.setdefault((node.family, sample.n_brackets), []).append(sample)
     draws = {}
-    for (family, _), members in batches.items():
-        samples, configs = zip(*members)
+    for (family, _), samples in batches.items():
+        seeds = [derive_seed(mcmc.seed, data.unit) for data in samples]
         try:
-            if len(members) == 1:
-                fits = [fit(family, samples[0], configs[0])]
+            if len(samples) == 1:
+                fits = [fit(family, samples[0], replace(mcmc, seed=seeds[0]))]
             else:
-                fits = fit_batch(family, samples, configs)
+                fits = fit_batch(family, samples, mcmc, seeds)
         except Exception as exc:
             raise PipelineError(f"{family} fit: {exc}") from exc
         draws.update((d.unit, d) for d in fits)
@@ -281,11 +266,11 @@ _NO_MEAN, _GE_OUTSIDE = "no finite mean", "GE outside the moment window"
 def _usable(node: HierarchyNode, theta: float, flags: list[str], summary: PosteriorSummary, excluded: str):
     """Flag a summary with excluded draws, saying why (_NO_MEAN, _GE_OUTSIDE).
 
-    Fails when more than UNDEFINED_FRACTION of the draws are excluded (every
-    draw, too): the estimate is then undefined, not an average of the rest.
+    Fails when the summary is undefined (more than half of its draws
+    excluded, or every draw): it is not an average of the rest.
     """
     lost = f"{summary.n_excluded}/{summary.n_draws} draws with {excluded} at theta={theta:g}"
-    if summary.n_excluded > UNDEFINED_FRACTION * summary.n_draws:
+    if summary.undefined:
         raise PipelineError(f"{node.level} {node.id}: undefined, {lost}")
     if summary.unreliable:
         flags.append(f"{node.level} {node.id}: {lost}")
@@ -303,8 +288,9 @@ def _children(fitted: FittedHierarchy, parent: HierarchyNode, theta: float, flag
     mu = []
     ge = []
     for child in parent.children:
-        mu.append(_usable(child, theta, flags, fitted.mean_income(child.id), _NO_MEAN).value)
-        ge.append(_usable(child, theta, flags, fitted.ge(child.id, theta), _GE_OUTSIDE))
+        draws = fitted.require(child.id)
+        mu.append(_usable(child, theta, flags, posterior_mean_income(draws), _NO_MEAN).value)
+        ge.append(_usable(child, theta, flags, posterior_ge(draws, theta), _GE_OUTSIDE))
     return mu, ge
 
 
@@ -369,7 +355,7 @@ def assemble(fitted: FittedHierarchy, theta: float, method: str, phi="uniform") 
     flags: list[str] = []
     root = fitted.root
     if not mixture:
-        total = _usable(root, theta, flags, fitted.ge(root.id, theta), _GE_OUTSIDE)
+        total = _usable(root, theta, flags, posterior_ge(fitted.require(root.id), theta), _GE_OUTSIDE)
         mu, region_ge = _children(fitted, root, theta, flags)
     leaves = []
     for region in root.children:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import FamilyParams, family_class
-from .grouped import GroupedSample, McmcConfig, derive_seed
+from .grouped import GroupedSample, McmcConfig, _is_integer, derive_seed
 from .inequality import _decompose_two_levels, ge_finite
 from .pipeline import METHODS, DecompositionReport, HierarchyNode, assemble, fit_hierarchy
 
@@ -39,8 +39,8 @@ class LeafSpec:
     population: int
 
     def __post_init__(self):
-        if self.population < 1:
-            raise ValueError(f"leaf {self.id!r}: population must be >= 1")
+        if not _is_integer(self.population) or self.population < 1:
+            raise ValueError(f"leaf {self.id!r}: population must be an integer >= 1, got {self.population!r}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,8 @@ class SyntheticSpec:
             raise ValueError("need at least one region")
         if not 0.0 < self.sampling_fraction <= 1.0:
             raise ValueError("sampling fraction must be in (0, 1]")
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if isinstance(self.brackets, int):
             if self.brackets < 2:
                 raise ValueError("need at least two brackets")

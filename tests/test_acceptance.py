@@ -298,14 +298,14 @@ def test_criterion_7_bias_direction_and_benchmark_gain():
 
     # every fit of one family runs in one lockstep batch; draws equal single fits
     country_fits = fit_batch(
-        "gb2", [country for _, _, country, _ in trials],
-        [McmcConfig(seed=derive_seed(seed, "country")) for seed, *_ in trials],
+        "gb2", [country for _, _, country, _ in trials], McmcConfig(),
+        [derive_seed(seed, "country") for seed, *_ in trials],
     )
     family_fits = {}
     for family in ("sm", "ln"):
         draws = fit_batch(
-            family, [s for _, samples, _, _ in trials for s in samples],
-            [McmcConfig(seed=derive_seed(seed, family + s.unit)) for seed, samples, _, _ in trials for s in samples],
+            family, [s for _, samples, _, _ in trials for s in samples], McmcConfig(),
+            [derive_seed(seed, family + s.unit) for seed, samples, _, _ in trials for s in samples],
         )
         family_fits[family] = [draws[i : i + n_regions] for i in range(0, len(draws), n_regions)]
 
@@ -366,7 +366,7 @@ def test_criterion_8_parameter_recovery():
             x = truth.sample(n, np.random.default_rng(sample_seed + trial))
             truths.append(truth)
             samples.append(quantile_bracket_sample(x, 10, f"{family}{trial}"))
-        fits = fit_batch(family, samples, [McmcConfig(seed=trial) for trial in range(20)])
+        fits = fit_batch(family, samples, McmcConfig(), range(20))
         return [
             np.abs(draws.param_means() - truth.to_vector()) / np.abs(truth.to_vector())
             for draws, truth in zip(fits, truths)
@@ -440,7 +440,7 @@ def test_criterion_9_every_command_writes_the_same_bytes_twice(tmp_path):
         root = tmp_path / name
         trees.append({p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()})
     runs = {name.removesuffix(".stdout") for name in trees[0] if name.endswith(".stdout")}
-    assert runs == {"fit_gb2", "fit_sm", "fit_ln", "decompose_income", "decompose_grouped", "decompose_nested",
+    assert runs == {"fit_gb2", "fit_sm", "fit_ln", "fit_undefined", "decompose_income", "decompose_grouped", "decompose_nested",
                     "simulate", "compare", "pipeline_proposed", "pipeline_separate", "pipeline_mixture",
                     "pipeline_raking", "surface"}
     assert "pipeline_raking/report_theta_1em09.json" in trees[0]

@@ -56,6 +56,29 @@ def test_fit_command_prints_posterior_json(tmp_path, capsys):
     assert doc["sampler"] == "laplace" and doc["pareto_k"] <= 0.7
 
 
+def test_fit_command_writes_an_undefined_summary_as_null(tmp_path, capsys):
+    # no gb2 draw of this table has a mean, so every summary excludes all 300 draws
+    csv_path = tmp_path / "undefined.csv"
+    csv_path.write_text("lower,upper,count\n0,1,30\n1,2,0\n2,3,0\n3,4,0\n4,5,0\n5,inf,30\n")
+
+    def not_json(token):
+        raise ValueError(f"{token} is not JSON")
+
+    code = main(["fit", "--family", "gb2", "--data", str(csv_path), "--iters", "400", "--burnin", "100"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=not_json)
+    for summary in [doc["mean_income"], *doc["ge"].values()]:
+        assert summary["value"] is None and summary["sd"] is None
+        assert summary["n_excluded"] == summary["n_draws"] == 300
+
+
+def test_json_text_writes_non_finite_floats_as_null():
+    doc = {"a": [math.nan, 1.5, (math.inf, -math.inf)], "b": {"c": np.float64("nan"), "d": 2, "e": True}}
+    text = dataio.json_text(doc)
+    assert json.loads(text) == {"a": [None, 1.5, [None, None]], "b": {"c": None, "d": 2, "e": True}}
+    assert text == dataio.json_text({"a": [None, 1.5, [None, None]], "b": {"c": None, "d": 2, "e": True}})
+
+
 def test_cli_and_a_fit_leave_scipy_optimize_and_stats_unloaded():
     # each costs about a second of start-up; the fit needs only scipy.special
     code = (

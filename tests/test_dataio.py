@@ -236,13 +236,21 @@ def test_manifest_rejects_unknown_mcmc_settings(tmp_path, stale):
     "field, value, message",
     [
         ("mcmc", {"iterations": 100, "burnin": 100}, "burn-in must satisfy 0 <= burnin < iterations"),
-        ("mcmc", {"iterations": "abc"}, "'str' object cannot be interpreted as an integer"),
-        ("mcmc", {"iterations": 3.7, "burnin": 1}, "'float' object cannot be interpreted as an integer"),
+        ("mcmc", {"iterations": "abc"}, "iterations must be an integer, got 'abc'"),
+        ("mcmc", {"iterations": 3.7, "burnin": 1}, "iterations must be an integer, got 3.7"),
+        ("mcmc", {"iterations": True, "burnin": 0}, "iterations must be an integer, got True"),
+        ("mcmc", {"iterations": 100, "burnin": False}, "burnin must be an integer, got False"),
         ("mcmc", {"iterations": 0}, "iterations must be positive"),
         ("mcmc", 500, "mcmc must be a JSON object of iterations and burnin, got 500"),
         ("mcmc", [], "mcmc must be a JSON object of iterations and burnin, got []"),
         ("mcmc", "", "mcmc must be a JSON object of iterations and burnin, got ''"),
-        ("seed", 2.5, "'float' object cannot be interpreted as an integer"),
+        ("seed", 2.5, "seed must be a non-negative integer, got 2.5"),
+        ("seed", True, "seed must be a non-negative integer, got True"),
+        ("theta", "12", "theta must be a non-empty list of numbers, got '12'"),
+        ("theta", [], "theta must be a non-empty list of numbers, got []"),
+        ("theta", [1, "2"], "theta must be a non-empty list of numbers, got [1, '2']"),
+        ("theta", [True], "theta must be a non-empty list of numbers, got [True]"),
+        ("theta", 1.0, "theta must be a non-empty list of numbers, got 1.0"),
         ("phi", 3, "unknown phi policy 3"),
         ("phi", "file:short.csv", "short.csv:2: expected 2 columns"),
         ("phi", "file:none.csv", "No such file or directory: "),
@@ -251,8 +259,10 @@ def test_manifest_rejects_unknown_mcmc_settings(tmp_path, stale):
         ("scale_counts", math.nan, "scale_counts must be positive and finite, got nan"),
         ("scale_counts", math.inf, "scale_counts must be positive and finite, got inf"),
     ],
-    ids=["burnin-too-long", "string", "fraction", "zero-iterations", "mcmc-not-an-object", "mcmc-empty-list",
-         "mcmc-empty-string", "seed-fraction", "phi-not-a-string", "phi-file-short-row", "phi-file-missing",
+    ids=["burnin-too-long", "string", "fraction", "iterations-bool", "burnin-bool", "zero-iterations",
+         "mcmc-not-an-object", "mcmc-empty-list", "mcmc-empty-string", "seed-fraction", "seed-bool",
+         "theta-string", "theta-empty", "theta-string-item", "theta-bool-item", "theta-number",
+         "phi-not-a-string", "phi-file-short-row", "phi-file-missing",
          "scale-zero", "scale-negative", "scale-nan", "scale-inf"],
 )
 def test_manifest_rejects_malformed_settings_naming_the_file(tmp_path, field, value, message):
@@ -466,9 +476,20 @@ def test_synthetic_spec_defaults_come_from_the_dataclass(tmp_path):
     assert spec == SyntheticSpec(regions=(RegionSpec("r1", (LeafSpec("m1", g.LN(1.0, 0.4), 10),)),))
 
 
-@pytest.mark.parametrize("seed, population", [(5.5, 10), (5, 10.5)], ids=["seed", "population"])
-def test_synthetic_spec_rejects_fractional_integers(tmp_path, seed, population):
+@pytest.mark.parametrize(
+    "seed, population, message",
+    [
+        (5.5, 10, "seed must be an integer, got 5.5"),
+        (5, 10.5, "leaf 'm1': population must be an integer >= 1, got 10.5"),
+        (True, 10, "seed must be an integer, got True"),
+        (5, True, "leaf 'm1': population must be an integer >= 1, got True"),
+        ("5", 10, "seed must be an integer, got '5'"),
+        (5, 0, "leaf 'm1': population must be an integer >= 1, got 0"),
+    ],
+    ids=["seed", "population", "seed-bool", "population-bool", "seed-string", "population-zero"],
+)
+def test_synthetic_spec_rejects_fractional_integers(tmp_path, seed, population, message):
     leaf = {"id": "m1", "population": population, "params": {"family": "ln", "xi": 1.0, "sigma2": 0.4}}
     (tmp_path / "spec.json").write_text(json.dumps({"seed": seed, "regions": [{"id": "r1", "leaves": [leaf]}]}))
-    with pytest.raises(dataio.ManifestError, match="'float' object cannot be interpreted as an integer"):
+    with pytest.raises(dataio.ManifestError, match=re.escape(f"{tmp_path / 'spec.json'}: {message}")):
         dataio.load_synthetic_spec(tmp_path / "spec.json")

@@ -35,7 +35,6 @@ from gedecomp.grouped import (
     _independence_chains,
     _initial_guess,
     _newton_modes,
-    config_for_unit,
     derive_seed,
     fit,
     fit_batch,
@@ -480,14 +479,18 @@ def test_fit_batch_checks_its_units():
     stuck = GroupedSample([0, 1, 1e17, inf], [5.0, 0.0, 5.0], "stuck")
     cfg = McmcConfig(iterations=200, burnin=50)
     with pytest.raises(ValueError, match="unit 'stuck'"):
-        fit_batch("ln", [good, stuck], [cfg, replace(cfg, seed=1)])
+        fit_batch("ln", [good, stuck], cfg, [0, 1])
     with pytest.raises(ValueError, match="same number of brackets"):
-        fit_batch("ln", [good, GroupedSample([0, 1, 2, 3, inf], [1.0, 1.0, 1.0, 1.0], "four")], [cfg, cfg])
-    with pytest.raises(ValueError, match="one config per sample"):
-        fit_batch("ln", [good, good], [cfg])
+        fit_batch("ln", [good, GroupedSample([0, 1, 2, 3, inf], [1.0, 1.0, 1.0, 1.0], "four")], cfg, [0, 0])
+    with pytest.raises(ValueError, match="one seed per sample"):
+        fit_batch("ln", [good, good], cfg, [0])
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        fit_batch("ln", [good, good], cfg, [0, -1])
     with pytest.raises(UnderIdentifiedError):
-        fit_batch("gb2", [good], [cfg])
-    assert [d.unit for d in fit_batch("ln", [good, good], [cfg, replace(cfg, seed=1)])] == ["good", "good"]
+        fit_batch("gb2", [good], cfg, [0])
+    batch = fit_batch("ln", [good, good], cfg, [0, 1])
+    assert [d.unit for d in batch] == ["good", "good"]
+    assert [d.config for d in batch] == [cfg, replace(cfg, seed=1)]
 
 
 def test_fit_rejects_unknown_family():
@@ -533,7 +536,7 @@ EQUAL_BRACKETS = GroupedSample([0, 1.67, 2.19, 2.66, 3.11, 3.60, 4.17, 4.86, 5.9
 def test_fallback_walk_matches_a_long_run_reference():
     reference = fit("gb2", EQUAL_BRACKETS, McmcConfig(60_000, 10_000, seed=7)).param_means()
     seeds = range(48)
-    batch = fit_batch("gb2", [EQUAL_BRACKETS] * len(seeds), [McmcConfig(800, 200, seed=seed) for seed in seeds])
+    batch = fit_batch("gb2", [EQUAL_BRACKETS] * len(seeds), McmcConfig(800, 200), seeds)
     fallbacks = 0
     for seed, draws in zip(seeds, batch):
         if draws.sampler == "random-walk":
@@ -544,11 +547,12 @@ def test_fallback_walk_matches_a_long_run_reference():
 
 def test_batch_mixing_laplace_and_fallback_units_equals_fits_alone():
     laplace_unit = GroupedSample(TOP_HEAVY.boundaries, [20.0, 40.0, 60.0, 50.0, 20.0, 10.0], "laplace")
-    configs = [McmcConfig(iterations=2_000, burnin=500, seed=s) for s in (3, 0)]
-    batch = fit_batch("ln", [laplace_unit, TOP_HEAVY], configs)
+    config = McmcConfig(iterations=2_000, burnin=500)
+    batch = fit_batch("ln", [laplace_unit, TOP_HEAVY], config, [3, 0])
     assert [d.sampler for d in batch] == ["laplace", "random-walk"]
-    for data, config, draws in zip((laplace_unit, TOP_HEAVY), configs, batch):
-        alone = fit("ln", data, config)
+    for data, seed, draws in zip((laplace_unit, TOP_HEAVY), (3, 0), batch):
+        alone = fit("ln", data, replace(config, seed=seed))
+        assert draws.config == alone.config
         assert np.array_equal(draws.draws, alone.draws)
         assert draws.acceptance_rate == alone.acceptance_rate
         assert draws.pareto_k == alone.pareto_k
@@ -631,6 +635,14 @@ def test_posterior_ge_identical_draws():
     assert_allclose(summary.value, params.ge(1.0), rtol=1e-12)
     assert summary.sd < 1e-12  # identical draws up to mean-rounding noise
     assert summary.n_excluded == 0 and not summary.unreliable
+
+
+def test_summary_is_undefined_past_half_its_draws_excluded():
+    for n_draws in (10, 11):
+        half = n_draws // 2
+        assert not PosteriorSummary(1.0, 0.1, n_draws, half).undefined
+        assert PosteriorSummary(1.0, 0.1, n_draws, half + 1).undefined
+    assert PosteriorSummary(math.nan, math.nan, 5, 5).undefined
 
 
 def test_posterior_ge_ln_linearity_at_mld():
@@ -746,5 +758,3 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(7, "tokyo") == derive_seed(7, "tokyo")
     assert derive_seed(7, "tokyo") != derive_seed(8, "tokyo")
     assert derive_seed(7, "tokyo") != derive_seed(7, "chiba")
-    cfg = config_for_unit(McmcConfig(seed=7), 7, "tokyo")
-    assert cfg.seed == derive_seed(7, "tokyo")

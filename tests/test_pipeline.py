@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import gedecomp as g
-import gedecomp.pipeline as pipeline_module
 from gedecomp.benchmark import RakingInadmissibleError
-from gedecomp.distributions import LIMIT_TOL, MomentExistenceError, ParameterDomainError
+from gedecomp.distributions import LIMIT_TOL, MomentExistenceError, ParameterDomainError, _GB2Terms, _LNTerms
 from gedecomp.grouped import (
     GroupedSample,
     McmcConfig,
     PosteriorDraws,
-    config_for_unit,
+    derive_seed,
     fit,
     fit_batch,
     posterior_ge,
@@ -142,7 +141,7 @@ def test_fit_errors_carry_node_id(monkeypatch):
         fit_hierarchy(country_over([gb2_leaf("leaf7", stuck)]), FAST_MCMC, levels=("subregion",))
 
     # a failure of any type while sampling a batch is a PipelineError
-    def failing_batch(family, samples, configs):
+    def failing_batch(family, samples, config, seeds):
         raise FloatingPointError("overflow")
 
     monkeypatch.setattr(g.pipeline, "fit_batch", failing_batch)
@@ -349,7 +348,7 @@ def test_unit_without_usable_draws_fails_loudly():
     assert c.sampler == "random-walk" and c.pareto_k <= 0.7
     # about 2% of its posterior has a*q > 1, which 1,500 draws may or may
     # not visit; a longer chain of the country alone does
-    longer = fit("gb2", country.data, config_for_unit(McmcConfig(20_000, 5_000), 20, "c"))
+    longer = fit("gb2", country.data, McmcConfig(20_000, 5_000, seed=derive_seed(20, "c")))
     assert (longer.draws[:, 0] * longer.draws[:, 3] > 1.0).any()
     # s1 loses most of its draws to its mean: more than half lost is undefined, not averaged
     with pytest.raises(PipelineError, match=r"^subregion s1: undefined, 1232/1500 draws with no finite mean at theta=1$"):
@@ -467,34 +466,67 @@ def test_assembled_identity_over_random_trees(fitted, theta):
 
 def test_summaries_computed_once_never_change_a_report(small_fitted, monkeypatch):
     _, fitted = small_fitted
-    calls = Counter()
+    evaluations = Counter()  # ("ge" or "mean", id of the terms, theta) -> evaluations
 
-    def counting(name):
-        original = getattr(pipeline_module, name)
+    def counting(cls, name):
+        original = getattr(cls, name)
 
-        def counted(draws, *theta):
-            calls[name, draws.unit, *map(float, theta)] += 1
-            return original(draws, *theta)
-        return counted
+        def counted(terms, *theta):
+            evaluations[name, id(terms), *map(float, theta)] += 1
+            return original(terms, *theta)
+        monkeypatch.setattr(cls, name, counted)
 
-    for name in ("posterior_mean_income", "posterior_ge"):
-        monkeypatch.setattr(pipeline_module, name, counting(name))
+    for cls in (_GB2Terms, _LNTerms):
+        for name in ("ge", "mean"):
+            counting(cls, name)
 
-    def fresh():
-        return FittedHierarchy(root=fitted.root, draws=fitted.draws, mcmc=fitted.mcmc)
+    def tree(draws):
+        return FittedHierarchy(root=fitted.root, draws=draws, mcmc=fitted.mcmc)
 
-    shared = fresh()
+    def count(name):
+        return sum(key[0] == name for key in evaluations)
+
+    # copies of the draws keep no summary yet: earlier tests filled the originals'
+    draws = {node_id: replace(d) for node_id, d in fitted.draws.items()}
     thetas = (-1.0, 0.0, 1.0, 2.0)
-    reports = {(m, t): assemble(shared, t, m) for t in thetas for m in g.METHODS}
-    assert max(calls.values()) == 1
-    assert sum(name == "posterior_mean_income" for name, *_ in calls) == len(fitted.draws) - 1  # all but the root
-    assert sum(name == "posterior_ge" for name, *_ in calls) == len(fitted.draws) * len(thetas)
-    for (method, theta), report in reports.items():
-        assert report == assemble(fresh(), theta, method), (method, theta)
+    first, second = tree(draws), tree(draws)
+    reports = {(m, t): assemble(first, t, m) for t in thetas for m in g.METHODS}
+    assert {(m, t): assemble(second, t, m) for t in thetas for m in g.METHODS} == reports
     # -0.0 and 0.0 share one summary; the reports differ only in theta
     for method in g.METHODS:
-        for tree in (shared, fresh()):
-            assert replace(assemble(tree, -0.0, method), theta=0.0) == reports[method, 0.0], method
+        assert replace(assemble(second, -0.0, method), theta=0.0) == reports[method, 0.0], method
+    assert max(evaluations.values()) == 1
+    assert count("mean") == len(draws) - 1  # all but the root
+    assert count("ge") == len(draws) * len(thetas)
+    # a copy of the draws starts empty, and computes the same summaries once more
+    evaluations.clear()
+    copies = tree({node_id: replace(d) for node_id, d in draws.items()})
+    for (method, theta), report in reports.items():
+        assert assemble(copies, theta, method) == report, (method, theta)
+    assert max(evaluations.values()) == 1
+    assert count("ge") == len(draws) * len(thetas)
+
+
+def test_fit_hierarchy_fits_each_group_in_one_call(small_fitted, monkeypatch):
+    data, fitted = small_fitted
+    calls = []
+
+    def recording(name, original):
+        def record(family, samples, *args):
+            calls.append((name, family, [samples.unit] if name == "fit" else [s.unit for s in samples]))
+            return original(family, samples, *args)
+        return record
+
+    monkeypatch.setattr(g.pipeline, "fit", recording("fit", fit))
+    monkeypatch.setattr(g.pipeline, "fit_batch", recording("fit_batch", fit_batch))
+    again = fit_hierarchy(data.root, FAST_MCMC)
+    regions = [r.id for r in data.root.children]
+    leaves = [leaf.id for r in data.root.children for leaf in r.children]
+    # the country is alone in its group: grouped.fit, the batch of one, so instrumentation of fit sees it
+    assert calls == [("fit", "gb2", [data.root.id]), ("fit_batch", "sm", regions), ("fit_batch", "ln", leaves)]
+    for node_id, draws in fitted.draws.items():
+        assert np.array_equal(again.draws[node_id].draws, draws.draws)
+        assert again.draws[node_id].config == draws.config
 
 
 def test_child_populations_sum_within_relative_tolerance():
@@ -610,7 +642,7 @@ def test_pipeline_deterministic(small_fitted):
 def test_batched_fits_equal_fits_run_alone(small_fitted):
     data, fitted = small_fitted
     for node in data.root.walk():
-        alone = fit(node.family, node.data, config_for_unit(FAST_MCMC, FAST_MCMC.seed, node.id))
+        alone = fit(node.family, node.data, replace(FAST_MCMC, seed=derive_seed(FAST_MCMC.seed, node.id)))
         assert np.array_equal(fitted.draws[node.id].draws, alone.draws)
         assert fitted.draws[node.id].acceptance_rate == alone.acceptance_rate
 
@@ -633,17 +665,14 @@ def test_mixed_batch_equals_fits_run_alone(small_fitted):
     data, _ = small_fitted
     samples = [leaf.data for region in data.root.children for leaf in region.children]
     for base in (McmcConfig(600, 200), McmcConfig(300, 0)):
-        configs = [replace(base, seed=40 + k) for k in range(len(samples))]
-        batch = fit_batch("sm", samples, configs)
-        for sample, config, draws in zip(samples, configs, batch):
+        seeds = [40 + k for k in range(len(samples))]
+        batch = fit_batch("sm", samples, base, seeds)
+        for sample, seed, draws in zip(samples, seeds, batch):
+            config = replace(base, seed=seed)
             alone = fit("sm", sample, config)
             assert draws.unit == sample.unit and draws.config == config
             assert np.array_equal(draws.draws, alone.draws)
             assert draws.acceptance_rate == alone.acceptance_rate
-    with pytest.raises(ValueError, match="differ only in seed"):
-        fit_batch("sm", samples[:2], [McmcConfig(600, 200), McmcConfig(700, 200)])
-    with pytest.raises(ValueError, match="differ only in seed"):
-        fit_batch("sm", samples[:2], [McmcConfig(600, 200), McmcConfig(600, 100)])
 
 
 def test_sibling_fits_unaffected_by_added_node():

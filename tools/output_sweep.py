@@ -2,7 +2,8 @@
 
 Usage: python tools/output_sweep.py OUT
 
-Runs ``fit`` (gb2, sm, ln), ``decompose`` (income only, with groups, with
+Runs ``fit`` (gb2, sm, ln, and gb2 on a table where no draw has a mean, so
+every summary is written as null), ``decompose`` (income only, with groups, with
 groups and subgroups), ``simulate``, ``compare``, ``pipeline`` (proposed,
 separate, mixture and proposed with raking) and ``surface`` on inputs the
 script writes itself, with the code of this checkout's ``src/``.  Each run
@@ -36,6 +37,9 @@ SHORT_CHAIN = ["--iters", "800", "--burnin", "200"]
 NATIONAL_BOUNDARIES = ("0", "1", "2", "3", "4", "5", "7", "10", "15", "20", "inf")
 NATIONAL_COUNTS = (136, 278, 356, 314, 252, 318, 220, 94, 18, 12)
 
+# every count below 1 or above 5: no gb2 draw of this table has a mean
+UNDEFINED_TABLE = "lower,upper,count\n0,1,30\n1,2,0\n2,3,0\n3,4,0\n4,5,0\n5,inf,30\n"
+
 SPEC = {
     "seed": 7,
     "sampling_fraction": 0.2,
@@ -64,6 +68,7 @@ def write_inputs() -> None:
     rows = ["lower,upper,count"]
     rows += [f"{lo},{hi},{n}" for lo, hi, n in zip(NATIONAL_BOUNDARIES, NATIONAL_BOUNDARIES[1:], NATIONAL_COUNTS)]
     Path("inputs/national.csv").write_text("\n".join(rows) + "\n")
+    Path("inputs/undefined.csv").write_text(UNDEFINED_TABLE)
     rng = np.random.default_rng(2013)
     micro = []
     for group, subgroups in (("a", ("a1", "a2")), ("b", ("b1",)), ("c", ("c1", "c2", "c3"))):
@@ -82,6 +87,8 @@ def runs() -> list[tuple[str, list[str]]]:
         *[(f"fit_{family}", ["fit", "--family", family, "--data", "inputs/national.csv", *SHORT_CHAIN,
                              "--seed", "3", "--out", f"fit_{family}", *THETA_ARGS])
           for family in ("gb2", "sm", "ln")],
+        ("fit_undefined", ["fit", "--family", "gb2", "--data", "inputs/undefined.csv", "--iters", "400",
+                           "--burnin", "100", "--out", "fit_undefined"]),
         *[(f"decompose_{name}", ["decompose", "--data", f"inputs/micro_{name}.csv", "--out", f"decompose_{name}",
                                  *THETA_ARGS])
           for name in ("income", "grouped", "nested")],
