@@ -6,11 +6,7 @@ and produces a country/region/subregion decomposition that satisfies the
 additive-decomposition identity exactly via constrained Bayes benchmarking.
 """
 
-from .benchmark import (
-    BenchmarkProblem,
-    BenchmarkSolution,
-    solve,
-)
+from .benchmark import solve
 from .distributions import GB2, LN, SM, make_family, theta_kind
 from .grouped import (
     GroupedSample,
@@ -59,8 +55,6 @@ __all__ = [
     "decompose_finite",
     "decomposition_weights",
     "between_from_means",
-    "BenchmarkProblem",
-    "BenchmarkSolution",
     "solve",
     "HierarchyNode",
     "DecompositionReport",

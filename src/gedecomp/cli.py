@@ -170,7 +170,7 @@ def cmd_simulate(args) -> int:
     node_files = {}
     for node in data.root.walk():
         rel = f"data/{node.id}.csv"
-        dataio.write_grouped_csv(out / rel, data.samples[node.id])
+        dataio.write_grouped_csv(out / rel, node.data)
         node_files[node.id] = rel
     manifest = dataio.Manifest(
         root=data.root,

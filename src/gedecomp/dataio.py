@@ -148,6 +148,13 @@ def _read_json(path: Path):
         raise ManifestError(f"{path}: invalid JSON ({exc})") from None
 
 
+def _json_number(value, name: str) -> float:
+    """A JSON number as a float: an int or a float, not a bool (json reads true as True) or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # Grouped-count CSV:  header lower,upper,count; last upper is the literal inf
 # ---------------------------------------------------------------------------
@@ -258,14 +265,14 @@ def load_manifest(path) -> Manifest:
     try:
         node_specs = raw["nodes"]
         thetas = raw.get("theta", list(DEFAULT_THETAS))
-        if not (isinstance(thetas, list) and thetas and all(type(t) in (int, float) for t in thetas)):  # no bool
+        if not (isinstance(thetas, list) and thetas):
             raise ValueError(f"theta must be a non-empty list of numbers, got {thetas!r}")
-        thetas = tuple(float(t) for t in thetas)
+        thetas = tuple(_json_number(t, "each theta") for t in thetas)
         for theta in thetas:
             theta_kind(theta)  # rejects a non-finite theta
         # seed, iterations and burnin go to McmcConfig as written: its checks are the one rule
         given = {"seed": raw["seed"]} if "seed" in raw else {}
-        scale = float(raw.get("scale_counts", 1.0))
+        scale = _json_number(raw.get("scale_counts", 1.0), "scale_counts")
         if not (math.isfinite(scale) and scale > 0):
             raise ValueError(f"scale_counts must be positive and finite, got {scale}")
         mcmc_raw = raw.get("mcmc", {})
@@ -313,7 +320,7 @@ def load_manifest(path) -> Manifest:
             return HierarchyNode(
                 id=spec["id"],
                 level=spec["level"],
-                population=float(spec["population"]),
+                population=_json_number(spec["population"], f"node {spec['id']!r}: population"),
                 family=spec["family"],
                 data=sample,
                 children=kids,
@@ -385,24 +392,22 @@ def load_report(path) -> DecompositionReport:
         raise ManifestError(f"{path}: not a decomposition report ({exc!r})") from None
 
 
-_REGION_COLUMNS = (
-    "id", "share", "mean_income", "income_share", "weight", "ge_bayes", "ge_bayes_sd", "ge_cb",
-    "between_sub", "within_sub", "bw_ratio", "subresidual", "excluded_draws", "negative",
-)
-_SUBREGION_COLUMNS = (
-    "id", "region", "share", "mean_income", "income_share", "weight", "ge_bayes", "ge_bayes_sd", "ge_cb",
-    "excluded_draws", "negative",
-)
 _COMPARISON_COLUMNS = ("theta", "method", "component", "estimate", "truth", "error")
+
+
+def _write_rows_csv(path, row_type, rows) -> None:
+    """One column per field of row_type, in field order."""
+    columns = tuple(f.name for f in dataclasses.fields(row_type))
+    _write_csv(path, columns, _attribute_rows(rows, columns))
 
 
 def write_region_csv(path, report: DecompositionReport) -> None:
     """Per-region values for external mapping and plotting."""
-    _write_csv(path, _REGION_COLUMNS, _attribute_rows(report.regions, _REGION_COLUMNS))
+    _write_rows_csv(path, RegionRow, report.regions)
 
 
 def write_subregion_csv(path, report: DecompositionReport) -> None:
-    _write_csv(path, _SUBREGION_COLUMNS, _attribute_rows(report.subregions, _SUBREGION_COLUMNS))
+    _write_rows_csv(path, SubregionRow, report.subregions)
 
 
 def _fmt5(x: float | None) -> str:
@@ -506,9 +511,10 @@ def load_synthetic_spec(path) -> SyntheticSpec:
         # only the settings the file gives: SyntheticSpec holds the defaults
         given = {key: raw[key] for key in ("brackets", "sampling_fraction", "seed", "country_id") if key in raw}
         if isinstance(given.get("brackets"), list):
-            given["brackets"] = tuple(math.inf if str(b).lower() == "inf" else float(b) for b in given["brackets"])
+            given["brackets"] = tuple(math.inf if b == "inf" else _json_number(b, "each bracket but \"inf\"")
+                                      for b in given["brackets"])
         if "sampling_fraction" in given:
-            given["sampling_fraction"] = float(given["sampling_fraction"])
+            given["sampling_fraction"] = _json_number(given["sampling_fraction"], "sampling_fraction")
         fit_families = raw.get("fit_families", {})
         if not isinstance(fit_families, dict) or set(fit_families) - set(_FIT_FAMILY_FIELDS):
             raise ValueError(f"fit_families takes only the keys country, region and subregion, got {fit_families!r}")

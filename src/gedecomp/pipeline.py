@@ -169,6 +169,7 @@ def fit_hierarchy(root: HierarchyNode, mcmc: McmcConfig, levels: tuple[str, ...]
     return FittedHierarchy(root=root, draws=ordered, mcmc=mcmc)
 
 
+# The row types list their fields in the order of their CSV columns.
 @dataclass(frozen=True)
 class RegionRow:
     id: str
@@ -178,12 +179,12 @@ class RegionRow:
     weight: float
     ge_bayes: float
     ge_bayes_sd: float | None
-    excluded_draws: int
     ge_cb: float
     between_sub: float
     within_sub: float
-    subresidual: float
     bw_ratio: float | None
+    subresidual: float
+    excluded_draws: int
     negative: bool
 
 
@@ -197,8 +198,8 @@ class SubregionRow:
     weight: float
     ge_bayes: float
     ge_bayes_sd: float | None
-    excluded_draws: int
     ge_cb: float
+    excluded_draws: int
     negative: bool
 
 
@@ -305,14 +306,10 @@ def _step(method: str, phi, parent: HierarchyNode, be, mu, ge: list[PosteriorSum
     each child's fields, the weighted within term and the parent's residual.
     """
     bayes = np.array([g.value for g in ge])
+    values = bayes
     if method == "proposed":
         phi_j = _phi_vector(phi, [c.id for c in parent.children], be.weights, bayes)
-        sol = benchmark.solve(benchmark.BenchmarkProblem(
-            bayes=bayes, weights=be.weights, target=target, between=be.between, loss_weights=phi_j
-        ))
-        values, negative = sol.constrained, sol.negative
-    else:
-        values, negative = bayes, bayes < 0.0
+        values = benchmark.solve(bayes, be.weights, target, be.between, phi_j)
     within = float(be.weights @ values)
     residual = float(target - be.between - within) if method == "separate" else 0.0
     rows = [
@@ -326,10 +323,10 @@ def _step(method: str, phi, parent: HierarchyNode, be, mu, ge: list[PosteriorSum
             ge_bayes_sd=g.sd,
             excluded_draws=g.n_excluded,
             ge_cb=float(v),
-            negative=bool(neg),
+            negative=bool(v < 0.0),
         )
-        for child, lam, mu_j, s, w, b, g, v, neg in zip(
-            parent.children, _shares(parent), mu, be.income_shares, be.weights, bayes, ge, values, negative
+        for child, lam, mu_j, s, w, b, g, v in zip(
+            parent.children, _shares(parent), mu, be.income_shares, be.weights, bayes, ge, values
         )
     ]
     return rows, within, residual

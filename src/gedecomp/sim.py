@@ -113,7 +113,7 @@ class MultilevelTruth:
 
 @dataclass(frozen=True)
 class SyntheticData:
-    """A realized synthetic population, its survey sample and grouped counts.
+    """A realized synthetic population, its survey sample, and its tree: each node's data are its grouped counts.
 
     The population is laid out contiguously: leaf by leaf within region by
     region, in spec order.  node_slices maps every node id (country, regions
@@ -125,7 +125,6 @@ class SyntheticData:
     spec: SyntheticSpec
     incomes: np.ndarray
     sampled: np.ndarray  # boolean mask over the population
-    samples: dict[str, GroupedSample]
     root: HierarchyNode
     node_slices: dict[str, slice]
 
@@ -201,24 +200,20 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
 
     boundaries = _resolve_brackets(spec, incomes[sampled])
 
-    samples: dict[str, GroupedSample] = {}
-
     def node(node_id: str, level: str, family: str, children=()) -> HierarchyNode:
         part = node_slices[node_id]
         counts = np.histogram(incomes[part][sampled[part]], bins=boundaries)[0].astype(float)
         if not children and counts.sum() <= 0:
             raise ValueError(f"leaf {node_id!r}: bracket scheme left no observations")
-        samples[node_id] = GroupedSample(boundaries, counts, node_id)
         return HierarchyNode(
             id=node_id,
             level=level,
             population=float(part.stop - part.start),
             family=family,
-            data=samples[node_id],
+            data=GroupedSample(boundaries, counts, node_id),
             children=tuple(children),
         )
 
-    # children before their parent, so samples lists the leaves of a region, then the region
     regions = [
         node(r.id, "region", spec.region_family, [node(l.id, "subregion", spec.leaf_family) for l in r.leaves])
         for r in spec.regions
@@ -228,7 +223,6 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
         spec=spec,
         incomes=incomes,
         sampled=sampled,
-        samples=samples,
         root=root,
         node_slices=node_slices,
     )

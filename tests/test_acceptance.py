@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gedecomp.benchmark import BenchmarkProblem, solve
+from gedecomp.benchmark import solve
 from gedecomp.cli import main as cli_main
 from gedecomp.distributions import GB2, LN, SM
 from gedecomp.grouped import (
@@ -202,20 +202,16 @@ def test_criterion_5_solver_vs_qp_oracle():
         phi = rng.uniform(0.1, 2.0, j)
         target = float(rng.uniform(0.05, 0.8))
         between = float(rng.uniform(0.0, 0.05))
-        problem = BenchmarkProblem(bayes=bayes, weights=weights, target=target,
-                                   between=between, loss_weights=phi)
         oracle = qp_reference(bayes, weights, phi, target, between)
-        worst_qp = max(worst_qp, float(np.max(np.abs(solve(problem).constrained - oracle))))
+        worst_qp = max(worst_qp, float(np.max(np.abs(solve(bayes, weights, target, between, phi) - oracle))))
 
         # the pipeline's uniform (phi = w) and raking (phi = w / bayes) policies
-        uniform = BenchmarkProblem(bayes=bayes, weights=weights, target=target, between=between,
-                                   loss_weights=weights)
-        uniform_closed = bayes + uniform.residual / weights.sum()
-        worst_closed = max(worst_closed, float(np.max(np.abs(solve(uniform).constrained - uniform_closed))))
-        raking = BenchmarkProblem(bayes=bayes, weights=weights, target=target, between=between,
-                                  loss_weights=weights / bayes)
+        uniform = solve(bayes, weights, target, between, weights)
+        uniform_closed = bayes + (target - between - float(weights @ bayes)) / weights.sum()
+        worst_closed = max(worst_closed, float(np.max(np.abs(uniform - uniform_closed))))
+        raking = solve(bayes, weights, target, between, weights / bayes)
         raking_closed = bayes / float(weights @ bayes) * (target - between)
-        worst_closed = max(worst_closed, float(np.max(np.abs(solve(raking).constrained - raking_closed))))
+        worst_closed = max(worst_closed, float(np.max(np.abs(raking - raking_closed))))
     ok = worst_qp < 1e-10 and worst_closed < 1e-12
     report_line(
         5,
@@ -320,11 +316,8 @@ def test_criterion_7_bias_direction_and_benchmark_gain():
                 mu = np.array([posterior_mean_income(d).value for d in draw_list])
                 be = between_from_means(shares, mu, theta)
                 bayes = np.array([posterior_ge(d, theta).value for d in draw_list])
-                sol = solve(  # the uniform policy: phi defaults to w
-                    BenchmarkProblem(bayes=bayes, weights=be.weights,
-                                     target=benchmark_total, between=be.between)
-                )
-                return bayes, sol.constrained
+                # the uniform policy, phi = w
+                return bayes, solve(bayes, be.weights, benchmark_total, be.between, be.weights)
 
             _, sm_cb = constrained(sm_draws)  # pseudo-truth: well-fitting family, benchmarked
             ln_bayes, ln_cb = constrained(ln_draws)
@@ -442,8 +435,9 @@ def test_criterion_9_every_command_writes_the_same_bytes_twice(tmp_path):
     runs = {name.removesuffix(".stdout") for name in trees[0] if name.endswith(".stdout")}
     assert runs == {"fit_gb2", "fit_sm", "fit_ln", "fit_undefined", "decompose_income", "decompose_grouped", "decompose_nested",
                     "simulate", "compare", "pipeline_proposed", "pipeline_separate", "pipeline_mixture",
-                    "pipeline_raking", "surface"}
+                    "pipeline_raking", "pipeline_phi_file", "surface"}
     assert "pipeline_raking/report_theta_1em09.json" in trees[0]
+    assert '"phi_policy": "custom"' in trees[0]["pipeline_phi_file/report_theta_1.json"].decode()
     identical = trees[0] == trees[1]
     report_line(9, identical, f"two output sweeps over every command: {len(trees[0])} files byte-identical")
     assert identical

@@ -105,7 +105,7 @@ def write_manifest_tree(tmp_path, phi="uniform", seed=3):
     node_files = {}
     for node in data.root.walk():
         rel = f"data/{node.id}.csv"
-        dataio.write_grouped_csv(tmp_path / rel, data.samples[node.id])
+        dataio.write_grouped_csv(tmp_path / rel, node.data)
         node_files[node.id] = rel
     manifest = dataio.Manifest(
         root=data.root,
@@ -248,8 +248,8 @@ def test_manifest_rejects_unknown_mcmc_settings(tmp_path, stale):
         ("seed", True, "seed must be a non-negative integer, got True"),
         ("theta", "12", "theta must be a non-empty list of numbers, got '12'"),
         ("theta", [], "theta must be a non-empty list of numbers, got []"),
-        ("theta", [1, "2"], "theta must be a non-empty list of numbers, got [1, '2']"),
-        ("theta", [True], "theta must be a non-empty list of numbers, got [True]"),
+        ("theta", [1, "2"], "each theta must be a number, got '2'"),
+        ("theta", [True], "each theta must be a number, got True"),
         ("theta", 1.0, "theta must be a non-empty list of numbers, got 1.0"),
         ("phi", 3, "unknown phi policy 3"),
         ("phi", "file:short.csv", "short.csv:2: expected 2 columns"),
@@ -258,18 +258,26 @@ def test_manifest_rejects_unknown_mcmc_settings(tmp_path, stale):
         ("scale_counts", -2.5, "scale_counts must be positive and finite, got -2.5"),
         ("scale_counts", math.nan, "scale_counts must be positive and finite, got nan"),
         ("scale_counts", math.inf, "scale_counts must be positive and finite, got inf"),
+        ("scale_counts", True, "scale_counts must be a number, got True"),
+        ("scale_counts", "2", "scale_counts must be a number, got '2'"),
+        ("population", True, "node 'e1': population must be a number, got True"),
+        ("population", "2000", "node 'e1': population must be a number, got '2000'"),
     ],
     ids=["burnin-too-long", "string", "fraction", "iterations-bool", "burnin-bool", "zero-iterations",
          "mcmc-not-an-object", "mcmc-empty-list", "mcmc-empty-string", "seed-fraction", "seed-bool",
          "theta-string", "theta-empty", "theta-string-item", "theta-bool-item", "theta-number",
          "phi-not-a-string", "phi-file-short-row", "phi-file-missing",
-         "scale-zero", "scale-negative", "scale-nan", "scale-inf"],
+         "scale-zero", "scale-negative", "scale-nan", "scale-inf", "scale-bool", "scale-string",
+         "population-bool", "population-string"],
 )
 def test_manifest_rejects_malformed_settings_naming_the_file(tmp_path, field, value, message):
     write_manifest_tree(tmp_path)
     (tmp_path / "short.csv").write_text("id,phi\ncountry\n")
     doc = json.loads((tmp_path / "manifest.json").read_text())
-    doc[field] = value
+    if field == "population":  # a node's setting: the first leaf's
+        next(node for node in doc["nodes"] if node["id"] == "e1")[field] = value
+    else:
+        doc[field] = value
     (tmp_path / "bad.json").write_text(json.dumps(doc))
     with pytest.raises(dataio.ManifestError, match=re.escape(f"{tmp_path / 'bad.json'}: ") + ".*" + re.escape(message)):
         dataio.load_manifest(tmp_path / "bad.json")
@@ -337,10 +345,13 @@ def tiny_report() -> DecompositionReport:
         residual_region=0.0,
         residual_subregion=0.0,
         regions=(
-            RegionRow("east", 0.55, 3.9, 0.5, 0.5, 0.24, 0.012, 0, 0.245, 0.004, 0.241, 0.0, 0.0166, False),
+            RegionRow(id="east", share=0.55, mean_income=3.9, income_share=0.5, weight=0.5, ge_bayes=0.24,
+                      ge_bayes_sd=0.012, excluded_draws=0, ge_cb=0.245, between_sub=0.004, within_sub=0.241,
+                      subresidual=0.0, bw_ratio=0.0166, negative=False),
         ),
         subregions=(
-            SubregionRow("e1", "east", 0.6, 3.7, 0.58, 0.58, 0.22, 0.015, 0, 0.225, False),
+            SubregionRow(id="e1", region="east", share=0.6, mean_income=3.7, income_share=0.58, weight=0.58,
+                         ge_bayes=0.22, ge_bayes_sd=0.015, excluded_draws=0, ge_cb=0.225, negative=False),
         ),
         flags=("subregion e1: 90/8000 draws outside the moment window at theta=2",),
     )
@@ -382,11 +393,17 @@ def test_region_and_subregion_csv(tmp_path):
     dataio.write_region_csv(tmp_path / "regions.csv", report)
     dataio.write_subregion_csv(tmp_path / "subregions.csv", report)
     region_lines = (tmp_path / "regions.csv").read_text().splitlines()
-    assert region_lines[0].startswith("id,share,mean_income")
-    assert region_lines[1].startswith("east,")
-    assert "0.0166" in region_lines[1]
+    # the columns are the row type's fields in order, so a field moved in RegionRow moves a column
+    assert region_lines == [
+        "id,share,mean_income,income_share,weight,ge_bayes,ge_bayes_sd,ge_cb,between_sub,within_sub,bw_ratio,"
+        "subresidual,excluded_draws,negative",
+        "east,0.55,3.9,0.5,0.5,0.24,0.012,0.245,0.004,0.241,0.0166,0.0,0,0",
+    ]
     sub_lines = (tmp_path / "subregions.csv").read_text().splitlines()
-    assert sub_lines[1].startswith("e1,east,")
+    assert sub_lines == [
+        "id,region,share,mean_income,income_share,weight,ge_bayes,ge_bayes_sd,ge_cb,excluded_draws,negative",
+        "e1,east,0.6,3.7,0.58,0.58,0.22,0.015,0.225,0,0",
+    ]
 
 
 def test_render_table_layout():
@@ -491,5 +508,23 @@ def test_synthetic_spec_defaults_come_from_the_dataclass(tmp_path):
 def test_synthetic_spec_rejects_fractional_integers(tmp_path, seed, population, message):
     leaf = {"id": "m1", "population": population, "params": {"family": "ln", "xi": 1.0, "sigma2": 0.4}}
     (tmp_path / "spec.json").write_text(json.dumps({"seed": seed, "regions": [{"id": "r1", "leaves": [leaf]}]}))
+    with pytest.raises(dataio.ManifestError, match=re.escape(f"{tmp_path / 'spec.json'}: {message}")):
+        dataio.load_synthetic_spec(tmp_path / "spec.json")
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"sampling_fraction": True}, "sampling_fraction must be a number, got True"),
+        ({"sampling_fraction": "0.5"}, "sampling_fraction must be a number, got '0.5'"),
+        ({"brackets": [0, True, "inf"]}, "each bracket but \"inf\" must be a number, got True"),
+        ({"brackets": [0, "2", "inf"]}, "each bracket but \"inf\" must be a number, got '2'"),
+        ({"brackets": [0, 2, "INF"]}, "each bracket but \"inf\" must be a number, got 'INF'"),
+    ],
+    ids=["fraction-bool", "fraction-string", "bracket-bool", "bracket-string", "bracket-upper-case-inf"],
+)
+def test_synthetic_spec_rejects_settings_that_are_not_numbers(tmp_path, settings, message):
+    leaf = {"id": "m1", "population": 10, "params": {"family": "ln", "xi": 1.0, "sigma2": 0.4}}
+    (tmp_path / "spec.json").write_text(json.dumps({**settings, "regions": [{"id": "r1", "leaves": [leaf]}]}))
     with pytest.raises(dataio.ManifestError, match=re.escape(f"{tmp_path / 'spec.json'}: {message}")):
         dataio.load_synthetic_spec(tmp_path / "spec.json")

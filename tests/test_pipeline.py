@@ -149,6 +149,26 @@ def test_fit_errors_carry_node_id(monkeypatch):
         fit_hierarchy(country_over([gb2_leaf("ok1"), gb2_leaf("ok2")]), FAST_MCMC, levels=("subregion",))
 
 
+def test_nodes_whose_data_carry_another_unit_are_fitted_under_the_node_id():
+    mcmc = McmcConfig(iterations=300, burnin=80, seed=4)
+    leaf = HierarchyNode("s1", "subregion", 1000.0, "ln", toy_sample(""))
+    region = HierarchyNode("g1", "region", 1000.0, "sm", toy_sample(""), (leaf,))
+    fitted = fit_hierarchy(HierarchyNode("c", "country", 1000.0, "gb2", toy_sample(""), (region,)), mcmc)
+    named = fit_hierarchy(degenerate_tree(), mcmc)
+    assert list(fitted.draws) == ["c", "g1", "s1"]
+    for node_id, draws in fitted.draws.items():
+        assert draws.unit == node_id
+        assert np.array_equal(draws.draws, named.draws[node_id].draws)  # the seed derives from the node id
+
+
+def test_assembling_a_level_that_was_not_fitted_names_the_node():
+    mcmc = McmcConfig(iterations=300, burnin=80, seed=4)
+    fitted = fit_hierarchy(degenerate_tree(), mcmc, levels=g.METHODS["mixture"])
+    assert list(fitted.draws) == ["s1"]
+    with pytest.raises(PipelineError, match="^node 'c' has not been fitted$"):
+        assemble(fitted, 1.0, "proposed")
+
+
 # ---------------------------------------------------------------------------
 # proposed method
 # ---------------------------------------------------------------------------
@@ -560,6 +580,26 @@ def test_tree_within_population_tolerance_assembles():
             report = assemble(fitted, theta, method)
             assert abs(report.identity_gap) <= 1e-12 * max(1.0, abs(report.ge_total)), (theta, method)
             assert sum(r.share for r in report.regions) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_negative_constrained_values_are_flagged_not_clipped():
+    # a near-equal country over two regions far apart: the between term alone exceeds the country's GE
+    draws = {}
+
+    def node(node_id, level, params, children=()):
+        draws[node_id] = exact_draws("ln", params)
+        return HierarchyNode(node_id, level, 1000.0 * (len(children) or 1), "ln", toy_sample(node_id), children)
+
+    regions = tuple(node(f"r{k}", "region", p, (node(f"s{k}", "subregion", p),))
+                    for k, p in enumerate((g.LN(0.0, 1.0), g.LN(2.0, 1.0))))
+    fitted = FittedHierarchy(root=node("c", "country", g.LN(0.0, 0.01), regions), draws=draws, mcmc=McmcConfig())
+    report = assemble(fitted, 1.0, "proposed")
+    assert report.between > report.ge_total
+    rows = report.regions + report.subregions
+    assert all(row.ge_bayes > 0.0 for row in rows)
+    assert all(row.ge_cb < 0.0 and row.negative for row in rows)
+    assert abs(report.identity_gap) < 1e-14
+    assert not any(row.negative for row in assemble(fitted, 1.0, "separate").regions)
 
 
 def test_region_rows_carry_bw_ratio(small_fitted):

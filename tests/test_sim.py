@@ -50,9 +50,9 @@ def test_generate_deterministic():
     d1 = generate(small_spec())
     d2 = generate(small_spec())
     assert np.array_equal(d1.incomes, d2.incomes)
-    for node_id in d1.samples:
-        assert np.array_equal(d1.samples[node_id].counts, d2.samples[node_id].counts)
-        assert np.array_equal(d1.samples[node_id].boundaries, d2.samples[node_id].boundaries)
+    for n1, n2 in zip(d1.root.walk(), d2.root.walk(), strict=True):
+        assert np.array_equal(n1.data.counts, n2.data.counts)
+        assert np.array_equal(n1.data.boundaries, n2.data.boundaries)
 
 
 def test_generated_tree_follows_the_spec():
@@ -71,9 +71,7 @@ def test_generated_tree_follows_the_spec():
     assert [r.population for r in data.root.children] == [5000.0, 2500.0]
     assert data.root.population == 7500.0 == len(data.incomes)
     assert all(type(n.population) is float for n in nodes)
-    for node in nodes:
-        assert node.data is data.samples[node.id]
-    assert list(data.samples) == ["n1", "n2", "north", "s1", "south", "nation"]
+    assert all(n.data.unit == n.id for n in nodes)
 
 
 def test_leaf_streams_independent_of_siblings():
@@ -98,7 +96,7 @@ def test_grouped_counts_match_stored_population():
     data = generate(small_spec())
     region_labels, leaf_labels = person_labels(data.spec)
     boundaries = data.root.data.boundaries
-    for node_id, sample in data.samples.items():
+    for node_id, sample in ((node.id, node.data) for node in data.root.walk()):
         if node_id == "country":
             mask = data.sampled
         else:

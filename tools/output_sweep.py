@@ -5,9 +5,10 @@ Usage: python tools/output_sweep.py OUT
 Runs ``fit`` (gb2, sm, ln, and gb2 on a table where no draw has a mean, so
 every summary is written as null), ``decompose`` (income only, with groups, with
 groups and subgroups), ``simulate``, ``compare``, ``pipeline`` (proposed,
-separate, mixture and proposed with raking) and ``surface`` on inputs the
-script writes itself, with the code of this checkout's ``src/``.  Each run
-writes its files under ``OUT/<run>/`` and its standard output to
+separate, mixture, and proposed with raking and with a phi file's loss
+weights) and ``surface`` on inputs the script writes itself, with the code
+of this checkout's ``src/``.  Each run writes its files under
+``OUT/<run>/`` and its standard output to
 ``OUT/<run>.stdout``; every path is relative to OUT, so the tree does not
 depend on where OUT is.  The outputs of two checkouts are byte-identical
 exactly when ``diff -r OUT_A OUT_B`` prints nothing.
@@ -69,6 +70,9 @@ def write_inputs() -> None:
     rows += [f"{lo},{hi},{n}" for lo, hi, n in zip(NATIONAL_BOUNDARIES, NATIONAL_BOUNDARIES[1:], NATIONAL_COUNTS)]
     Path("inputs/national.csv").write_text("\n".join(rows) + "\n")
     Path("inputs/undefined.csv").write_text(UNDEFINED_TABLE)
+    # a distinct positive loss weight for every region and leaf: the nodes a pipeline step benchmarks
+    children = [node["id"] for region in SPEC["regions"] for node in (region, *region["leaves"])]
+    Path("inputs/phi.csv").write_text("id,phi\n" + "".join(f"{i},{0.5 + 0.25 * k}\n" for k, i in enumerate(children)))
     rng = np.random.default_rng(2013)
     micro = []
     for group, subgroups in (("a", ("a1", "a2")), ("b", ("b1",)), ("c", ("c1", "c2", "c3"))):
@@ -100,6 +104,8 @@ def runs() -> list[tuple[str, list[str]]]:
           for method in ("proposed", "separate", "mixture")],
         ("pipeline_raking", ["pipeline", "--manifest", manifest, "--phi", "raking", "--out", "pipeline_raking",
                              *SHORT_CHAIN]),
+        ("pipeline_phi_file", ["pipeline", "--manifest", manifest, "--phi", "file:inputs/phi.csv",
+                               "--out", "pipeline_phi_file", *SHORT_CHAIN]),
         ("surface", ["surface", "--a-num", "7", "--q-num", "5", "--out", "surface", *THETA_ARGS]),
     ]
 
