@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import FAMILIES, make_family, theta_kind
-from .grouped import GroupedSample, McmcConfig
+from .grouped import GroupedSample, McmcConfig, _is_integer
 from .pipeline import (
     METHODS,
     DecompositionReport,
@@ -513,6 +513,8 @@ def load_synthetic_spec(path) -> SyntheticSpec:
         if isinstance(given.get("brackets"), list):
             given["brackets"] = tuple(math.inf if b == "inf" else _json_number(b, "each bracket but \"inf\"")
                                       for b in given["brackets"])
+        elif "brackets" in given and not _is_integer(given["brackets"]):
+            raise ValueError(f"brackets must be an integer or a list of boundaries, got {given['brackets']!r}")
         if "sampling_fraction" in given:
             given["sampling_fraction"] = _json_number(given["sampling_fraction"], "sampling_fraction")
         fit_families = raw.get("fit_families", {})

@@ -31,8 +31,6 @@ __all__ = [
     "family_class",
     "make_family",
     "make_batch",
-    "family_dim",
-    "family_param_names",
     "ge_terms",
 ]
 
@@ -369,14 +367,6 @@ def make_batch(tag: str, matrix: np.ndarray) -> FamilyParams:
     params = object.__new__(cls)
     vars(params).update(zip(cls.param_names, matrix.T[:, :, None]))
     return params
-
-
-def family_dim(tag: str) -> int:
-    return len(family_param_names(tag))
-
-
-def family_param_names(tag: str) -> tuple[str, ...]:
-    return family_class(tag).param_names
 
 
 def ge_terms(tag: str, draws):

@@ -25,17 +25,21 @@ search stopped at the domain's edge, without a Hessian, steps 0.1 in each
 chain coordinate.  The walk discards its first burnin iterations.
 
 Units of one family and bracket count are fitted together (``fit_batch``,
-one config and one seed per unit): the mode search and the fallback chain
-take one vectorised log density per step for all units of the batch, and
-the proposals' log densities are evaluated in blocks of at most 2,048 rows.
-Each unit spawns three random streams from its seed, one per draw kind
-(normals, chi-squares, uniforms), so its draws are those of the same unit
-fitted alone (``fit`` is the batch of one).  Either sampler reads a unit's
-whole chain from each stream in one call; a stream read in pieces gives the
-draws of one whole read, so a shorter chain is a prefix of a longer one
-when both take the same sampler, and the walk's draws at one burn-in are a
-slice of its draws at a shorter one.  The gate reads all of a unit's
-proposals, so a unit can pass it at one length and fall back at another.
+one config and one seed per unit).  The three stages share one contract:
+the mode search, the independence chains and the fallback walk read the
+batch's log density as ``log_density(rows, units)``, row r a chain state of
+the unit at batch index units[r], and a row's value never depends on the
+other rows.  The mode search and the walk take one call per step for all
+their units, and the proposals are evaluated in blocks of at most 2,048
+rows.  Each sampler takes the batch indices of its units and their seeds,
+and spawns each unit's three streams itself, one per draw kind (normals,
+chi-squares, uniforms), so a unit's draws are those of the same unit fitted
+alone (``fit`` is the batch of one).  Either sampler reads a unit's whole
+chain from each stream in one call; a stream read in pieces gives the draws
+of one whole read, so a shorter chain is a prefix of a longer one when both
+take the same sampler, and the walk's draws at one burn-in are a slice of
+its draws at a shorter one.  The gate reads all of a unit's proposals, so a
+unit can pass it at one length and fall back at another.
 
 ``posterior_ge`` and ``posterior_mean_income`` keep each summary they make
 on the unit's ``PosteriorDraws``, beside the theta-invariant terms they read.
@@ -51,14 +55,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .diagnostics import pareto_k
-from .distributions import (
-    FamilyParams,
-    family_class,
-    family_dim,
-    family_param_names,
-    ge_terms,
-    make_batch,
-)
+from .distributions import FamilyParams, family_class, ge_terms, make_batch
 
 __all__ = [
     "GroupedSample",
@@ -71,7 +68,6 @@ __all__ = [
     "fit_batch",
     "posterior_ge",
     "posterior_mean_income",
-    "random_walk_chain",
 ]
 
 #: estimates with more than this fraction of draws outside the moment window
@@ -84,6 +80,18 @@ UNDEFINED_FRACTION = 0.5
 
 class UnderIdentifiedError(ValueError):
     """Raised when a family has more parameters than free bracket cells."""
+
+
+def _check_boundaries(bounds: np.ndarray) -> None:
+    """The one bracket rule: boundaries 0 = c_0 < c_1 < ... < c_G = inf, with G >= 2."""
+    if bounds.ndim != 1 or len(bounds) < 3:
+        raise ValueError("need at least two brackets")
+    if bounds[0] != 0.0:
+        raise ValueError(f"first boundary must be 0, got {bounds[0]}")
+    if bounds[-1] != math.inf:
+        raise ValueError("last boundary must be +inf (open top bracket)")
+    if not np.all(np.diff(bounds) > 0.0):
+        raise ValueError("boundaries must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -103,16 +111,9 @@ class GroupedSample:
         counts = np.asarray(self.counts, dtype=float)
         object.__setattr__(self, "boundaries", bounds)
         object.__setattr__(self, "counts", counts)
-        if bounds.ndim != 1 or counts.ndim != 1 or len(bounds) != len(counts) + 1:
+        _check_boundaries(bounds)
+        if counts.ndim != 1 or len(bounds) != len(counts) + 1:
             raise ValueError("need G+1 boundaries for G bracket counts")
-        if len(counts) < 2:
-            raise ValueError("need at least two brackets")
-        if bounds[0] != 0.0:
-            raise ValueError(f"first boundary must be 0, got {bounds[0]}")
-        if not math.isinf(bounds[-1]):
-            raise ValueError("last boundary must be +inf (open top bracket)")
-        if np.any(np.diff(bounds) <= 0.0):
-            raise ValueError("boundaries must be strictly increasing")
         if np.any(~np.isfinite(counts)) or np.any(counts < 0.0):
             raise ValueError("counts must be finite and nonnegative")
         if counts.sum() <= 0.0:
@@ -181,13 +182,16 @@ class PosteriorDraws:
     family: str
     unit: str
     draws: np.ndarray  # (iterations - burnin, dim)
-    param_names: tuple[str, ...]
     acceptance_rate: float
     config: McmcConfig
     sampler: str = "random-walk"
     pareto_k: float = math.nan
     # posterior_ge's summaries by float(theta), posterior_mean_income's under None; a copy starts empty
     _summaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return family_class(self.family).param_names
 
     @property
     def n_draws(self) -> int:
@@ -258,39 +262,27 @@ def _unit_streams(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3)]
 
 
-def random_walk_chain(
-    log_density,
-    start: np.ndarray,
-    factors: np.ndarray,
-    iterations: int,
-    burnin: int,
-    streams,
-) -> tuple[np.ndarray, np.ndarray]:
+def _random_walk_chains(log_density, units, seeds, start, lp_start, factors, iterations, burnin):
     """Fixed-kernel Gaussian random-walk Metropolis chains for K units in lockstep.
 
-    start is (K, d) and factors (K, d, d): unit k proposes t + factors[k] @ z
-    with z standard normal.  log_density maps a (K, d) state to K log
-    densities, and streams yields one (normals, chi-squares, uniforms) triple
-    of Generators per unit; the walk reads the first and the last.  The
-    units share only the loop: each reads its own streams and keeps its own
-    kernel.  Each unit reads its whole chain's normals, (iterations, d), and
-    its iterations uniforms in one call per stream, and the kernel never
-    changes, so the draws of (iterations, burnin) are iterations burnin ..
-    iterations - 1 of any longer chain from the same start and streams.
+    Row k is the unit at batch index units[k]: it starts at start[k] (d,),
+    where the log density is lp_start[k], and proposes t + factors[k] @ z
+    with z standard normal.  The units share only the loop: each reads its
+    whole chain's normals, (iterations, d), and its iterations uniforms in
+    one call to the first and the last stream spawned from its seed, and
+    keeps its own kernel, so the draws of (iterations, burnin) are
+    iterations burnin .. iterations - 1 of any longer chain from the same
+    start and seed.
 
     Returns (retained draws (K, iterations - burnin, d), acceptance rate per
     unit over the retained iterations).
     """
-    t = np.array(start, dtype=float)
+    t, lp = np.asarray(start, dtype=float), np.asarray(lp_start, dtype=float)
     n_units, d = t.shape
-    lp = log_density(t)
-    if not np.all(np.isfinite(lp)):
-        raise ValueError(f"log density is not finite at the starting point of row {np.argmin(np.isfinite(lp))}")
-
-    factors = np.asarray(factors, dtype=float)
     chain = np.empty((n_units, iterations, d))  # the normals, each overwritten by its iteration's state
     log_u = np.empty((n_units, iterations))
-    for (normals, _, uniforms), z_unit, u_unit in zip(streams, chain, log_u):
+    for seed, z_unit, u_unit in zip(seeds, chain, log_u):
+        normals, _, uniforms = _unit_streams(seed)
         normals.standard_normal(out=z_unit)
         uniforms.random(out=u_unit)
     np.log(log_u, out=log_u)
@@ -298,7 +290,7 @@ def random_walk_chain(
     for i in range(iterations):
         # the step factors @ z as an elementwise sum, never BLAS, so no row depends on the batch
         proposal = t + (factors * chain[:, i, None, :]).sum(axis=2)
-        lp_prop = log_density(proposal)
+        lp_prop = log_density(proposal, units)
         accept = log_u[:, i] < lp_prop - lp
         if accept.any():
             t = np.where(accept[:, None], proposal, t)
@@ -322,7 +314,7 @@ def _initial_guess(family: str, data: GroupedSample) -> np.ndarray:
     cum = np.cumsum(data.counts)[:-1] / data.total  # ecdf at c_1 .. c_{G-1}
     inside = (cum > 0.0) & (cum < 1.0)
     cum, edges = cum[inside], data.boundaries[1:-1][inside]
-    start = np.zeros(family_dim(family))
+    start = np.zeros(len(family_class(family).param_names))
     if len(np.unique(cum)) < 2:
         return start
     y = ndtri(cum) if family == "ln" else np.log(cum / (1.0 - cum))
@@ -353,7 +345,7 @@ def _chain_log_prior(t: np.ndarray, natural: np.ndarray, real: int) -> np.ndarra
 
 def _check_unit(family: str, data: GroupedSample) -> None:
     """Raise when a unit cannot be fitted, before any sampling."""
-    dim = family_dim(family)
+    dim = len(family_class(family).param_names)
     if data.n_brackets - 1 < dim:
         raise UnderIdentifiedError(
             f"{family} needs at least {dim + 1} brackets, got {data.n_brackets}"
@@ -369,24 +361,25 @@ class _SampleStack:
 
 
 def _chain_log_density(family: str, samples):
-    """Log posterior of K samples with G brackets each, as a map (K, d) -> (K,).
+    """Log posterior of K samples with G brackets each, as a map (rows (R, d), units (R,)) -> (R,).
 
-    Row k is a chain state of unit k; with ``units`` (an index per row) row
-    r is a state of unit units[r] instead, so one call may hold several
-    states per unit.  Rows off the parameter domain (non-finite or
-    nonpositive natural parameters, LN's sigma2 = 0) get -inf, found from
-    the whole matrix at once.
+    Row r is a chain state of the sample at index units[r], so one call may
+    hold several states per unit, and row r's value is that of the call on
+    row r alone.  Rows off the parameter domain (non-finite or nonpositive
+    natural parameters, LN's sigma2 = 0) get -inf, found from the whole
+    matrix at once.
     """
     stack = _SampleStack(
         np.array([data.boundaries for data in samples]), np.array([data.counts for data in samples])
     )
-    real, dim = family_class(family).n_real, family_dim(family)
+    cls = family_class(family)
+    real, dim = cls.n_real, len(cls.param_names)
     # open lower bounds of the natural parameters
     lower = np.zeros(dim)
     lower[:real] = -math.inf
 
-    def log_density(t: np.ndarray, units=None) -> np.ndarray:
-        data = stack if units is None else _SampleStack(stack.boundaries[units], stack.counts[units])
+    def log_density(t: np.ndarray, units: np.ndarray) -> np.ndarray:
+        data = _SampleStack(stack.boundaries[units], stack.counts[units])
         natural = _from_chain_space(t, real)
         inside = (natural > lower) & (natural < math.inf)
         if inside.all():
@@ -498,42 +491,44 @@ def _newton_modes(log_density, start: np.ndarray):
     return t, lp, hess
 
 
-def _independence_chains(log_density, modes, lp_modes, scales, n, streams):
+def _independence_chains(log_density, units, seeds, modes, lp_modes, scales, n):
     """Independence MH chains for K units, proposals from a t around each mode.
 
-    Proposal i of unit k is modes[k] + sqrt(nu / w_i) * scales[k] @ z_i with
-    z_i standard normal and w_i chi-square(nu).  Each unit reads its n
-    normals (n, d), n chi-square draws and n uniforms in one call per
-    stream of its (normals, chi-squares, uniforms) triple, and its proposals
-    are formed in place of its normals.  The log densities are evaluated in
-    blocks of at most 2,048 rows of the units' proposals in turn; a row's
-    log density does not depend on its batch-mates, so the block size moves
-    no bit.  The chain starts at the mode and accepts on the log importance
-    weights, one unit at a time.
+    Row k is the unit at batch index units[k].  Its proposal i is modes[k] +
+    sqrt(nu / w_i) * scales[k] @ z_i with z_i standard normal and w_i
+    chi-square(nu).  Each unit reads its n normals (n, d), n chi-square
+    draws and n uniforms in one call to each of the three streams spawned
+    from its seed, and its proposals are formed in place of its normals.
+    The log densities are evaluated in blocks of at most 2,048 rows of the
+    units' proposals in turn; a row's log density does not depend on its
+    batch-mates, so the block size moves no bit.  The chain starts at the
+    mode, where the log density is lp_modes[k], and accepts on the log
+    importance weights, one unit at a time, each reading its uniforms in its
+    own accept loop.
 
     Returns (draws (K, n, d), acceptance rate per unit, log importance
     weights (K, n)).
     """
     n_units, dim = modes.shape
-    proposals, log_w, log_u = np.empty((n_units, n, dim)), np.empty((n_units, n)), np.empty((n_units, n))
-    for k, (normals, chi_squares, uniforms) in enumerate(streams):
+    proposals, log_w, uniforms = np.empty((n_units, n, dim)), np.empty((n_units, n)), []
+    for k, seed in enumerate(seeds):
+        normals, chi_squares, unit_uniforms = _unit_streams(seed)
+        uniforms.append(unit_uniforms)
         z = proposals[k]
         normals.standard_normal(out=z)
         chi2 = chi_squares.chisquare(_T_DOF, n)
-        uniforms.random(out=log_u[k])
         log_w[k] = -0.5 * (_T_DOF + dim) * np.log1p((z * z).sum(axis=1) / chi2)  # log q up to a constant, 0 at the mode
         # scales @ z as an elementwise sum, never BLAS, so no row depends on n (a shorter chain is a prefix)
         z[:] = modes[k] + np.sqrt(_T_DOF / chi2)[:, None] * (z[:, None, :] * scales[k]).sum(axis=2)
-    np.log(log_u, out=log_u)
     rows, flat_w = proposals.reshape(-1, dim), log_w.reshape(-1)
     for first in range(0, len(rows), _BLOCK_ROWS):
         block = slice(first, min(first + _BLOCK_ROWS, len(rows)))
-        flat_w[block] = log_density(rows[block], np.arange(block.start, block.stop) // n) - flat_w[block]
+        flat_w[block] = log_density(rows[block], units[np.arange(block.start, block.stop) // n]) - flat_w[block]
 
     rates = np.empty(n_units)
     for k in range(n_units):
         path, current, accepted, state = [], lp_modes[k], 0, -1  # state -1 is the mode
-        for i, (w, u) in enumerate(zip(log_w[k].tolist(), log_u[k].tolist())):
+        for i, (w, u) in enumerate(zip(log_w[k].tolist(), np.log(uniforms[k].random(n)).tolist())):
             if u < w - current:
                 state, current, accepted = i, w, accepted + 1
             path.append(state)
@@ -571,17 +566,17 @@ def fit_batch(family: str, samples, config: McmcConfig, seeds) -> list[Posterior
         _check_unit(family, data)
     if len({data.n_brackets for data in samples}) > 1:
         raise ValueError("samples in one batch need the same number of brackets")
-    iterations, burnin = config.iterations, config.burnin
-    dim, real = family_dim(family), family_class(family).n_real
+    cls, n_units, every = family_class(family), len(samples), np.arange(len(samples))
+    dim, real, n = len(cls.param_names), cls.n_real, config.iterations - config.burnin
     log_density = _chain_log_density(family, samples)
     start = np.array([_initial_guess(family, data) for data in samples])
-    bad = ~np.isfinite(log_density(start))
+    bad = ~np.isfinite(log_density(start, every))
     if bad.any():
         start[bad] = 0.0  # the chain-space origin: unit parameters, LN(0, 1)
-        for k in np.flatnonzero(bad & ~np.isfinite(log_density(start))):
+        for k in np.flatnonzero(bad & ~np.isfinite(log_density(start, every))):
             raise ValueError(f"unit {samples[k].unit!r}: log density is not finite at the starting point")
 
-    n_units, n = len(samples), iterations - burnin
+    # Newton moves a row only to a higher finite value, so every lp_modes is finite
     modes, lp_modes, hess = _newton_modes(log_density, start)
     # the Laplace path needs a negative definite Hessian: -H with eigenvalues > 0
     finite = np.flatnonzero(np.isfinite(hess).all(axis=(1, 2)))
@@ -593,9 +588,8 @@ def fit_batch(family: str, samples, config: McmcConfig, seeds) -> list[Posterior
     k_hat = np.full(n_units, math.nan)
     if laplace.size:
         scales = vec[concave] / np.sqrt(curv[concave])[:, None, :]  # scales @ scales.T = (-H)^-1
-        streams = (_unit_streams(configs[k].seed) for k in laplace)  # a generator: a unit's streams (6 kB) live while read
         draws[laplace], acc_rates[laplace], log_w = _independence_chains(
-            lambda t, units: log_density(t, laplace[units]), modes[laplace], lp_modes[laplace], scales, n, streams
+            log_density, laplace, [configs[k].seed for k in laplace], modes[laplace], lp_modes[laplace], scales, n
         )
         k_hat[laplace] = [pareto_k(w) for w in log_w]
     passed = np.zeros(n_units, dtype=bool)
@@ -605,9 +599,9 @@ def fit_batch(family: str, samples, config: McmcConfig, seeds) -> list[Posterior
         # the walk's kernel: the Laplace covariance, |eigenvalues| of -H, scaled by 2.38^2 / d
         factors = np.tile(_WALK_STEP * np.eye(dim), (n_units, 1, 1))
         factors[finite] = (_WALK_SCALE / math.sqrt(dim)) * vec / np.sqrt(_abs_curvatures(curv))[:, None, :]
-        streams = (_unit_streams(configs[k].seed) for k in fallback)
-        draws[fallback], acc_rates[fallback] = random_walk_chain(
-            lambda t: log_density(t, fallback), modes[fallback], factors[fallback], iterations, burnin, streams
+        draws[fallback], acc_rates[fallback] = _random_walk_chains(
+            log_density, fallback, [configs[k].seed for k in fallback], modes[fallback], lp_modes[fallback],
+            factors[fallback], config.iterations, config.burnin,
         )
     # to natural parameters in place, so the batch never holds its draws twice
     positive = draws[..., real:]
@@ -617,7 +611,6 @@ def fit_batch(family: str, samples, config: McmcConfig, seeds) -> list[Posterior
             family=family,
             unit=data.unit,
             draws=draws[k],
-            param_names=family_param_names(family),
             acceptance_rate=float(acc_rates[k]),
             config=unit_config,
             sampler="laplace" if passed[k] else "random-walk",

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import benchmark
-from .distributions import _require_positive, ge_terms, theta_kind
+from .distributions import _require_positive, family_class, ge_terms, theta_kind
 from .grouped import (
     GroupedSample,
     McmcConfig,
@@ -82,6 +82,10 @@ class HierarchyNode:
             raise PipelineError(f"node {self.id!r}: population must be positive")
         if self.data is None:
             raise PipelineError(f"node {self.id!r}: missing grouped data")
+        try:
+            family_class(self.family)
+        except (TypeError, ValueError) as exc:
+            raise PipelineError(f"node {self.id!r}: {exc}") from None
         if self.children:
             child_sum = sum(c.population for c in self.children)
             if abs(child_sum - self.population) > 1e-9 * self.population:
@@ -98,12 +102,12 @@ class HierarchyNode:
 def validate_tree(root: HierarchyNode) -> None:
     """Check the country/region/subregion shape and id uniqueness."""
     if root.level != "country":
-        raise PipelineError(f"root must be the country node, got level {root.level!r}")
+        raise PipelineError(f"root {root.id!r} must be the country node, got level {root.level!r}")
     ids = [node.id for node in root.walk()]
     if len(ids) != len(set(ids)):
         raise PipelineError("node ids must be unique")
     if not root.children:
-        raise PipelineError("country node needs at least one region")
+        raise PipelineError(f"country {root.id!r} needs at least one region")
     for region in root.children:
         if region.level != "region":
             raise PipelineError(f"node {region.id!r}: children of the country must be regions")

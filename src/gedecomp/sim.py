@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import FamilyParams, family_class
-from .grouped import GroupedSample, McmcConfig, _is_integer, derive_seed
+from .grouped import GroupedSample, McmcConfig, _check_boundaries, _is_integer, derive_seed
 from .inequality import _decompose_two_levels, ge_finite
 from .pipeline import METHODS, DecompositionReport, HierarchyNode, assemble, fit_hierarchy
 
@@ -81,11 +81,11 @@ class SyntheticSpec:
             raise ValueError("sampling fraction must be in (0, 1]")
         if not _is_integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if isinstance(self.brackets, int):
-            if self.brackets < 2:
-                raise ValueError("need at least two brackets")
-        else:
+        if not _is_integer(self.brackets):
             object.__setattr__(self, "brackets", tuple(float(c) for c in self.brackets))
+            _check_boundaries(np.array(self.brackets))
+        elif self.brackets < 2:
+            raise ValueError("need at least two brackets")
         seen = set()
         for node_id in [self.country_id, *(r.id for r in self.regions),
                         *(l.id for r in self.regions for l in r.leaves)]:
@@ -157,13 +157,12 @@ class SyntheticData:
 
 
 def _resolve_brackets(spec: SyntheticSpec, pooled_sample: np.ndarray) -> np.ndarray:
-    if isinstance(spec.brackets, int):
-        g = spec.brackets
-        probs = np.arange(1, g) / g
-        interior = np.quantile(pooled_sample, probs)
-        boundaries = np.concatenate([[0.0], interior, [math.inf]])
-    else:
-        boundaries = np.asarray(spec.brackets, dtype=float)
+    if isinstance(spec.brackets, tuple):
+        return np.array(spec.brackets)
+    g = spec.brackets
+    probs = np.arange(1, g) / g
+    interior = np.quantile(pooled_sample, probs)
+    boundaries = np.concatenate([[0.0], interior, [math.inf]])
     if np.any(np.diff(boundaries) <= 0.0):
         raise ValueError("bracket boundaries must be strictly increasing (degenerate sample?)")
     return boundaries

@@ -283,6 +283,39 @@ def test_manifest_rejects_malformed_settings_naming_the_file(tmp_path, field, va
         dataio.load_manifest(tmp_path / "bad.json")
 
 
+def _node(doc, node_id) -> dict:
+    return next(node for node in doc["nodes"] if node["id"] == node_id)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: _node(doc, "e1").update(level="county"), "node 'e1': unknown level 'county'"),
+        (lambda doc: _node(doc, "e1").update(population=0), "node 'e1': population must be positive"),
+        (lambda doc: _node(doc, "e1").update(family="pareto"), "node 'e1': unknown family tag 'pareto'"),
+        (lambda doc: _node(doc, "east").update(family="pareto"), "node 'east': unknown family tag 'pareto'"),
+        (lambda doc: _node(doc, "country").update(level="region"),
+         "root 'country' must be the country node, got level 'region'"),
+        (lambda doc: doc.update(nodes=[n for n in doc["nodes"] if n["id"] == "country"]),
+         "country 'country' needs at least one region"),
+        (lambda doc: _node(doc, "east").update(level="subregion"),
+         "node 'east': children of the country must be regions"),
+        (lambda doc: _node(doc, "e1").update(level="region"), "node 'e1': regions may only contain leaf subregions"),
+        (lambda doc: _node(doc, "e1").pop("family"), "node record 'e1' is missing 'family'"),
+    ],
+    ids=["unknown-level", "population-zero", "unknown-family", "unknown-region-family", "root-not-a-country",
+         "country-without-regions",
+         "country-child-not-a-region", "region-child-not-a-leaf", "record-missing-a-key"],
+)
+def test_manifest_rejects_tree_faults_naming_the_file_and_the_node(tmp_path, edit, message):
+    write_manifest_tree(tmp_path)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    edit(doc)
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    with pytest.raises(dataio.ManifestError, match="^" + re.escape(f"{tmp_path / 'bad.json'}: {message}")):
+        dataio.load_manifest(tmp_path / "bad.json")
+
+
 def test_manifest_custom_phi_file(tmp_path):
     manifest = write_manifest_tree(tmp_path)
     ids = [n.id for n in manifest.root.walk()]
@@ -527,4 +560,25 @@ def test_synthetic_spec_rejects_settings_that_are_not_numbers(tmp_path, settings
     leaf = {"id": "m1", "population": 10, "params": {"family": "ln", "xi": 1.0, "sigma2": 0.4}}
     (tmp_path / "spec.json").write_text(json.dumps({**settings, "regions": [{"id": "r1", "leaves": [leaf]}]}))
     with pytest.raises(dataio.ManifestError, match=re.escape(f"{tmp_path / 'spec.json'}: {message}")):
+        dataio.load_synthetic_spec(tmp_path / "spec.json")
+
+
+@pytest.mark.parametrize(
+    "brackets, message",
+    [
+        ("12", "brackets must be an integer or a list of boundaries, got '12'"),
+        (True, "brackets must be an integer or a list of boundaries, got True"),
+        (2.0, "brackets must be an integer or a list of boundaries, got 2.0"),
+        (1, "need at least two brackets"),
+        ([1, 2, "inf"], "first boundary must be 0, got 1.0"),
+        ([0, 1, 2], "last boundary must be +inf (open top bracket)"),
+        ([0, "inf"], "need at least two brackets"),
+        ([0, 2, 1, "inf"], "boundaries must be strictly increasing"),
+    ],
+    ids=["string", "bool", "float", "one", "first-not-zero", "closed-top", "one-bracket", "not-increasing"],
+)
+def test_synthetic_spec_rejects_bad_brackets_at_load_naming_the_file(tmp_path, brackets, message):
+    leaf = {"id": "m1", "population": 10, "params": {"family": "ln", "xi": 1.0, "sigma2": 0.4}}
+    (tmp_path / "spec.json").write_text(json.dumps({"brackets": brackets, "regions": [{"id": "r1", "leaves": [leaf]}]}))
+    with pytest.raises(dataio.ManifestError, match="^" + re.escape(f"{tmp_path / 'spec.json'}: {message}")):
         dataio.load_synthetic_spec(tmp_path / "spec.json")

@@ -15,8 +15,7 @@ from gedecomp.distributions import (
     LN,
     SM,
     MomentExistenceError,
-    family_dim,
-    family_param_names,
+    family_class,
     ge_terms,
     make_batch,
     make_family,
@@ -35,13 +34,13 @@ from gedecomp.grouped import (
     _independence_chains,
     _initial_guess,
     _newton_modes,
+    _random_walk_chains,
     derive_seed,
     fit,
     fit_batch,
     log_likelihood,
     posterior_ge,
     posterior_mean_income,
-    random_walk_chain,
 )
 
 from conftest import NATIONAL_BOUNDARIES, NATIONAL_MCMC, national_sample
@@ -152,12 +151,37 @@ def test_chain_log_density_rejects_rows_off_the_domain():
     t[1, 0] = 800.0  # a = inf
     t[2, 1] = -800.0  # b = 0
     t[3, 3] = np.nan
-    lp = density(t)
+    lp = density(t, np.arange(4))
     assert math.isfinite(lp[0])
     assert np.all(lp[1:] == -math.inf)
-    assert lp[0] == _chain_log_density("gb2", [one_bracket])(t[:1])[0]
-    ln = _chain_log_density("ln", [one_bracket] * 2)(np.array([[1.0, 0.0], [1.0, -800.0]]))  # sigma2 = 0
+    assert lp[0] == _chain_log_density("gb2", [one_bracket])(t[:1], np.zeros(1, dtype=int))[0]
+    ln = _chain_log_density("ln", [one_bracket] * 2)(np.array([[1.0, 0.0], [1.0, -800.0]]), np.arange(2))  # sigma2 = 0
     assert math.isfinite(ln[0]) and ln[1] == -math.inf
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+@pytest.mark.parametrize("family", ["gb2", "sm", "ln"])
+def test_chain_log_density_of_a_row_is_that_of_the_row_alone(family):
+    # the proposals' block evaluation and the walk's lp_start (Newton's value at the mode) rest on this
+    inf = np.inf
+    samples = [
+        GroupedSample([0, 1, 2, 3, 5, 8, inf], [2.0, 4.0, 6.0, 5.0, 2.0, 1.0]),
+        GroupedSample([0, 0.5, 2, 4, 6, 9, inf], [0.0, 4.0, 0.0, 5.0, 2.0, 3.0]),
+        GroupedSample([0, 1, 2, 3, 5, 1e17, inf], [5.0, 0.0, 0.0, 0.0, 0.0, 5.0]),  # -inf at unit shapes
+    ]
+    density = _chain_log_density(family, samples)
+    rng = np.random.default_rng(29)
+    rows = rng.normal(0.3, 0.8, (60, len(family_class(family).param_names)))
+    # off the domain: a positive parameter at inf or 0, and a NaN coordinate
+    rows[0::6, -1], rows[1::6, -1], rows[2::6, 0] = 800.0, -800.0, np.nan
+    units = rng.integers(0, len(samples), len(rows))
+    together = density(rows, units)
+    alone = np.array([density(rows[r : r + 1], units[r : r + 1])[0] for r in range(len(rows))])
+    assert np.array_equal(together, alone)
+    inside = np.ones(len(rows), dtype=bool)
+    inside[0::6] = inside[1::6] = inside[2::6] = False
+    assert np.all(together[~inside] == -inf) and np.isfinite(together[inside]).sum() >= 10
+    assert np.array_equal(density(rows[inside], units[inside]), together[inside])
 
 
 def test_loglik_count_scaling():
@@ -263,19 +287,26 @@ def test_start_recovers_exact_log_logistic_and_lognormal_tables(family, dist, ch
 ])
 def test_start_without_a_line_is_the_origin(data):
     for family in ("gb2", "sm", "ln"):
-        assert np.array_equal(_initial_guess(family, data), np.zeros(family_dim(family)))
+        assert np.array_equal(_initial_guess(family, data), np.zeros(len(family_class(family).param_names)))
 
 
 # ---------------------------------------------------------------------------
 # sampler core
 # ---------------------------------------------------------------------------
 
+def walk(log_density, units, seeds, start, factors, iterations, burnin):
+    """The fallback walk of units from start, its lp_start the log density there."""
+    return _random_walk_chains(log_density, units, seeds, start, log_density(start, units), factors,
+                               iterations, burnin)
+
+
+ONE_UNIT = np.zeros(1, dtype=int)
+
+
 def test_chain_normal_target_conjugate_mean():
-    log_density = lambda t: -0.5 * ((t[:, 0] - 3.0) / 2.0) ** 2
+    log_density = lambda t, units: -0.5 * ((t[:, 0] - 3.0) / 2.0) ** 2
     # 2.38 sd: the scaled kernel of a one-dimensional Gaussian target
-    draws, rate = random_walk_chain(
-        log_density, np.array([[0.0]]), np.array([[[2.38 * 2.0]]]), 20_000, 4_000, [spawned(0)]
-    )
+    draws, rate = walk(log_density, ONE_UNIT, [0], np.array([[0.0]]), np.array([[[2.38 * 2.0]]]), 20_000, 4_000)
     assert draws.shape == (1, 16_000, 1)
     assert abs(draws.mean() - 3.0) < 0.15
     assert abs(draws.std() - 2.0) < 0.2
@@ -283,14 +314,12 @@ def test_chain_normal_target_conjugate_mean():
 
 
 def test_chain_beta_target_mean():
-    def log_density(t):
+    def log_density(t, units):
         x = t[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where((0.0 < x) & (x < 1.0), 4.0 * np.log(x) + 2.0 * np.log1p(-x), -math.inf)  # Beta(5, 3)
 
-    draws, _ = random_walk_chain(
-        log_density, np.array([[0.5]]), np.array([[[0.2]]]), 20_000, 4_000, [spawned(1)]
-    )
+    draws, _ = walk(log_density, ONE_UNIT, [1], np.array([[0.5]]), np.array([[[0.2]]]), 20_000, 4_000)
     assert abs(draws.mean() - 5.0 / 8.0) < 0.02
 
 
@@ -300,24 +329,21 @@ PRECISIONS = np.array([[[2.0, 1.8], [1.8, 2.0]], [[1.0, 0.0], [0.0, 4.0]], [[5.0
 FACTORS = (2.38 / math.sqrt(2.0)) * np.linalg.cholesky(np.linalg.inv(PRECISIONS))
 
 
-def gaussian_rows(rows):
-    def log_density(t):  # elementwise per row, so a row's value cannot depend on the others
-        r0, r1 = (t - CENTRES[rows]).T
-        p = PRECISIONS[rows]
-        return -0.5 * (p[:, 0, 0] * r0 * r0 + 2.0 * p[:, 0, 1] * r0 * r1 + p[:, 1, 1] * r1 * r1)
-    return log_density
+def gaussian(t, units):
+    """Row r's log density under the Gaussian of unit units[r], elementwise per row, so a row's value
+    cannot depend on the others."""
+    r0, r1 = (t - CENTRES[units]).T
+    p = PRECISIONS[units]
+    return -0.5 * (p[:, 0, 0] * r0 * r0 + 2.0 * p[:, 0, 1] * r0 * r1 + p[:, 1, 1] * r1 * r1)
 
 
 def test_chain_rows_match_chains_run_alone():
     starts = np.zeros((3, 2))
     seeds = (7, 8, 9)
-    together, rates = random_walk_chain(
-        gaussian_rows([0, 1, 2]), starts, FACTORS, 4_000, 400, [spawned(s) for s in seeds]
-    )
+    together, rates = walk(gaussian, np.arange(3), seeds, starts, FACTORS, 4_000, 400)
     for k in range(3):
-        alone, rate = random_walk_chain(
-            gaussian_rows([k]), starts[k : k + 1], FACTORS[k : k + 1], 4_000, 400, [spawned(seeds[k])]
-        )
+        # unit k alone keeps its batch index k
+        alone, rate = walk(gaussian, np.array([k]), seeds[k : k + 1], starts[k : k + 1], FACTORS[k : k + 1], 4_000, 400)
         assert np.array_equal(together[k], alone[0])
         assert rates[k] == rate[0]
     assert_allclose(together.mean(axis=1), CENTRES, atol=0.3)
@@ -329,9 +355,7 @@ def test_chain_with_burnin_is_a_slice_of_the_whole_chain():
     seeds = (11, 12, 13)
 
     def chain(iterations, burnin):
-        return random_walk_chain(
-            gaussian_rows([0, 1, 2]), starts, FACTORS, iterations, burnin, [spawned(s) for s in seeds]
-        )[0]
+        return walk(gaussian, np.arange(3), seeds, starts, FACTORS, iterations, burnin)[0]
 
     whole = chain(400, 0)
     for iterations, burnin in ((230, 0), (230, 37), (260, 50), (400, 120), (400, 399)):
@@ -345,11 +369,11 @@ def test_chain_reads_each_stream_in_one_call():
     # multiples of 50
     starts = np.array([[0.0, 0.0], [4.0, 1.0]])
     seeds = (3, 4)
-    draws, rates = random_walk_chain(gaussian_rows([0, 1]), starts, FACTORS[:2], 230, 120, [spawned(s) for s in seeds])
+    draws, rates = walk(gaussian, np.arange(2), seeds, starts, FACTORS[:2], 230, 120)
     for k, seed in enumerate(seeds):
         normals, _, uniforms = spawned(seed)
         z, log_u = normals.standard_normal((230, 2)), np.log(uniforms.random(230))
-        log_density = gaussian_rows([k])
+        log_density = lambda t: gaussian(t, np.array([k]))
         t, lp, chain, accepted = starts[k], log_density(starts[k : k + 1])[0], [], []
         for i in range(230):
             proposal = t + (FACTORS[k] * z[i]).sum(axis=1)  # factor @ z as the sampler forms it
@@ -381,10 +405,11 @@ def test_a_spawned_stream_read_in_chunks_equals_one_whole_read(kind):
 @pytest.mark.parametrize("n_units", [1, 2])
 def test_independence_chains_read_each_stream_in_one_call(n_units):
     # 4,130 draws span more than one 2,048-row log density block; each unit
-    # reads its (n, d) normals, n chi-square(5) draws and n uniforms whole,
-    # one call to each of its three spawned streams, so the block size
-    # cannot move a bit of the proposals or the weights
-    n, dim, seeds = 4_130, 3, (21, 22)[:n_units]
+    # spawns three streams from its seed and reads its (n, d) normals, n
+    # chi-square(5) draws and n uniforms whole, one call to each, so the
+    # block size cannot move a bit of the proposals or the weights; the
+    # density sees each unit's rows under its batch index
+    n, dim, seeds, units = 4_130, 3, (21, 22)[:n_units], np.array([5, 2])[:n_units]
     modes = np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -0.5]])[:n_units]
     lp_modes = np.array([0.0, -0.3])[:n_units]
     scales = np.array([np.diag([0.1, 0.2, 0.3]), [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, -0.5, 2.0]]])[:n_units]
@@ -394,17 +419,17 @@ def test_independence_chains_read_each_stream_in_one_call(n_units):
         seen.append((t.copy(), units.copy()))
         return -0.5 * (t * t).sum(axis=1)
 
-    draws, rates, log_w = _independence_chains(log_density, modes, lp_modes, scales, n, [spawned(s) for s in seeds])
+    draws, rates, log_w = _independence_chains(log_density, units, seeds, modes, lp_modes, scales, n)
     assert max(len(t) for t, _ in seen) == 2_048
     rows = np.concatenate([t for t, _ in seen])
-    units = np.concatenate([u for _, u in seen])
+    row_units = np.concatenate([u for _, u in seen])
     for k, seed in enumerate(seeds):
         normals, chi_squares, uniforms = spawned(seed)
         z, chi2, log_u = normals.standard_normal((n, dim)), chi_squares.chisquare(5.0, n), np.log(uniforms.random(n))
         # scales @ z as an elementwise sum, as the sampler forms it
         proposals = modes[k] + np.sqrt(5.0 / chi2)[:, None] * (z[:, None, :] * scales[k]).sum(axis=2)
         weights = -0.5 * (proposals * proposals).sum(axis=1) + 0.5 * (5.0 + dim) * np.log1p((z * z).sum(axis=1) / chi2)
-        assert np.array_equal(rows[units == k], proposals)
+        assert np.array_equal(rows[row_units == units[k]], proposals)
         assert np.array_equal(log_w[k], weights)
         state, current, accepted, chain = -1, lp_modes[k], 0, []
         for i in range(n):
@@ -442,11 +467,11 @@ def test_shorter_fit_is_a_prefix_of_a_longer_one():
         assert np.array_equal(short.draws, long.draws[:1_893])
 
 
-def test_chain_rejects_bad_start():
-    with pytest.raises(ValueError):
-        random_walk_chain(
-            lambda t: np.full(len(t), -math.inf), np.zeros((1, 1)), np.ones((1, 1, 1)), 100, 10, [spawned(0)]
-        )
+def test_fit_rejects_a_unit_without_a_finite_start():
+    # all mass beyond where the start's cdf rounds to 1: -inf at the ecdf line and at the origin
+    stuck = GroupedSample([0, 1, 1e17, np.inf], [5.0, 0.0, 5.0], "stuck")
+    with pytest.raises(ValueError, match="^unit 'stuck': log density is not finite at the starting point$"):
+        fit("ln", stuck, McmcConfig(iterations=200, burnin=50))
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +543,10 @@ def test_unit_failing_the_gate_runs_the_random_walk():
     # the fixed walk from the Newton mode, its kernel the Laplace covariance
     # times 2.38^2 / d, on fresh streams
     density = _chain_log_density("ln", [TOP_HEAVY])
-    mode, _, hess = _newton_modes(density, _initial_guess("ln", TOP_HEAVY)[None])
+    mode, lp_mode, hess = _newton_modes(density, _initial_guess("ln", TOP_HEAVY)[None])
     curv, vec = np.linalg.eigh(-hess)
     factor = (2.38 / math.sqrt(2.0)) * vec / np.sqrt(_abs_curvatures(curv))[:, None, :]
-    chain, rate = random_walk_chain(density, mode, factor, 2_000, 500, [spawned(0)])
+    chain, rate = _random_walk_chains(density, ONE_UNIT, [0], mode, lp_mode, factor, 2_000, 500)
     chain[0, :, 1] = np.exp(chain[0, :, 1])
     assert np.array_equal(draws.draws, chain[0])
     assert draws.acceptance_rate == rate[0]
@@ -622,10 +647,18 @@ def make_draws(family, rows, unit="u") -> PosteriorDraws:
         family=family,
         unit=unit,
         draws=rows,
-        param_names=family_param_names(family),
         acceptance_rate=0.3,
         config=McmcConfig(iterations=len(rows) + 1, burnin=1),
     )
+
+
+@pytest.mark.parametrize("family", ["gb2", "sm", "ln"])
+def test_draws_take_their_parameter_names_from_their_family(family):
+    draws = fit(family, national_sample(), McmcConfig(iterations=300, burnin=100))
+    assert draws.param_names == family_class(draws.family).param_names
+    with pytest.raises(TypeError):
+        PosteriorDraws(family=family, unit="u", draws=draws.draws, param_names=("x",), acceptance_rate=0.3,
+                       config=draws.config)
 
 
 def test_posterior_ge_identical_draws():
@@ -704,7 +737,7 @@ def summary_of(values) -> PosteriorSummary:
 def test_posterior_summaries_equal_the_per_row_closed_forms_exactly(family):
     cls = {"gb2": GB2, "sm": SM}[family]
     rng = np.random.default_rng(17)
-    random_rows = np.exp(rng.normal(0.4, 0.6, (200, family_dim(family))))
+    random_rows = np.exp(rng.normal(0.4, 0.6, (200, len(cls.param_names))))
     rows = np.vstack([np.tile(MIXED_ROWS[family], (3, 1)), random_rows])
     draws = make_draws(family, rows)
     values = per_row_values(rows, lambda row: cls(*row).mean())

@@ -62,7 +62,6 @@ def exact_draws(family, params, n=4) -> PosteriorDraws:
         family=family,
         unit="x",
         draws=rows,
-        param_names=params.param_names,
         acceptance_rate=0.25,
         config=McmcConfig(iterations=n + 1, burnin=1),
     )
@@ -333,7 +332,7 @@ def test_unreliable_draw_flags_surface_in_report():
     light = g.SM(2.5, 3.0, 2.0)
     rows = np.vstack([np.tile(heavy.to_vector(), (5, 1)), np.tile(light.to_vector(), (95, 1))])
     bad_draws = PosteriorDraws(
-        family="sm", unit="s0", draws=rows, param_names=("a", "b", "q"),
+        family="sm", unit="s0", draws=rows,
         acceptance_rate=0.3, config=McmcConfig(iterations=101, burnin=1),
     )
     fitted = build_fitted_tree([light] * 2, [500.0, 500.0], region_split=(2,),
@@ -391,7 +390,7 @@ def test_exclusions_up_to_half_are_flagged_and_beyond_half_undefined():
     fitted = build_fitted_tree([light] * 2, [500.0, 500.0], region_split=(2,), families=("gb2", "sm", "sm"))
     for n_heavy, undefined in ((50, False), (51, True)):
         rows = np.vstack([np.tile(heavy, (n_heavy, 1)), np.tile(light.to_vector(), (100 - n_heavy, 1))])
-        draws = PosteriorDraws(family="sm", unit="s0", draws=rows, param_names=("a", "b", "q"),
+        draws = PosteriorDraws(family="sm", unit="s0", draws=rows,
                                acceptance_rate=0.3, config=McmcConfig(iterations=101, burnin=1))
         tree = FittedHierarchy(root=fitted.root, draws=dict(fitted.draws, s0=draws), mcmc=fitted.mcmc)
         lost = f"{n_heavy}/100 draws with GE outside the moment window at theta=2"

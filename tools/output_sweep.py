@@ -4,7 +4,9 @@ Usage: python tools/output_sweep.py OUT
 
 Runs ``fit`` (gb2, sm, ln, and gb2 on a table where no draw has a mean, so
 every summary is written as null), ``decompose`` (income only, with groups, with
-groups and subgroups), ``simulate``, ``compare``, ``pipeline`` (proposed,
+groups and subgroups), ``simulate``, ``compare`` (and ``compare`` with gb2 at
+every level, so that all ten nodes are one gb2 batch, most of them on the
+lockstep fallback walk), ``pipeline`` (proposed,
 separate, mixture, and proposed with raking and with a phi file's loss
 weights) and ``surface`` on inputs the script writes itself, with the code
 of this checkout's ``src/``.  Each run writes its files under
@@ -66,6 +68,8 @@ SPEC = {
 def write_inputs() -> None:
     Path("inputs").mkdir()
     Path("inputs/spec.json").write_text(json.dumps(SPEC, indent=2) + "\n")
+    all_gb2 = {**SPEC, "fit_families": {level: "gb2" for level in SPEC["fit_families"]}}
+    Path("inputs/spec_gb2.json").write_text(json.dumps(all_gb2, indent=2) + "\n")
     rows = ["lower,upper,count"]
     rows += [f"{lo},{hi},{n}" for lo, hi, n in zip(NATIONAL_BOUNDARIES, NATIONAL_BOUNDARIES[1:], NATIONAL_COUNTS)]
     Path("inputs/national.csv").write_text("\n".join(rows) + "\n")
@@ -99,6 +103,8 @@ def runs() -> list[tuple[str, list[str]]]:
         ("simulate", ["simulate", "--spec", "inputs/spec.json", "--out", "simulate", *THETA_ARGS]),
         ("compare", ["compare", "--spec", "inputs/spec.json", "--out", "compare", *SHORT_CHAIN, "--seed", "5",
                      *THETA_ARGS]),
+        ("compare_gb2", ["compare", "--spec", "inputs/spec_gb2.json", "--out", "compare_gb2", *SHORT_CHAIN,
+                         "--seed", "7", *THETA_ARGS]),
         *[(f"pipeline_{method}", ["pipeline", "--manifest", manifest, "--method", method, "--out", f"pipeline_{method}",
                                   *SHORT_CHAIN])
           for method in ("proposed", "separate", "mixture")],
