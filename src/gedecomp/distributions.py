@@ -84,13 +84,18 @@ def _require_positive(name: str, value: float) -> float:
 
 
 def _cdf(x, of_log):
-    """A family's cdf at x from its kernel of log x: 0 for x <= 0 (and NaN), 1 at x = +inf."""
+    """A family's cdf at x from its kernel of log x: 0 for x <= 0 (and NaN), 1 at x = +inf.
+
+    The kernel's output may be larger than x (x broadcasts against the
+    parameters), so it is masked only when x holds such an entry.
+    """
     x = np.asarray(x, dtype=float)
-    pos = x > 0
+    inside = (x > 0) & (x < math.inf)
     with np.errstate(divide="ignore", over="ignore"):
-        out = of_log(np.log(np.where(pos, x, 1.0)))
-    out = np.where(pos, out, 0.0)
-    return np.where(np.isposinf(x), 1.0, out)
+        out = of_log(np.log(np.where(inside, x, 1.0)))
+    if inside.all():
+        return np.asarray(out)
+    return np.where(inside, out, np.where(np.isposinf(x), 1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,16 @@ batch's log density as ``log_density(rows, units)``, row r a chain state of
 the unit at batch index units[r], and a row's value never depends on the
 other rows.  The mode search and the walk take one call per step for all
 their units, and the proposals are evaluated in blocks of at most 2,048
-rows.  Each sampler takes the batch indices of its units and their seeds,
-and spawns each unit's three streams itself, one per draw kind (normals,
-chi-squares, uniforms), so a unit's draws are those of the same unit fitted
-alone (``fit`` is the batch of one).  Either sampler reads a unit's whole
-chain from each stream in one call; a stream read in pieces gives the draws
-of one whole read, so a shorter chain is a prefix of a longer one when both
+rows, with one bracket row for the block when the batch's units share
+their boundaries.  The independence sampler draws each unit's proposals
+into that unit's rows of the batch's draws and gathers its chain there in
+place, so the batch holds its chains in one (K, n, d) array.  Each sampler
+takes the batch indices of its units and their seeds, and spawns each
+unit's three streams itself, one per draw kind (normals, chi-squares,
+uniforms), so a unit's draws are those of the same unit fitted alone
+(``fit`` is the batch of one).  Either sampler reads a unit's whole chain
+from each stream in one call; a stream read in pieces gives the draws of
+one whole read, so a shorter chain is a prefix of a longer one when both
 take the same sampler, and the walk's draws at one burn-in are a slice of
 its draws at a shorter one.  The gate reads all of a unit's proposals, so a
 unit can pass it at one length and fall back at another.
@@ -234,19 +238,24 @@ def log_likelihood(params: FamilyParams, data: GroupedSample) -> float | np.ndar
     exception; zero-count brackets contribute nothing.
 
     Also takes K units at once: parameters from ``make_batch`` with data
-    whose boundaries are (K, G+1) and counts (K, G); the result is then one
-    log likelihood per unit.
+    whose boundaries are (K, G+1) and counts (K, G), either of them possibly
+    one row that every unit shares; the result is then one log likelihood
+    per unit.
     """
     cdf_vals = params.cdf(data.boundaries[..., 1:-1])
     cum = np.zeros(cdf_vals.shape[:-1] + (cdf_vals.shape[-1] + 2,))
     cum[..., 1:-1] = cdf_vals
     cum[..., -1] = 1.0
-    probs = cum[..., 1:] - cum[..., :-1]
+    terms = cum[..., 1:] - cum[..., :-1]
     y = data.counts
-    active = y > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         # a (rounded) negative probability counts as zero: its term is -inf
-        ll = np.where(active, y * np.log(np.maximum(probs, 0.0)), 0.0).sum(axis=-1)
+        np.log(np.maximum(terms, 0.0, out=terms), out=terms)
+        terms *= y
+    active = y > 0.0
+    if not active.all():
+        terms = np.where(active, terms, 0.0)
+    ll = terms.sum(axis=-1)
     return ll if ll.ndim else float(ll)
 
 
@@ -354,7 +363,7 @@ def _check_unit(family: str, data: GroupedSample) -> None:
 
 @dataclass(frozen=True)
 class _SampleStack:
-    """Boundaries (K, G+1) and counts (K, G) of K samples, for log_likelihood."""
+    """Boundaries (K, G+1) and counts (K, G) of K samples, or one row shared by all, for log_likelihood."""
 
     boundaries: np.ndarray
     counts: np.ndarray
@@ -367,11 +376,12 @@ def _chain_log_density(family: str, samples):
     hold several states per unit, and row r's value is that of the call on
     row r alone.  Rows off the parameter domain (non-finite or nonpositive
     natural parameters, LN's sigma2 = 0) get -inf, found from the whole
-    matrix at once.
+    matrix at once.  Boundaries that every sample shares pass as one (1, G+1)
+    row that broadcasts over the rows, as do the counts of a lone sample.
     """
-    stack = _SampleStack(
-        np.array([data.boundaries for data in samples]), np.array([data.counts for data in samples])
-    )
+    boundaries = np.array([data.boundaries for data in samples])
+    counts = np.array([data.counts for data in samples])
+    shared = (boundaries == boundaries[0]).all()
     cls = family_class(family)
     real, dim = cls.n_real, len(cls.param_names)
     # open lower bounds of the natural parameters
@@ -379,7 +389,8 @@ def _chain_log_density(family: str, samples):
     lower[:real] = -math.inf
 
     def log_density(t: np.ndarray, units: np.ndarray) -> np.ndarray:
-        data = _SampleStack(stack.boundaries[units], stack.counts[units])
+        data = _SampleStack(boundaries[:1] if shared else boundaries[units],
+                            counts if len(counts) == 1 else counts[units])
         natural = _from_chain_space(t, real)
         inside = (natural > lower) & (natural < math.inf)
         if inside.all():
@@ -491,52 +502,60 @@ def _newton_modes(log_density, start: np.ndarray):
     return t, lp, hess
 
 
-def _independence_chains(log_density, units, seeds, modes, lp_modes, scales, n):
+def _independence_chains(log_density, units, seeds, modes, lp_modes, scales, draws):
     """Independence MH chains for K units, proposals from a t around each mode.
 
-    Row k is the unit at batch index units[k].  Its proposal i is modes[k] +
-    sqrt(nu / w_i) * scales[k] @ z_i with z_i standard normal and w_i
-    chi-square(nu).  Each unit reads its n normals (n, d), n chi-square
-    draws and n uniforms in one call to each of the three streams spawned
-    from its seed, and its proposals are formed in place of its normals.
-    The log densities are evaluated in blocks of at most 2,048 rows of the
-    units' proposals in turn; a row's log density does not depend on its
-    batch-mates, so the block size moves no bit.  The chain starts at the
-    mode, where the log density is lp_modes[k], and accepts on the log
-    importance weights, one unit at a time, each reading its uniforms in its
-    own accept loop.
+    Row k is the unit at batch index units[k], and its chain is written to
+    draws[units[k]] (n, d) of the batch's draws (K', n, d), so no second
+    array of chains is made.  Its proposal i is modes[k] + sqrt(nu / w_i) *
+    scales[k] @ z_i with z_i standard normal and w_i chi-square(nu).  Each
+    unit reads its n normals (n, d) into its rows of draws, its n
+    chi-square draws and its n uniforms in one call to each of the three
+    streams spawned from its seed, and its proposals are formed in place of
+    its normals.  The log densities are evaluated in blocks of at most
+    2,048 rows of the units' proposals in turn; a row's log density does
+    not depend on its batch-mates, so the block size moves no bit.  The
+    chain starts at the mode, where the log density is lp_modes[k], and
+    accepts on the log importance weights, one unit at a time, each reading
+    its uniforms in its own accept loop; each rejected proposal's row then
+    takes the state the chain holds, in place.
 
-    Returns (draws (K, n, d), acceptance rate per unit, log importance
-    weights (K, n)).
+    Returns (acceptance rate per unit, log importance weights (K, n)).
     """
-    n_units, dim = modes.shape
-    proposals, log_w, uniforms = np.empty((n_units, n, dim)), np.empty((n_units, n)), []
-    for k, seed in enumerate(seeds):
+    n, dim = draws.shape[1:]
+    log_w, uniforms = np.empty((len(units), n)), []
+    for k, (unit, seed) in enumerate(zip(units, seeds)):
         normals, chi_squares, unit_uniforms = _unit_streams(seed)
         uniforms.append(unit_uniforms)
-        z = proposals[k]
+        z = draws[unit]
         normals.standard_normal(out=z)
         chi2 = chi_squares.chisquare(_T_DOF, n)
         log_w[k] = -0.5 * (_T_DOF + dim) * np.log1p((z * z).sum(axis=1) / chi2)  # log q up to a constant, 0 at the mode
-        # scales @ z as an elementwise sum, never BLAS, so no row depends on n (a shorter chain is a prefix)
-        z[:] = modes[k] + np.sqrt(_T_DOF / chi2)[:, None] * (z[:, None, :] * scales[k]).sum(axis=2)
-    rows, flat_w = proposals.reshape(-1, dim), log_w.reshape(-1)
-    for first in range(0, len(rows), _BLOCK_ROWS):
-        block = slice(first, min(first + _BLOCK_ROWS, len(rows)))
-        flat_w[block] = log_density(rows[block], units[np.arange(block.start, block.stop) // n]) - flat_w[block]
+        # scales @ z as column products added in order, never BLAS, so no row depends on n (a shorter chain is a prefix)
+        step = z[:, :1] * scales[k][:, 0]
+        for c in range(1, dim):
+            step += z[:, c : c + 1] * scales[k][:, c]
+        z[:] = modes[k] + np.sqrt(_T_DOF / chi2)[:, None] * step
+    flat_w = log_w.reshape(-1)
+    for first in range(0, len(flat_w), _BLOCK_ROWS):
+        block = slice(first, min(first + _BLOCK_ROWS, len(flat_w)))
+        k, i = np.divmod(np.arange(block.start, block.stop), n)  # unit and draw of each row
+        flat_w[block] = log_density(draws[units[k], i], units[k]) - flat_w[block]
 
-    rates = np.empty(n_units)
-    for k in range(n_units):
-        path, current, accepted, state = [], lp_modes[k], 0, -1  # state -1 is the mode
-        for i, (w, u) in enumerate(zip(log_w[k].tolist(), np.log(uniforms[k].random(n)).tolist())):
+    rates = np.empty(len(units))
+    for k, unit in enumerate(units):
+        flags, current = bytearray(n), lp_modes[k]
+        for i, w, u in zip(range(n), log_w[k].tolist(), np.log(uniforms[k].random(n)).tolist()):
             if u < w - current:
-                state, current, accepted = i, w, accepted + 1
-            path.append(state)
-        states = np.array(path)
-        # the chain in place of the proposals: state i is proposal i or an earlier one
-        proposals[k] = np.where(states[:, None] < 0, modes[k], proposals[k, states])
-        rates[k] = accepted / n
-    return proposals, rates, log_w
+                current, flags[i] = w, 1
+        accepted = np.frombuffer(flags, dtype=bool)
+        # a rejection holds the last accepted proposal, whose row is never overwritten, or the mode (-1)
+        states = np.maximum.accumulate(np.where(accepted, np.arange(n), -1))
+        held = np.flatnonzero(~accepted)
+        z = draws[unit]
+        z[held] = np.where(states[held, None] < 0, modes[k], z[states[held]])
+        rates[k] = np.count_nonzero(accepted) / n
+    return rates, log_w
 
 
 def fit_batch(family: str, samples, config: McmcConfig, seeds) -> list[PosteriorDraws]:
@@ -588,8 +607,8 @@ def fit_batch(family: str, samples, config: McmcConfig, seeds) -> list[Posterior
     k_hat = np.full(n_units, math.nan)
     if laplace.size:
         scales = vec[concave] / np.sqrt(curv[concave])[:, None, :]  # scales @ scales.T = (-H)^-1
-        draws[laplace], acc_rates[laplace], log_w = _independence_chains(
-            log_density, laplace, [configs[k].seed for k in laplace], modes[laplace], lp_modes[laplace], scales, n
+        acc_rates[laplace], log_w = _independence_chains(
+            log_density, laplace, [configs[k].seed for k in laplace], modes[laplace], lp_modes[laplace], scales, draws
         )
         k_hat[laplace] = [pareto_k(w) for w in log_w]
     passed = np.zeros(n_units, dtype=bool)

@@ -433,7 +433,8 @@ def test_criterion_9_every_command_writes_the_same_bytes_twice(tmp_path):
         root = tmp_path / name
         trees.append({p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()})
     runs = {name.removesuffix(".stdout") for name in trees[0] if name.endswith(".stdout")}
-    assert runs == {"fit_gb2", "fit_sm", "fit_ln", "fit_undefined", "decompose_income", "decompose_grouped", "decompose_nested",
+    assert runs == {"fit_gb2", "fit_sm", "fit_ln", "fit_default_gb2", "fit_default_sm", "fit_default_ln", "fit_undefined",
+                    "decompose_income", "decompose_grouped", "decompose_nested",
                     "simulate", "compare", "compare_gb2", "pipeline_proposed", "pipeline_separate", "pipeline_mixture",
                     "pipeline_raking", "pipeline_phi_file", "surface"}
     assert "pipeline_raking/report_theta_1em09.json" in trees[0]

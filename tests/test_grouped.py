@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -408,7 +409,8 @@ def test_independence_chains_read_each_stream_in_one_call(n_units):
     # spawns three streams from its seed and reads its (n, d) normals, n
     # chi-square(5) draws and n uniforms whole, one call to each, so the
     # block size cannot move a bit of the proposals or the weights; the
-    # density sees each unit's rows under its batch index
+    # density sees each unit's rows under its batch index, and each chain
+    # lands in its unit's rows of the batch's draws, no other row touched
     n, dim, seeds, units = 4_130, 3, (21, 22)[:n_units], np.array([5, 2])[:n_units]
     modes = np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -0.5]])[:n_units]
     lp_modes = np.array([0.0, -0.3])[:n_units]
@@ -419,14 +421,16 @@ def test_independence_chains_read_each_stream_in_one_call(n_units):
         seen.append((t.copy(), units.copy()))
         return -0.5 * (t * t).sum(axis=1)
 
-    draws, rates, log_w = _independence_chains(log_density, units, seeds, modes, lp_modes, scales, n)
+    draws = np.full((6, n, dim), -7.0)
+    rates, log_w = _independence_chains(log_density, units, seeds, modes, lp_modes, scales, draws)
     assert max(len(t) for t, _ in seen) == 2_048
+    assert (np.delete(draws, units, axis=0) == -7.0).all()
     rows = np.concatenate([t for t, _ in seen])
     row_units = np.concatenate([u for _, u in seen])
     for k, seed in enumerate(seeds):
         normals, chi_squares, uniforms = spawned(seed)
         z, chi2, log_u = normals.standard_normal((n, dim)), chi_squares.chisquare(5.0, n), np.log(uniforms.random(n))
-        # scales @ z as an elementwise sum, as the sampler forms it
+        # scales @ z as an elementwise sum, bitwise the sampler's column products added in order
         proposals = modes[k] + np.sqrt(5.0 / chi2)[:, None] * (z[:, None, :] * scales[k]).sum(axis=2)
         weights = -0.5 * (proposals * proposals).sum(axis=1) + 0.5 * (5.0 + dim) * np.log1p((z * z).sum(axis=1) / chi2)
         assert np.array_equal(rows[row_units == units[k]], proposals)
@@ -436,8 +440,73 @@ def test_independence_chains_read_each_stream_in_one_call(n_units):
             if log_u[i] < weights[i] - current:
                 state, current, accepted = i, weights[i], accepted + 1
             chain.append(modes[k] if state < 0 else proposals[state])
-        assert np.array_equal(draws[k], np.array(chain))
+        assert np.array_equal(draws[units[k]], np.array(chain))
         assert rates[k] == accepted / n
+
+
+def binned_sample(dist, seed, unit) -> GroupedSample:
+    """4,000 draws of dist counted over the national table's brackets."""
+    counts, _ = np.histogram(dist.sample(4_000, np.random.default_rng(seed)), bins=NATIONAL_BOUNDARIES)
+    return GroupedSample(NATIONAL_BOUNDARIES, counts.astype(float), unit)
+
+
+BATCH_SHAPES = {
+    "shared brackets": lambda: [binned_sample(SM(2.2 + 0.3 * k, 4.0, 1.5), k, f"s{k}") for k in range(3)],
+    "distinct boundaries": lambda: [quantile_bracket_sample(SM(2.2 + 0.3 * k, 4.0, 1.5), 4_000, 10, k, f"d{k}")
+                                    for k in range(3)],
+    "one unit": lambda: [binned_sample(SM(2.5, 4.0, 1.5), 9, "one")],
+}
+
+
+@pytest.mark.parametrize("shape", list(BATCH_SHAPES))
+def test_a_batch_fits_each_unit_bitwise_as_that_unit_alone(shape, monkeypatch):
+    # shared boundaries reach the cdf as one (1, G-1) row that broadcasts
+    # over the proposals, and a lone unit's counts as one (1, G) row; the
+    # gathered per-row brackets of a batch with distinct boundaries give
+    # the same bits
+    samples, config, seeds = BATCH_SHAPES[shape](), McmcConfig(1_500, 300), [11, 12, 13]
+    x_shapes, count_shapes = [], []
+    cdf, likelihood = SM.cdf, grouped.log_likelihood
+
+    def recording_cdf(self, x):
+        x_shapes.append(np.shape(x))
+        return cdf(self, x)
+
+    def recording_likelihood(params, data):
+        count_shapes.append(np.shape(data.counts))
+        return likelihood(params, data)
+
+    monkeypatch.setattr(SM, "cdf", recording_cdf)
+    monkeypatch.setattr(grouped, "log_likelihood", recording_likelihood)
+    batch = fit_batch("sm", samples, config, seeds[: len(samples)])
+    assert {x[1:] for x in x_shapes} == {(9,)}
+    if shape == "distinct boundaries":
+        assert len({x[0] for x in x_shapes}) > 1
+    else:
+        assert {x[0] for x in x_shapes} == {1}
+    if shape == "one unit":
+        assert set(count_shapes) == {(1, 10)}
+    for data, seed, fitted in zip(samples, seeds, batch):
+        alone = fit("sm", data, replace(config, seed=seed))
+        assert fitted.sampler == alone.sampler == "laplace"
+        assert np.array_equal(fitted.draws, alone.draws)
+        assert (fitted.acceptance_rate, fitted.pareto_k) == (alone.acceptance_rate, alone.pareto_k)
+
+
+def test_a_laplace_batch_holds_its_chains_in_its_draws_alone():
+    # the proposals are drawn into the batch's draws and each chain is
+    # gathered in place, so a batch of Laplace units peaks below twice its
+    # draws; a second (K, n, d) array of proposals would take it past that
+    samples = [quantile_bracket_sample(LN(1.0, 0.3 + 0.001 * k), 2_000, 10, k, f"u{k}") for k in range(200)]
+    tracemalloc.start()
+    try:
+        batch = fit_batch("ln", samples, McmcConfig(2_500, 500), range(200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(d.sampler == "laplace" for d in batch)
+    draws_bytes = 200 * 2_000 * 2 * 8
+    assert peak < 2 * draws_bytes, peak / draws_bytes
 
 
 def test_default_fit_of_the_national_table_takes_few_log_likelihood_calls(monkeypatch):

@@ -2,8 +2,10 @@
 
 Usage: python tools/output_sweep.py OUT
 
-Runs ``fit`` (gb2, sm, ln, and gb2 on a table where no draw has a mean, so
-every summary is written as null), ``decompose`` (income only, with groups, with
+Runs ``fit`` (gb2, sm, ln at 800/200 and again at the library default
+10,000/2,000, whose 8,000 proposals span several log density blocks, and gb2
+on a table where no draw has a mean, so every summary is written as null),
+``decompose`` (income only, with groups, with
 groups and subgroups), ``simulate``, ``compare`` (and ``compare`` with gb2 at
 every level, so that all ten nodes are one gb2 batch, most of them on the
 lockstep fallback walk), ``pipeline`` (proposed,
@@ -94,6 +96,9 @@ def runs() -> list[tuple[str, list[str]]]:
     return [
         *[(f"fit_{family}", ["fit", "--family", family, "--data", "inputs/national.csv", *SHORT_CHAIN,
                              "--seed", "3", "--out", f"fit_{family}", *THETA_ARGS])
+          for family in ("gb2", "sm", "ln")],
+        *[(f"fit_default_{family}", ["fit", "--family", family, "--data", "inputs/national.csv", "--seed", "3",
+                                     "--out", f"fit_default_{family}", *THETA_ARGS])
           for family in ("gb2", "sm", "ln")],
         ("fit_undefined", ["fit", "--family", "gb2", "--data", "inputs/undefined.csv", "--iters", "400",
                            "--burnin", "100", "--out", "fit_undefined"]),
