@@ -231,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=cmd_fit)
 
     p_dec = sub.add_parser("decompose", help="finite-population decomposition of microdata")
-    p_dec.add_argument("--data", required=True, help="CSV with columns income[,group[,subgroup]]")
+    p_dec.add_argument("--data", required=True,
+                       help="CSV whose header starts with income; the columns named group and subgroup "
+                            "give the labels, and other columns are ignored")
     p_dec.add_argument("--theta", type=float, action="append")
     p_dec.add_argument("--out")
     p_dec.set_defaults(func=cmd_decompose)

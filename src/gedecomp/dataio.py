@@ -201,14 +201,21 @@ def _num_txt(x: float) -> str:
 
 
 def read_microdata(path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Incomes, and group and subgroup labels where the header has those columns.
+    """Incomes, and group and subgroup labels where the header names those columns.
 
-    CSV header ``income[,group[,subgroup]]``; further columns are ignored.
+    The CSV header starts with ``income``; the columns named ``group`` and
+    ``subgroup`` (case and spaces ignored, as for the header's first names)
+    give the labels wherever they stand, and other columns are ignored.  A
+    ``subgroup`` column without a ``group`` column is a CsvFormatError.
     """
     path = Path(path)
     head, rows = _read_csv(path, ("income",))
+    names = [name.strip().lower() for name in head]
+    if "subgroup" in names and "group" not in names:
+        raise CsvFormatError(f"{path}: a subgroup column needs a group column")
     incomes = np.array([_positive(path, lineno, row[0], "income") for lineno, row in rows])
-    groups, subgroups = (np.array([row[k] for _, row in rows]) if len(head) > k else None for k in (1, 2))
+    groups, subgroups = (np.array([row[names.index(name)] for _, row in rows]) if name in names else None
+                         for name in ("group", "subgroup"))
     return incomes, groups, subgroups
 
 
@@ -497,9 +504,9 @@ def load_synthetic_spec(path) -> SyntheticSpec:
                 if family not in FAMILIES:
                     raise ValueError(f"{leaf}: field 'family' is {family!r}, expected one of {list(FAMILIES)}")
                 names = FAMILIES[family].param_names
-                if set(params_raw) - set(names):
+                if set(params_raw) != set(names):
                     raise ValueError(f"{leaf}: family {family!r} takes {list(names)}, got {sorted(params_raw)}")
-                vector = [params_raw[name] for name in names]
+                vector = [_json_number(params_raw[name], f"{leaf}: parameter {name!r}") for name in names]
                 leaves.append(
                     LeafSpec(
                         id=leaf_raw["id"],

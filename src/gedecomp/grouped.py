@@ -32,14 +32,14 @@ the unit at batch index units[r], and a row's value never depends on the
 other rows.  The mode search and the walk take one call per step for all
 their units, and the proposals are evaluated in blocks of at most 2,048
 rows, with one bracket row for the block when the batch's units share
-their boundaries.  The independence sampler draws each unit's proposals
-into that unit's rows of the batch's draws and gathers its chain there in
-place, so the batch holds its chains in one (K, n, d) array.  Each sampler
-takes the batch indices of its units and their seeds, and spawns each
-unit's three streams itself, one per draw kind (normals, chi-squares,
+their boundaries.  Both samplers have one output contract: each writes
+its units' retained states into their rows of the batch's (K, n, d) draws,
+the one store of the batch's chains, and returns only per-unit scalars
+(the acceptance rates, and for the Laplace stage the k-hats).  Each
+sampler takes the batch indices of its units and their seeds, and spawns
+each unit's three streams itself, one per draw kind (normals, chi-squares,
 uniforms), so a unit's draws are those of the same unit fitted alone
-(``fit`` is the batch of one).  Either sampler reads a unit's whole chain
-from each stream in one call; a stream read in pieces gives the draws of
+(``fit`` is the batch of one).  A stream read in pieces gives the draws of
 one whole read, so a shorter chain is a prefix of a longer one when both
 take the same sampler, and the walk's draws at one burn-in are a slice of
 its draws at a shorter one.  The gate reads all of a unit's proposals, so a
@@ -271,43 +271,49 @@ def _unit_streams(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3)]
 
 
-def _random_walk_chains(log_density, units, seeds, start, lp_start, factors, iterations, burnin):
+def _random_walk_chains(log_density, units, seeds, start, lp_start, factors, burnin, draws):
     """Fixed-kernel Gaussian random-walk Metropolis chains for K units in lockstep.
 
     Row k is the unit at batch index units[k]: it starts at start[k] (d,),
-    where the log density is lp_start[k], and proposes t + factors[k] @ z
-    with z standard normal.  The units share only the loop: each reads its
-    whole chain's normals, (iterations, d), and its iterations uniforms in
-    one call to the first and the last stream spawned from its seed, and
-    keeps its own kernel, so the draws of (iterations, burnin) are
-    iterations burnin .. iterations - 1 of any longer chain from the same
-    start and seed.
+    where the log density is lp_start[k], proposes t + factors[k] @ z with z
+    standard normal, discards its first burnin iterations and writes the
+    next n to draws[units[k]] (n, d) of the batch's draws (K', n, d), as
+    the independence chains do (the module's one output contract).  Each
+    unit reads its normals from the first stream spawned from its seed, the
+    burn-in's (burnin, d) into a scratch array and the retained (n, d) into
+    its rows of draws, where each iteration's state overwrites its normal,
+    and its burnin + n uniforms from the last stream in one call.  A stream
+    read in two pieces gives the draws of one whole read, so the draws at
+    (burnin, n) are iterations burnin .. burnin + n - 1 of any longer chain
+    from the same start and seed.  The units share only the loop and keep
+    their own kernels.
 
-    Returns (retained draws (K, iterations - burnin, d), acceptance rate per
-    unit over the retained iterations).
+    Returns the acceptance rate per unit over the retained iterations.
     """
     t, lp = np.asarray(start, dtype=float), np.asarray(lp_start, dtype=float)
-    n_units, d = t.shape
-    chain = np.empty((n_units, iterations, d))  # the normals, each overwritten by its iteration's state
-    log_u = np.empty((n_units, iterations))
-    for seed, z_unit, u_unit in zip(seeds, chain, log_u):
+    (n_units, d), n = t.shape, draws.shape[1]
+    burn = np.empty((n_units, burnin, d))
+    log_u = np.empty((n_units, burnin + n))
+    for unit, seed, z_burn, u_unit in zip(units, seeds, burn, log_u):
         normals, _, uniforms = _unit_streams(seed)
-        normals.standard_normal(out=z_unit)
+        normals.standard_normal(out=z_burn)
+        normals.standard_normal(out=draws[unit])
         uniforms.random(out=u_unit)
     np.log(log_u, out=log_u)
     accepted = np.zeros(n_units, dtype=np.int64)
-    for i in range(iterations):
+    for i in range(burnin + n):
+        z = burn[:, i] if i < burnin else draws[units, i - burnin]
         # the step factors @ z as an elementwise sum, never BLAS, so no row depends on the batch
-        proposal = t + (factors * chain[:, i, None, :]).sum(axis=2)
+        proposal = t + (factors * z[:, None, :]).sum(axis=2)
         lp_prop = log_density(proposal, units)
         accept = log_u[:, i] < lp_prop - lp
         if accept.any():
             t = np.where(accept[:, None], proposal, t)
             lp = np.where(accept, lp_prop, lp)
-        chain[:, i] = t
         if i >= burnin:
+            draws[units, i - burnin] = t
             accepted += accept
-    return chain[:, burnin:], accepted / (iterations - burnin)
+    return accepted / n
 
 
 def _initial_guess(family: str, data: GroupedSample) -> np.ndarray:
@@ -506,21 +512,22 @@ def _independence_chains(log_density, units, seeds, modes, lp_modes, scales, dra
     """Independence MH chains for K units, proposals from a t around each mode.
 
     Row k is the unit at batch index units[k], and its chain is written to
-    draws[units[k]] (n, d) of the batch's draws (K', n, d), so no second
-    array of chains is made.  Its proposal i is modes[k] + sqrt(nu / w_i) *
-    scales[k] @ z_i with z_i standard normal and w_i chi-square(nu).  Each
-    unit reads its n normals (n, d) into its rows of draws, its n
-    chi-square draws and its n uniforms in one call to each of the three
-    streams spawned from its seed, and its proposals are formed in place of
-    its normals.  The log densities are evaluated in blocks of at most
-    2,048 rows of the units' proposals in turn; a row's log density does
-    not depend on its batch-mates, so the block size moves no bit.  The
+    draws[units[k]] (n, d) of the batch's draws (K', n, d), as the walk's
+    is (the module's one output contract).  Its proposal i is modes[k] +
+    sqrt(nu / w_i) * scales[k] @ z_i with z_i standard normal and w_i
+    chi-square(nu).  Each unit reads its n normals (n, d) into its rows of
+    draws, its n chi-square draws and its n uniforms in one call to each of
+    the three streams spawned from its seed, and its proposals are formed in
+    place of its normals.  The log densities are evaluated in blocks of at
+    most 2,048 rows of the units' proposals in turn; a row's log density
+    does not depend on its batch-mates, so the block size moves no bit.  The
     chain starts at the mode, where the log density is lp_modes[k], and
     accepts on the log importance weights, one unit at a time, each reading
     its uniforms in its own accept loop; each rejected proposal's row then
     takes the state the chain holds, in place.
 
-    Returns (acceptance rate per unit, log importance weights (K, n)).
+    Returns (acceptance rate, Pareto k-hat of the log importance weights),
+    one per unit; the (K, n) weights do not outlive the call.
     """
     n, dim = draws.shape[1:]
     log_w, uniforms = np.empty((len(units), n)), []
@@ -542,7 +549,7 @@ def _independence_chains(log_density, units, seeds, modes, lp_modes, scales, dra
         k, i = np.divmod(np.arange(block.start, block.stop), n)  # unit and draw of each row
         flat_w[block] = log_density(draws[units[k], i], units[k]) - flat_w[block]
 
-    rates = np.empty(len(units))
+    rates, k_hat = np.empty(len(units)), np.array([pareto_k(w) for w in log_w])
     for k, unit in enumerate(units):
         flags, current = bytearray(n), lp_modes[k]
         for i, w, u in zip(range(n), log_w[k].tolist(), np.log(uniforms[k].random(n)).tolist()):
@@ -555,7 +562,7 @@ def _independence_chains(log_density, units, seeds, modes, lp_modes, scales, dra
         z = draws[unit]
         z[held] = np.where(states[held, None] < 0, modes[k], z[states[held]])
         rates[k] = np.count_nonzero(accepted) / n
-    return rates, log_w
+    return rates, k_hat
 
 
 def fit_batch(family: str, samples, config: McmcConfig, seeds) -> list[PosteriorDraws]:
@@ -602,25 +609,21 @@ def fit_batch(family: str, samples, config: McmcConfig, seeds) -> list[Posterior
     curv, vec = np.linalg.eigh(-hess[finite])
     concave = curv[:, 0] > 0.0
     laplace = finite[concave]
-    draws = np.empty((n_units, n, dim))
-    acc_rates = np.empty(n_units)
-    k_hat = np.full(n_units, math.nan)
-    if laplace.size:
-        scales = vec[concave] / np.sqrt(curv[concave])[:, None, :]  # scales @ scales.T = (-H)^-1
-        acc_rates[laplace], log_w = _independence_chains(
-            log_density, laplace, [configs[k].seed for k in laplace], modes[laplace], lp_modes[laplace], scales, draws
-        )
-        k_hat[laplace] = [pareto_k(w) for w in log_w]
-    passed = np.zeros(n_units, dtype=bool)
-    passed[laplace] = (k_hat[laplace] <= _MAX_PARETO_K) & (acc_rates[laplace] >= _MIN_ACCEPTANCE)
+    # both stages write their units' chains into draws; a unit off the Laplace path fails the gate on NaN
+    draws, acc_rates, k_hat = np.empty((n_units, n, dim)), np.full(n_units, math.nan), np.full(n_units, math.nan)
+    scales = vec[concave] / np.sqrt(curv[concave])[:, None, :]  # scales @ scales.T = (-H)^-1
+    acc_rates[laplace], k_hat[laplace] = _independence_chains(
+        log_density, laplace, [configs[k].seed for k in laplace], modes[laplace], lp_modes[laplace], scales, draws
+    )
+    passed = (k_hat <= _MAX_PARETO_K) & (acc_rates >= _MIN_ACCEPTANCE)
     fallback = np.flatnonzero(~passed)
     if fallback.size:
         # the walk's kernel: the Laplace covariance, |eigenvalues| of -H, scaled by 2.38^2 / d
         factors = np.tile(_WALK_STEP * np.eye(dim), (n_units, 1, 1))
         factors[finite] = (_WALK_SCALE / math.sqrt(dim)) * vec / np.sqrt(_abs_curvatures(curv))[:, None, :]
-        draws[fallback], acc_rates[fallback] = _random_walk_chains(
+        acc_rates[fallback] = _random_walk_chains(
             log_density, fallback, [configs[k].seed for k in fallback], modes[fallback], lp_modes[fallback],
-            factors[fallback], config.iterations, config.burnin,
+            factors[fallback], config.burnin, draws,
         )
     # to natural parameters in place, so the batch never holds its draws twice
     positive = draws[..., real:]

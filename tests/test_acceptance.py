@@ -434,11 +434,13 @@ def test_criterion_9_every_command_writes_the_same_bytes_twice(tmp_path):
         trees.append({p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()})
     runs = {name.removesuffix(".stdout") for name in trees[0] if name.endswith(".stdout")}
     assert runs == {"fit_gb2", "fit_sm", "fit_ln", "fit_default_gb2", "fit_default_sm", "fit_default_ln", "fit_undefined",
-                    "decompose_income", "decompose_grouped", "decompose_nested",
+                    "decompose_income", "decompose_grouped", "decompose_nested", "decompose_weighted",
                     "simulate", "compare", "compare_gb2", "pipeline_proposed", "pipeline_separate", "pipeline_mixture",
                     "pipeline_raking", "pipeline_phi_file", "surface"}
     assert "pipeline_raking/report_theta_1em09.json" in trees[0]
     assert '"phi_policy": "custom"' in trees[0]["pipeline_phi_file/report_theta_1.json"].decode()
+    # the weighted file's labels are read by column name, past its weight column
+    assert trees[0]["decompose_weighted/decomposition.json"] == trees[0]["decompose_nested/decomposition.json"]
     identical = trees[0] == trees[1]
     report_line(9, identical, f"two output sweeps over every command: {len(trees[0])} files byte-identical")
     assert identical

@@ -141,6 +141,35 @@ def test_decompose_command(tmp_path, capsys):
     assert (tmp_path / "decomposition.json").read_text() == expected_text
 
 
+@pytest.mark.parametrize("header, rows, labels", [
+    ("income,weight", ["1.5,1", "2.0,2", "4.0,1", "8.0,2"], "income"),
+    ("income,weight,group", ["1.5,1,a", "2.0,2,a", "4.0,1,b", "8.0,2,b"], "income,group"),
+    (" Income , Subgroup ,weight, GROUP ", ["1.5,a1,1,a", "2.0,a2,2,a", "4.0,b1,1,b", "8.0,b1,2,b"],
+     "income,group,subgroup"),
+], ids=["weight-only", "weight-then-group", "any-order"])
+def test_decompose_reads_the_labels_by_column_name(tmp_path, capsys, header, rows, labels):
+    # a column not named group or subgroup, such as a weight, is never a label
+    names = [name.strip().lower() for name in header.split(",")]
+    path, plain = tmp_path / "micro.csv", tmp_path / "plain.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    columns = [names.index(name) for name in labels.split(",")]
+    plain.write_text("\n".join([labels] + [",".join(row.split(",")[c] for c in columns) for row in rows]) + "\n")
+    docs = []
+    for data in (path, plain):
+        assert main(["decompose", "--data", str(data), "--theta", "0", "--theta", "1"]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert docs[0] == docs[1]
+    assert ("groups" in docs[0]["theta"]["0"]) == ("group" in labels)
+
+
+def test_decompose_rejects_a_subgroup_column_without_a_group_column(tmp_path, capsys):
+    path = tmp_path / "micro.csv"
+    path.write_text("income,subgroup\n1.5,a1\n2.0,a2\n")
+    assert main(["decompose", "--data", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc == {"error": "CsvFormatError", "message": f"{path}: a subgroup column needs a group column"}
+
+
 @pytest.mark.parametrize(
     "bad_row, message",
     [("2.5,a", "expected 3 columns"), ("abc,a,a1", "expected a number, got 'abc'"), ("-1,a,a1", "income must be positive")],

@@ -491,8 +491,14 @@ def test_load_synthetic_spec(tmp_path):
         ({"family": "sm", "a": 2.0, "b": 3.0, "q": 1.5, "p": 4.0}, r"'sm' takes \['a', 'b', 'q'\]"),
         ({"family": "ln", "xi": 1.0, "sigma2": 0.4, "sigma": 0.6}, r"'ln' takes \['xi', 'sigma2'\]"),
         ({"family": "pareto", "a": 2.0}, r"field 'family' is 'pareto', expected one of \['gb2', 'sm', 'ln'\]"),
+        ({"family": "sm", "a": 2.0, "b": 3.0}, r"leaf 'm1': family 'sm' takes \['a', 'b', 'q'\], got \['a', 'b'\]"),
+        ({"family": "ln", "xi": 1.0}, r"leaf 'm1': family 'ln' takes \['xi', 'sigma2'\], got \['xi'\]"),
+        ({"family": "sm", "a": "2.2", "b": 3.0, "q": 1.5}, r"leaf 'm1': parameter 'a' must be a number, got '2.2'"),
+        ({"family": "sm", "a": 2.2, "b": True, "q": 1.5}, r"leaf 'm1': parameter 'b' must be a number, got True"),
+        ({"family": "ln", "xi": 1.0, "sigma2": None}, r"leaf 'm1': parameter 'sigma2' must be a number, got None"),
     ],
-    ids=["sm-with-p", "ln-with-sigma", "unknown-family"],
+    ids=["sm-with-p", "ln-with-sigma", "unknown-family", "sm-without-q", "ln-without-sigma2", "string-param",
+         "bool-param", "null-param"],
 )
 def test_synthetic_spec_rejects_leaf_params_of_another_family(tmp_path, params, match):
     doc = {"regions": [{"id": "r1", "leaves": [{"id": "m1", "population": 10, "params": params}]}]}

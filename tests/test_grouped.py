@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gedecomp as g
+from gedecomp.diagnostics import pareto_k
 from gedecomp.distributions import (
     GB2,
     LN,
@@ -296,9 +297,11 @@ def test_start_without_a_line_is_the_origin(data):
 # ---------------------------------------------------------------------------
 
 def walk(log_density, units, seeds, start, factors, iterations, burnin):
-    """The fallback walk of units from start, its lp_start the log density there."""
-    return _random_walk_chains(log_density, units, seeds, start, log_density(start, units), factors,
-                               iterations, burnin)
+    """The fallback walk of units from start, its lp_start the log density there: (retained draws
+    (K, iterations - burnin, d) in the order of units, acceptance rates)."""
+    draws = np.empty((max(units) + 1, iterations - burnin, start.shape[1]))  # row u is the unit at batch index u
+    rates = _random_walk_chains(log_density, units, seeds, start, log_density(start, units), factors, burnin, draws)
+    return draws[units], rates
 
 
 ONE_UNIT = np.zeros(1, dtype=int)
@@ -365,9 +368,9 @@ def test_chain_with_burnin_is_a_slice_of_the_whole_chain():
 
 def test_chain_reads_each_stream_in_one_call():
     # each unit reads its whole chain's normals from the first of its three
-    # spawned streams and its uniforms from the third, one call each, and
-    # never touches the chi-squares; the burn-in and the lengths are not
-    # multiples of 50
+    # spawned streams, the burn-in's and then the retained ones, and its
+    # uniforms from the third in one call, and never touches the
+    # chi-squares; the burn-in and the lengths are not multiples of 50
     starts = np.array([[0.0, 0.0], [4.0, 1.0]])
     seeds = (3, 4)
     draws, rates = walk(gaussian, np.arange(2), seeds, starts, FACTORS[:2], 230, 120)
@@ -386,6 +389,26 @@ def test_chain_reads_each_stream_in_one_call():
         assert np.array_equal(draws[k], np.array(chain[120:]))
         assert rates[k] == np.mean(accepted[120:])
         assert 0.0 < rates[k] < 1.0
+
+
+def test_the_walk_holds_only_its_burn_in_beside_the_draws():
+    # the retained normals are read into the draws and overwritten by the
+    # states there, so the walk allocates its (K, burnin, d) burn-in normals
+    # and (K, iterations) uniforms, well below one (K, iterations, d) buffer
+    # of the whole chain
+    units, (iterations, burnin) = np.arange(3), (6_000, 500)
+    draws = np.empty((3, iterations - burnin, 2))
+    lp_start = gaussian(np.zeros((3, 2)), units)
+    tracemalloc.start()
+    try:
+        rates = _random_walk_chains(gaussian, units, (7, 8, 9), np.zeros((3, 2)), lp_start, FACTORS, burnin, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chain_bytes = 3 * iterations * 2 * 8
+    assert peak < chain_bytes, peak / chain_bytes
+    assert_allclose(draws.mean(axis=1), CENTRES, atol=0.5)
+    assert (0.1 < rates).all() and (rates < 0.6).all()
 
 
 @pytest.mark.parametrize("kind", ["normals", "chi-squares", "uniforms"])
@@ -422,7 +445,7 @@ def test_independence_chains_read_each_stream_in_one_call(n_units):
         return -0.5 * (t * t).sum(axis=1)
 
     draws = np.full((6, n, dim), -7.0)
-    rates, log_w = _independence_chains(log_density, units, seeds, modes, lp_modes, scales, draws)
+    rates, k_hat = _independence_chains(log_density, units, seeds, modes, lp_modes, scales, draws)
     assert max(len(t) for t, _ in seen) == 2_048
     assert (np.delete(draws, units, axis=0) == -7.0).all()
     rows = np.concatenate([t for t, _ in seen])
@@ -434,7 +457,7 @@ def test_independence_chains_read_each_stream_in_one_call(n_units):
         proposals = modes[k] + np.sqrt(5.0 / chi2)[:, None] * (z[:, None, :] * scales[k]).sum(axis=2)
         weights = -0.5 * (proposals * proposals).sum(axis=1) + 0.5 * (5.0 + dim) * np.log1p((z * z).sum(axis=1) / chi2)
         assert np.array_equal(rows[row_units == units[k]], proposals)
-        assert np.array_equal(log_w[k], weights)
+        assert k_hat[k] == pareto_k(weights)
         state, current, accepted, chain = -1, lp_modes[k], 0, []
         for i in range(n):
             if log_u[i] < weights[i] - current:
@@ -615,7 +638,8 @@ def test_unit_failing_the_gate_runs_the_random_walk():
     mode, lp_mode, hess = _newton_modes(density, _initial_guess("ln", TOP_HEAVY)[None])
     curv, vec = np.linalg.eigh(-hess)
     factor = (2.38 / math.sqrt(2.0)) * vec / np.sqrt(_abs_curvatures(curv))[:, None, :]
-    chain, rate = _random_walk_chains(density, ONE_UNIT, [0], mode, lp_mode, factor, 2_000, 500)
+    chain = np.empty((1, 1_500, 2))
+    rate = _random_walk_chains(density, ONE_UNIT, [0], mode, lp_mode, factor, 500, chain)
     chain[0, :, 1] = np.exp(chain[0, :, 1])
     assert np.array_equal(draws.draws, chain[0])
     assert draws.acceptance_rate == rate[0]

@@ -6,7 +6,8 @@ Runs ``fit`` (gb2, sm, ln at 800/200 and again at the library default
 10,000/2,000, whose 8,000 proposals span several log density blocks, and gb2
 on a table where no draw has a mean, so every summary is written as null),
 ``decompose`` (income only, with groups, with
-groups and subgroups), ``simulate``, ``compare`` (and ``compare`` with gb2 at
+groups and subgroups, and with a weight column before the group and
+subgroup columns, which the labels are read past by name), ``simulate``, ``compare`` (and ``compare`` with gb2 at
 every level, so that all ten nodes are one gb2 batch, most of them on the
 lockstep fallback walk), ``pipeline`` (proposed,
 separate, mixture, and proposed with raking and with a phi file's loss
@@ -89,6 +90,10 @@ def write_inputs() -> None:
         header = ",".join(("income", "group", "subgroup")[:columns])
         lines = [header] + [",".join(row[:columns]) for row in micro]
         Path(f"inputs/micro_{name}.csv").write_text("\n".join(lines) + "\n")
+    # a weight column before the labels: grouped by name, the file decomposes as micro_nested.csv
+    lines = ["income,weight,group,subgroup"] + [f"{income},{1 + k % 3},{group},{sub}"
+                                                for k, (income, group, sub) in enumerate(micro)]
+    Path("inputs/micro_weighted.csv").write_text("\n".join(lines) + "\n")
 
 
 def runs() -> list[tuple[str, list[str]]]:
@@ -104,7 +109,7 @@ def runs() -> list[tuple[str, list[str]]]:
                            "--burnin", "100", "--out", "fit_undefined"]),
         *[(f"decompose_{name}", ["decompose", "--data", f"inputs/micro_{name}.csv", "--out", f"decompose_{name}",
                                  *THETA_ARGS])
-          for name in ("income", "grouped", "nested")],
+          for name in ("income", "grouped", "nested", "weighted")],
         ("simulate", ["simulate", "--spec", "inputs/spec.json", "--out", "simulate", *THETA_ARGS]),
         ("compare", ["compare", "--spec", "inputs/spec.json", "--out", "compare", *SHORT_CHAIN, "--seed", "5",
                      *THETA_ARGS]),
