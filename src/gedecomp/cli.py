@@ -19,7 +19,7 @@ import numpy as np
 from . import dataio, pipeline, sim
 from .distributions import FAMILIES, theta_kind
 from .grouped import McmcConfig, fit, posterior_ge, posterior_mean_income
-from .inequality import _decompose_two_levels, _split_by_label, ge_finite
+from .inequality import _decompose_two_levels, _node_ge, _split_by_label
 
 
 def _theta_key(theta: float) -> str:
@@ -109,19 +109,21 @@ def cmd_fit(args) -> int:
 def cmd_decompose(args) -> int:
     thetas = _theta_list(args)
     incomes, groups, subgroups = dataio.read_microdata(args.data)
-    # the grouping does not depend on theta: split the rows once
+    # the grouping does not depend on theta: split the rows once, and take each node's ratios once for all thetas
     if groups is not None:
         labels, parts = _split_by_label(groups, incomes)
         nested = []
     if subgroups is not None:  # a subgroup column comes with a group column
         _, sub_columns = _split_by_label(groups, subgroups)
         nested = [_split_by_label(sub, part) for sub, part in zip(sub_columns, parts)]
+    per_theta = (_node_ge(incomes, thetas)[2] if groups is None
+                 else _decompose_two_levels(incomes, labels, parts, nested, thetas))
     doc: dict = {"n": int(len(incomes)), "theta": {}}
-    for theta in thetas:
+    for theta, result in zip(thetas, per_theta):
         if groups is None:
-            entry: dict = {"ge_total": ge_finite(incomes, theta)}
+            entry: dict = {"ge_total": result}
         else:
-            top, subs = _decompose_two_levels(incomes, labels, parts, nested, theta)
+            top, subs = result
             entry = {"ge_total": top.total, "within": top.within, "between": top.between}
             entry["groups"] = {
                 str(t.label): {"ge": t.ge, "share": t.share, "income_share": t.income_share, "weight": t.weight}
@@ -182,10 +184,8 @@ def cmd_simulate(args) -> int:
         node_files=node_files,
     )
     dataio.write_manifest(out / "manifest.json", manifest)
-    truth_doc = {}
-    for theta in manifest.thetas:
-        truth = data.multilevel_truth(theta)
-        truth_doc[_theta_key(theta)] = {name: getattr(truth, name) for name in _TRUTH_FIELDS}
+    truth_doc = {_theta_key(truth.theta): {name: getattr(truth, name) for name in _TRUTH_FIELDS}
+                 for truth in data.multilevel_truth(manifest.thetas)}
     dataio.write_json(out / "truth.json", truth_doc)
     print(out / "manifest.json")
     return 0
@@ -204,6 +204,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_surface(args) -> int:
+    for flag, count in (("--a-num", args.a_num), ("--q-num", args.q_num)):
+        if count < 1:
+            raise ValueError(f"{flag} must be at least 1, got {count}")
     a_values = np.linspace(args.a_min, args.a_max, args.a_num)
     q_values = np.linspace(args.q_min, args.q_max, args.q_num)
     surfaces = pipeline.ge_surface(a_values, q_values, args.b, _theta_list(args))

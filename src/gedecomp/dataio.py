@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -454,17 +453,17 @@ def write_comparison_csv(path, comparison: MethodComparison) -> None:
 def write_surface_csv(path, surfaces) -> None:
     """theta,a,q,ge rows of GeSurface grids, a varying fastest; a masked GE is an empty cell.
 
-    Each grid value is formatted once, not once per cell it appears in.
+    Written as text lines with csv's \r\n ending: no field needs quoting,
+    since each is a float repr or an empty masked cell.  Each grid value is
+    formatted once, not once per cell it appears in.
     """
-    def blocks():
+    with Path(path).open("w", newline="") as handle:
+        handle.write("theta,a,q,ge\r\n")
         for surface in surfaces:
-            theta = repr(surface.theta)
-            a_text = [repr(a) for a in surface.a_values.tolist()]
-            for q, values in zip(surface.q_values.tolist(), surface.values.tolist()):
-                q_text = repr(q)
-                yield [[theta, a, q_text, "" if math.isnan(v) else repr(v)] for a, v in zip(a_text, values)]
-
-    _write_csv(path, ("theta", "a", "q", "ge"), itertools.chain.from_iterable(blocks()))
+            heads = [f"{surface.theta!r},{a!r}," for a in surface.a_values.tolist()]
+            cells = map(repr, surface.values.ravel().tolist())
+            for q in map(repr, surface.q_values.tolist()):  # zip takes a head before each cell: one row of cells
+                handle.write("".join([f"{head}{q},{'' if v == 'nan' else v}\r\n" for head, v in zip(heads, cells)]))
 
 
 def render_comparison(comparison: MethodComparison, theta: float) -> str:

@@ -3,7 +3,9 @@
 The decomposition splits total inequality into a weighted sum of per-group
 inequalities (within term) plus the inequality of group means (between term),
 with weights share**(1-theta) * income_share**theta.  The same formulas also
-turn estimated group means into a between-group estimate.
+turn estimated group means into a between-group estimate.  GE at many thetas
+takes one ratio pass per node for all thetas, with at most one node's ratio
+array alive at a time.
 """
 
 from __future__ import annotations
@@ -53,21 +55,33 @@ def _power_mean_excess(average, r: np.ndarray, theta: float):
     return average(r**theta) - 1.0
 
 
+def _node_ge(x: np.ndarray, thetas) -> tuple[int, float, list[float]]:
+    """Size, mean and GE at every theta of the positive incomes x, all from one ratio array r = x / mean.
+
+    Each theta that needs log r recomputes it, so a caller going node by
+    node holds at most one node's ratios and one temporary at a time.
+    """
+    mu = x.mean()
+    r = x / mu
+    ge = []
+    for theta in thetas:
+        kind = theta_kind(theta)
+        if kind == "mld":
+            ge.append(float(-np.mean(np.log(r))))
+        elif kind == "theil":
+            ge.append(float(np.mean(r * np.log(r))))
+        else:
+            ge.append(float(_power_mean_excess(np.mean, r, theta) / (theta * (theta - 1.0))))
+    return x.size, mu, ge
+
+
 def ge_finite(incomes, theta: float) -> float:
     """Generalized entropy of a finite population of positive incomes.
 
     Dispatches to the mean log deviation at theta ~ 0 and the Theil index
     at theta ~ 1; constant incomes give exactly 0.
     """
-    x = _check_incomes(incomes)
-    mu = x.mean()
-    r = x / mu
-    kind = theta_kind(theta)
-    if kind == "mld":
-        return float(-np.mean(np.log(r)))
-    if kind == "theil":
-        return float(np.mean(r * np.log(r)))
-    return float(_power_mean_excess(np.mean, r, theta) / (theta * (theta - 1.0)))
+    return _node_ge(_check_incomes(incomes), (theta,))[2][0]
 
 
 def decomposition_weights(shares, income_shares, theta: float) -> np.ndarray:
@@ -118,7 +132,7 @@ def decompose_finite(incomes, labels, theta: float) -> GroupDecomposition:
     labels = np.asarray(labels)
     if labels.shape != x.shape:
         raise DomainError("labels must align with incomes")
-    return _decompose_groups(x, *_split_by_label(labels, x), theta)
+    return _decompose_two_levels(x, *_split_by_label(labels, x), (), (theta,))[0][0]
 
 
 def _split_by_label(labels: np.ndarray, x: np.ndarray):
@@ -127,57 +141,46 @@ def _split_by_label(labels: np.ndarray, x: np.ndarray):
     return uniq, [x[labels == label] for label in uniq]
 
 
-def _decompose_groups(x: np.ndarray, labels, parts, theta: float, total: float | None = None) -> GroupDecomposition:
-    """Decomposition of the population x already split into groups.
+def _decompose_groups(labels, groups, mu: float, total: float, theta: float) -> GroupDecomposition:
+    """Decomposition at theta of a population with mean mu and GE total into groups.
 
-    The j-th of the iterable parts holds the incomes of group labels[j];
-    together the parts are exactly the elements of x.  Callers that know
-    the grouping (a population laid out group by group) pass slices and
-    skip the label search; a caller that already has ge_finite(x, theta)
-    passes it as total.
+    groups holds the (size, mean, GE at theta) of each group of labels; together they are the population.
     """
-    labels = list(labels)
-    sizes, means, ge = [], [], []
-    for label, xj in zip(labels, parts):
-        if xj.size == 0:
-            raise DomainError(f"group {label!r} is empty")
-        sizes.append(int(xj.size))
-        means.append(xj.mean())
-        ge.append(ge_finite(xj, theta))
-    lam = np.array(sizes) / x.size
-    s, w, between = _shares_weights_between(lam, np.array(means), x.mean(), theta)
+    sizes, means, ge = zip(*groups)
+    lam = np.array(sizes) / sum(sizes)
+    s, w, between = _shares_weights_between(lam, np.array(means), mu, theta)
     return GroupDecomposition(
         theta=theta,
-        total=ge_finite(x, theta) if total is None else total,
+        total=total,
         within=float(np.sum(w * np.array(ge))),
         between=between,
         groups=tuple(
-            GroupTerm(
-                label=label,
-                n=n,
-                share=float(lam_j),
-                mean=mu_j,
-                income_share=s_j,
-                weight=float(w_j),
-                ge=ge_j,
-            )
+            GroupTerm(label=label, n=n, share=float(lam_j), mean=mu_j, income_share=s_j, weight=float(w_j), ge=ge_j)
             for label, n, lam_j, mu_j, s_j, w_j, ge_j in zip(labels, sizes, lam, means, s, w, ge)
         ),
     )
 
 
-def _decompose_two_levels(x: np.ndarray, labels, parts, nested, theta: float):
-    """The decomposition of x into groups (as _decompose_groups), and of each group into its subgroups.
+def _decompose_two_levels(x: np.ndarray, labels, parts, nested, thetas):
+    """One (top, subs) pair per theta: the decomposition of x into groups, and of each group into its subgroups.
 
-    nested holds each group's subgroup labels and parts, or nothing for one
-    level only; each sub-decomposition's total is its group's GE.
+    The j-th of parts holds the non-empty incomes of group labels[j], and
+    the parts are exactly the elements of x; nested holds each group's
+    subgroup labels and parts, or nothing for one level only.  x is checked
+    once, then each node takes one ratio pass for all thetas (_node_ge); a
+    group's GE is its subgroups' total.
     """
-    top = _decompose_groups(x, labels, parts, theta)
-    subs = [
-        _decompose_groups(xj, sub_labels, sub_parts, theta, total=term.ge)
-        for term, xj, (sub_labels, sub_parts) in zip(top.groups, parts, nested)
-    ]
-    return top, subs
+    thetas = tuple(thetas)  # read once per node
+    _, mu, total = _node_ge(_check_incomes(x), thetas)
+    groups = [_node_ge(xj, thetas) for xj in parts]
+    subgroups = [[_node_ge(xk, thetas) for xk in sub_parts] for _, sub_parts in nested]
+    out = []
+    for i, theta in enumerate(thetas):
+        top = _decompose_groups(labels, [(n, m, ge[i]) for n, m, ge in groups], mu, total[i], theta)
+        subs = [_decompose_groups(sub_labels, [(n, m, ge[i]) for n, m, ge in sub], term.mean, term.ge, theta)
+                for term, (sub_labels, _), sub in zip(top.groups, nested, subgroups)]
+        out.append((top, subs))
+    return out
 
 
 def _shares_weights_between(lam: np.ndarray, mu_j: np.ndarray, mu: float, theta: float):

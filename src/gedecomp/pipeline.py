@@ -440,6 +440,8 @@ def ge_surface(a_values, q_values, b: float, thetas) -> list[GeSurface]:
         theta_kind(theta)  # rejects a non-finite theta
     a_values = np.asarray(a_values, dtype=float)
     q_values = np.asarray(q_values, dtype=float)
+    if a_values.size == 0 or q_values.size == 0:
+        raise ValueError("the a and q grids must each hold at least one value")
     for name, values in (("a", a_values), ("b", (b,)), ("q", q_values)):
         for value in values:
             _require_positive(name, value)

@@ -4,7 +4,7 @@ Each leaf's population is drawn from known parameters, a survey-style
 fraction is sampled without replacement, and the sampled incomes are
 bracketed into grouped counts at every level of the tree.  Truth is always
 computed on the realized finite population, where the decomposition
-identities hold exactly.
+identities hold exactly, in one ratio pass per node for all thetas.
 """
 
 from __future__ import annotations
@@ -132,28 +132,32 @@ class SyntheticData:
         """Realized finite-population GE of one node."""
         return ge_finite(self.incomes[self.node_slices[node_id]], theta)
 
-    def multilevel_truth(self, theta: float) -> MultilevelTruth:
+    def multilevel_truth(self, thetas) -> list[MultilevelTruth]:
+        """The exact decomposition at each theta, from one ratio pass per node (country, regions, leaves)."""
         x, at = self.incomes, self.node_slices
         regions = self.spec.regions
-        top, subs = _decompose_two_levels(
+        splits = _decompose_two_levels(
             x,
             [r.id for r in regions],
             [x[at[r.id]] for r in regions],
             [([l.id for l in r.leaves], [x[at[l.id]] for l in r.leaves]) for r in regions],
-            theta,
+            thetas,
         )
-        pairs = list(zip(top.groups, subs))
-        return MultilevelTruth(
-            theta=theta,
-            ge_total=top.total,
-            between=top.between,
-            sum_weighted_between_sub=sum(term.weight * sub.between for term, sub in pairs),
-            sum_weighted_within_sub=sum(term.weight * sub.within for term, sub in pairs),
-            region_ge={term.label: term.ge for term in top.groups},
-            region_between_sub={term.label: sub.between for term, sub in pairs},
-            region_within_sub={term.label: sub.within for term, sub in pairs},
-            leaf_ge={leaf.label: leaf.ge for sub in subs for leaf in sub.groups},
-        )
+        truths = []
+        for top, subs in splits:
+            pairs = list(zip(top.groups, subs))
+            truths.append(MultilevelTruth(
+                theta=top.theta,
+                ge_total=top.total,
+                between=top.between,
+                sum_weighted_between_sub=sum(term.weight * sub.between for term, sub in pairs),
+                sum_weighted_within_sub=sum(term.weight * sub.within for term, sub in pairs),
+                region_ge={term.label: term.ge for term in top.groups},
+                region_between_sub={term.label: sub.between for term, sub in pairs},
+                region_within_sub={term.label: sub.within for term, sub in pairs},
+                leaf_ge={leaf.label: leaf.ge for sub in subs for leaf in sub.groups},
+            ))
+        return truths
 
 
 def _resolve_brackets(spec: SyntheticSpec, pooled_sample: np.ndarray) -> np.ndarray:
@@ -276,10 +280,9 @@ def compare_methods(spec: SyntheticSpec, thetas, mcmc: McmcConfig, phi="uniform"
     fitted = fit_hierarchy(data.root, mcmc)
     rows: list[ComparisonRow] = []
     reports: dict[tuple[str, float], DecompositionReport] = {}
-    for theta in thetas:
-        truth = data.multilevel_truth(theta)
+    for truth in data.multilevel_truth(thetas):
         for method in METHODS:
-            report = assemble(fitted, theta, method, phi)
-            reports[(report.method, float(theta))] = report
+            report = assemble(fitted, truth.theta, method, phi)
+            reports[(report.method, float(truth.theta))] = report
             rows.extend(_report_rows(report, truth))
     return MethodComparison(rows=tuple(rows), reports=reports)

@@ -326,6 +326,17 @@ def test_surface_rejects_nonfinite_theta(tmp_path, capsys, theta):
     assert not (out_dir / "surface.csv").exists()
 
 
+@pytest.mark.parametrize("flag, count", [("--a-num", "0"), ("--a-num", "-1"), ("--q-num", "0"), ("--q-num", "-1")])
+def test_surface_rejects_an_empty_grid(tmp_path, capsys, flag, count):
+    out_dir = tmp_path / "surf"
+    counts = {"--a-num": "3", "--q-num": "3", flag: count}
+    code = main(["surface", *[arg for item in counts.items() for arg in item], "--theta", "1", "--out", str(out_dir)])
+    doc = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert doc == {"error": "ValueError", "message": f"{flag} must be at least 1, got {count}"}
+    assert not out_dir.exists()
+
+
 def test_simulate_rejects_duplicate_node_ids(tmp_path, capsys):
     doc = json.loads(json.dumps(SPEC_DOC))
     doc["regions"][1]["leaves"][0]["id"] = "m1"

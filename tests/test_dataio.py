@@ -1,6 +1,8 @@
 """CSV/JSON formats: parsing, validation, round-trips, table rendering."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import re
@@ -12,7 +14,7 @@ from numpy.testing import assert_allclose
 import gedecomp as g
 from gedecomp import dataio
 from gedecomp.grouped import McmcConfig
-from gedecomp.pipeline import DecompositionReport, RegionRow, SubregionRow
+from gedecomp.pipeline import DecompositionReport, GeSurface, RegionRow, SubregionRow, ge_surface
 from gedecomp.sim import LeafSpec, RegionSpec, SyntheticSpec, generate
 
 from conftest import NATIONAL_REL_FREQ
@@ -588,3 +590,25 @@ def test_synthetic_spec_rejects_bad_brackets_at_load_naming_the_file(tmp_path, b
     (tmp_path / "spec.json").write_text(json.dumps({"brackets": brackets, "regions": [{"id": "r1", "leaves": [leaf]}]}))
     with pytest.raises(dataio.ManifestError, match="^" + re.escape(f"{tmp_path / 'spec.json'}: {message}")):
         dataio.load_synthetic_spec(tmp_path / "spec.json")
+
+
+def test_surface_csv_is_the_csv_writer_bytes(tmp_path):
+    # a grid crossing the moment-window edges, so some cells are masked, at thetas with long reprs
+    a_values, q_values = np.linspace(0.3, 4.0, 7), np.linspace(0.3, 4.0, 5)
+    surfaces = ge_surface(a_values, q_values, 3.0, (-1.0, 1e-9, 0.05, 1 / 3, 2.0))
+    surfaces.append(GeSurface(theta=0.7, b=3.0, a_values=np.array([1.5]), q_values=np.array([2.5]),
+                              values=np.array([[math.nan]])))
+    assert 0 < sum(int(np.isnan(s.values).sum()) for s in surfaces) < sum(s.values.size for s in surfaces)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["theta", "a", "q", "ge"])
+    for surface in surfaces:
+        for q, row in zip(surface.q_values.tolist(), surface.values.tolist()):
+            for a, v in zip(surface.a_values.tolist(), row):
+                writer.writerow([repr(surface.theta), repr(a), repr(q), "" if math.isnan(v) else repr(v)])
+    path = tmp_path / "surface.csv"
+    dataio.write_surface_csv(path, surfaces)
+    data = path.read_bytes()
+    assert data == expected.getvalue().encode()
+    assert data.count(b"\r\n") == 1 + sum(s.values.size for s in surfaces)
+    assert data.count(b"\n") == data.count(b"\r") == data.count(b"\r\n")  # every line ends in \r\n

@@ -204,9 +204,8 @@ def test_nested_exactness(small_fitted, theta):
 
 def test_proposed_accuracy_against_truth(small_fitted):
     data, fitted = small_fitted
-    for theta in (0.0, 1.0):
+    for theta, truth in zip((0.0, 1.0), data.multilevel_truth((0.0, 1.0))):
         report = assemble(fitted, theta, "proposed")
-        truth = data.multilevel_truth(theta)
         assert abs(report.ge_total - truth.ge_total) / truth.ge_total < 0.15
         for row in report.regions:
             assert abs(row.ge_cb - truth.region_ge[row.id]) / truth.region_ge[row.id] < 0.25
@@ -665,6 +664,9 @@ def test_surface_masks_inadmissible_cells():
                                   ([2.0], [2.0], np.inf), ([np.nan], [2.0], 3.0)):
         with pytest.raises(ParameterDomainError):
             ge_surface(a_values, q_values, b, (1.0,))
+    for a_values, q_values in (([], [2.0]), ([2.0], []), ([], [])):
+        with pytest.raises(ValueError, match="at least one value"):
+            ge_surface(a_values, q_values, 3.0, (1.0,))
 
 
 # ---------------------------------------------------------------------------

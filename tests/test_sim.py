@@ -1,5 +1,6 @@
 """Synthetic generation: oracle fidelity, truth identities, method comparison."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,9 +22,10 @@ from gedecomp.sim import (
     generate,
 )
 
-# the benchmark's sensitivity grid plus both edges of each limit window
+# the benchmark's sensitivity grid, both edges of each limit window, and generic
+# thetas near 0 and 1 (the expm1 forms of _power_mean_excess)
 ORACLE_THETAS = tuple(-1.0 + 0.25 * k for k in range(13)) + (
-    -LIMIT_TOL, LIMIT_TOL, 1.0 - LIMIT_TOL, 1.0 + LIMIT_TOL)
+    -LIMIT_TOL, LIMIT_TOL, 1.0 - LIMIT_TOL, 1.0 + LIMIT_TOL, -0.05, 0.05, 0.95, 1.05)
 
 
 def small_spec(seed=0, brackets=8) -> SyntheticSpec:
@@ -111,8 +113,8 @@ def test_grouped_counts_match_stored_population():
 
 def test_truth_decomposition_identity():
     data = generate(small_spec(seed=4))
-    for theta in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
-        truth = data.multilevel_truth(theta)
+    thetas = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+    for theta, truth in zip(thetas, data.multilevel_truth(thetas)):
         assembled = truth.sum_weighted_within_sub + truth.sum_weighted_between_sub + truth.between
         assert abs(truth.ge_total - assembled) < 1e-12 * max(1.0, abs(truth.ge_total))
         assert truth.ge_total == pytest.approx(data.true_ge("country", theta))
@@ -157,8 +159,7 @@ def label_mask_truth(data, theta) -> MultilevelTruth:
 @pytest.mark.parametrize("spec", [small_spec(seed=5), three_region_spec()], ids=["small", "three-region"])
 def test_truth_equals_label_mask_reference(spec):
     data = generate(spec)
-    for theta in ORACLE_THETAS:
-        truth = data.multilevel_truth(theta)
+    for theta, truth in zip(ORACLE_THETAS, data.multilevel_truth(ORACLE_THETAS)):
         reference = label_mask_truth(data, theta)
         assert truth == reference
         for name in ("region_ge", "region_between_sub", "region_within_sub", "leaf_ge"):
@@ -167,6 +168,33 @@ def test_truth_equals_label_mask_reference(spec):
         for labels in person_labels(spec):
             for node_id in dict.fromkeys(labels.tolist()):
                 assert data.true_ge(node_id, theta) == ge_finite(data.incomes[labels == node_id], theta)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced while call runs, above what was traced before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_truth_holds_one_ratio_array_at_a_time():
+    spec = SyntheticSpec(  # 200,000 people
+        regions=tuple(RegionSpec(f"r{i}", tuple(LeafSpec(f"l{i}{j}", g.LN(1.0, 0.5) if j % 2 else g.SM(2.2, 4.0, 1.8),
+                                                         10_000) for j in range(5))) for i in range(4)),
+        brackets=8,
+        seed=3,
+    )
+    data = generate(spec)
+    thetas = ORACLE_THETAS[:13]  # the sensitivity grid: power, MLD and Theil forms, each one temporary
+    peak = traced_peak(lambda: data.multilevel_truth(thetas))
+    assert peak <= 1.1 * traced_peak(lambda: data.multilevel_truth((2.0,)))
+    # that is the country's ratios and one temporary: no log r kept across thetas, no level's ratios kept
+    x = data.incomes
+    assert peak <= 1.1 * traced_peak(lambda: np.mean((x / x.mean()) ** 2.0))
 
 
 def test_degenerate_leaves_zero_inequality():
@@ -180,8 +208,8 @@ def test_degenerate_leaves_zero_inequality():
     data = generate(spec)
     counts = data.root.data.counts
     assert counts[0] == 0 and counts[2] == 0 and counts[1] > 0  # everything in one bracket
-    for theta in (-1.0, 0.0, 1.0, 2.0):
-        truth = data.multilevel_truth(theta)
+    thetas = (-1.0, 0.0, 1.0, 2.0)
+    for theta, truth in zip(thetas, data.multilevel_truth(thetas)):
         assert truth.ge_total == 0.0
         assert truth.between == 0.0
 
@@ -286,8 +314,7 @@ def test_estimator_consistency_over_doubling():
             )
             data = generate(spec)
             fitted = g.fit_hierarchy(data.root, McmcConfig(iterations=1200, burnin=300, seed=seed))
-            for theta in thetas:
-                truth = data.multilevel_truth(theta)
+            for theta, truth in zip(thetas, data.multilevel_truth(thetas)):
                 report = assemble(fitted, theta, "proposed")
                 per_seed.append(abs(report.ge_total - truth.ge_total) / truth.ge_total)
         errors[s] = np.mean(per_seed)

@@ -11,7 +11,8 @@ subgroup columns, which the labels are read past by name), ``simulate``, ``compa
 every level, so that all ten nodes are one gb2 batch, most of them on the
 lockstep fallback walk), ``pipeline`` (proposed,
 separate, mixture, and proposed with raking and with a phi file's loss
-weights) and ``surface`` on inputs the script writes itself, with the code
+weights) and ``surface`` (on a grid with masked cells) on inputs the script
+writes itself, with the code
 of this checkout's ``src/``.  Each run writes its files under
 ``OUT/<run>/`` and its standard output to
 ``OUT/<run>.stdout``; every path is relative to OUT, so the tree does not
@@ -122,7 +123,9 @@ def runs() -> list[tuple[str, list[str]]]:
                              *SHORT_CHAIN]),
         ("pipeline_phi_file", ["pipeline", "--manifest", manifest, "--phi", "file:inputs/phi.csv",
                                "--out", "pipeline_phi_file", *SHORT_CHAIN]),
-        ("surface", ["surface", "--a-num", "7", "--q-num", "5", "--out", "surface", *THETA_ARGS]),
+        # a grid reaching below a * q = 1, where the masked cells are empty fields
+        ("surface", ["surface", "--a-min", "0.6", "--a-num", "7", "--q-min", "1.0", "--q-num", "5",
+                     "--out", "surface", *THETA_ARGS]),
     ]
 
 
