@@ -142,14 +142,14 @@ def cmd_pipeline(args) -> int:
     manifest = dataio.load_manifest(args.manifest)
     mcmc = _mcmc_from_args(args, manifest.mcmc)
     thetas = _theta_list(args, manifest.thetas)
+    phi = manifest.phi
     if args.phi is not None:  # overrides the manifest; a file path is relative to the working directory
-        phi, phi_values = dataio.resolve_phi(args.phi, Path())
-        manifest = dataclasses.replace(manifest, phi=phi, phi_values=phi_values)
+        phi = dataio.resolve_phi(args.phi, Path(), manifest.root)
 
     fitted = pipeline.fit_hierarchy(manifest.root, mcmc, levels=pipeline.METHODS[args.method])
     out = _out_dir(args)
     for theta in thetas:
-        report = pipeline.assemble(fitted, theta, args.method, manifest.phi_policy())
+        report = pipeline.assemble(fitted, theta, args.method, phi)
         tag = _theta_tag(theta)
         dataio.save_report(out / f"report_theta_{tag}.json", report)
         dataio.write_region_csv(out / f"regions_theta_{tag}.csv", report)
@@ -166,26 +166,10 @@ def cmd_simulate(args) -> int:
     spec = dataio.load_synthetic_spec(args.spec)
     data = sim.generate(spec)
     thetas = _theta_list(args)
-    out = _out_dir(args)
-    data_dir = out / "data"
-    data_dir.mkdir(exist_ok=True)
-    node_files = {}
-    for node in data.root.walk():
-        rel = f"data/{node.id}.csv"
-        dataio.write_grouped_csv(out / rel, node.data)
-        node_files[node.id] = rel
-    manifest = dataio.Manifest(
-        root=data.root,
-        thetas=thetas,
-        phi="uniform",
-        phi_values=None,
-        mcmc=McmcConfig(seed=spec.seed),
-        scale_counts=1.0,
-        node_files=node_files,
-    )
-    dataio.write_manifest(out / "manifest.json", manifest)
+    out = Path(args.out)
+    dataio.write_hierarchy(out, data.root, thetas, McmcConfig(seed=spec.seed))
     truth_doc = {_theta_key(truth.theta): {name: getattr(truth, name) for name in _TRUTH_FIELDS}
-                 for truth in data.multilevel_truth(manifest.thetas)}
+                 for truth in data.multilevel_truth(thetas)}
     dataio.write_json(out / "truth.json", truth_doc)
     print(out / "manifest.json")
     return 0
@@ -245,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--manifest", required=True)
     p_pipe.add_argument("--method", choices=tuple(pipeline.METHODS), default="proposed")
     p_pipe.add_argument("--theta", type=float, action="append", help="override manifest theta list")
-    p_pipe.add_argument("--phi", help="uniform, raking, or file:PATH (override manifest)")
+    p_pipe.add_argument("--phi", help=f"{', '.join(pipeline.PHI_POLICIES)}, or file:PATH (override manifest)")
     p_pipe.add_argument("--out", required=True)
     _add_mcmc_flags(p_pipe)
     p_pipe.set_defaults(func=cmd_pipeline)

@@ -20,6 +20,7 @@ from .distributions import FAMILIES, make_family, theta_kind
 from .grouped import GroupedSample, McmcConfig, _is_integer
 from .pipeline import (
     METHODS,
+    PHI_POLICIES,
     DecompositionReport,
     HierarchyNode,
     PipelineError,
@@ -36,7 +37,7 @@ __all__ = [
     "parse_grouped_csv",
     "write_grouped_csv",
     "load_manifest",
-    "write_manifest",
+    "write_hierarchy",
     "load_phi_csv",
     "resolve_phi",
     "report_from_dict",
@@ -224,19 +225,15 @@ def read_microdata(path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | No
 
 @dataclass(frozen=True)
 class Manifest:
-    """Parsed manifest: the validated tree plus run-wide settings."""
+    """What a manifest runs: the validated tree, its counts times scale_counts, and the run settings.
+
+    phi is pipeline.assemble's argument: a name of PHI_POLICIES, or a phi file's {node id: loss weight}.
+    """
 
     root: HierarchyNode
     thetas: tuple[float, ...]
-    phi: str  # 'uniform' | 'raking' | 'file:PATH'
-    phi_values: dict[str, float] | None
+    phi: str | dict[str, float]
     mcmc: McmcConfig
-    scale_counts: float
-    node_files: dict[str, str]  # id -> data path as written in the manifest
-
-    def phi_policy(self):
-        """The phi argument the pipeline expects."""
-        return self.phi_values if self.phi_values is not None else self.phi
 
 
 def load_phi_csv(path) -> dict[str, float]:
@@ -250,13 +247,28 @@ def load_phi_csv(path) -> dict[str, float]:
     return values
 
 
-def resolve_phi(phi_spec: str, base: Path) -> tuple[str, dict[str, float] | None]:
-    """Parse a phi policy (uniform | raking | file:PATH under base): the policy, and a file's weights or None."""
-    if phi_spec in ("uniform", "raking"):
-        return phi_spec, None
-    if str(phi_spec).startswith("file:"):
-        return phi_spec, load_phi_csv(base / phi_spec[len("file:"):])
-    raise ManifestError(f"unknown phi policy {phi_spec!r}; expected uniform, raking, or file:PATH")
+def resolve_phi(phi_spec, base: Path, root: HierarchyNode) -> str | dict[str, float]:
+    """The pipeline's phi for a name of PHI_POLICIES, or for file:PATH with PATH under base.
+
+    A phi file must weight each region and subregion of root's tree, the
+    children a ``proposed`` step benchmarks, and name no other id but the
+    country's, whose weight is unused.
+    """
+    if phi_spec in PHI_POLICIES:
+        return phi_spec
+    if not str(phi_spec).startswith("file:"):
+        raise ManifestError(f"unknown phi policy {phi_spec!r}; expected {', '.join(PHI_POLICIES)}, or file:PATH")
+    path = base / phi_spec[len("file:"):]
+    values = load_phi_csv(path)
+    nodes = list(root.walk())
+    ids = {node.id for node in nodes}
+    for node_id in values:
+        if node_id not in ids:
+            raise ManifestError(f"{path}: phi file names {node_id!r}, which is not a node of the tree")
+    for node in nodes[1:]:  # the root walks first
+        if node.id not in values:
+            raise ManifestError(f"{path}: phi file does not cover node {node.id!r}")
+    return values
 
 
 def load_manifest(path) -> Manifest:
@@ -289,7 +301,6 @@ def load_manifest(path) -> Manifest:
             raise ValueError(f"unknown mcmc settings {unknown}; expected iterations and burnin")
         given.update(mcmc_raw)
         mcmc = McmcConfig(**given)
-        phi, phi_values = resolve_phi(raw.get("phi", "uniform"), base)
 
         seen: dict[str, dict] = {}
         children: dict[str | None, list[dict]] = {}  # parent id (None for the root) -> records in file order
@@ -299,19 +310,21 @@ def load_manifest(path) -> Manifest:
             for key in ("id", "level", "population", "family", "data"):
                 if key not in spec:
                     raise ValueError(f"node record {spec.get('id', '?')!r} is missing {key!r}")
+            parent = spec.get("parent")
+            if not (isinstance(spec["id"], str) and spec["id"]):
+                raise ValueError(f"node record {spec['id']!r}: id must be a non-empty string")
+            if not (parent is None or isinstance(parent, str) and parent):
+                raise ValueError(f"node record {spec['id']!r}: parent {parent!r} must be null or a non-empty string")
             if spec["id"] in seen:
                 raise ValueError(f"duplicate node id {spec['id']!r}")
             seen[spec["id"]] = spec
-            parent = spec.get("parent")
-            children.setdefault(None if parent in (None, "") else parent, []).append(spec)
+            children.setdefault(parent, []).append(spec)
         roots = children.pop(None, [])
         if len(roots) != 1:
             raise ValueError(f"expected exactly one root node, found {len(roots)}")
         for parent, kids in children.items():
             if parent not in seen:
                 raise ValueError(f"node {kids[0]['id']!r} references unknown parent {parent!r}")
-
-        node_files: dict[str, str] = {}
 
         def build(spec: dict) -> HierarchyNode:
             data_path = base / spec["data"]
@@ -321,7 +334,6 @@ def load_manifest(path) -> Manifest:
                 sample = parse_grouped_csv(data_path, scale=scale, unit=spec["id"])
             except (CsvFormatError, OSError) as exc:  # a data path that is a directory, or unreadable
                 raise ValueError(f"node {spec['id']!r}: {exc}") from None
-            node_files[spec["id"]] = spec["data"]
             kids = tuple(build(c) for c in children.get(spec["id"], []))
             return HierarchyNode(
                 id=spec["id"],
@@ -333,43 +345,41 @@ def load_manifest(path) -> Manifest:
             )
 
         root = build(roots[0])
-        unreachable = [node_id for node_id in seen if node_id not in node_files]
+        reached = {node.id for node in root.walk()}
+        unreachable = [node_id for node_id in seen if node_id not in reached]
         if unreachable:
             raise ValueError(f"nodes {unreachable} are not reachable from the root {root.id!r}")
         validate_tree(root)
+        phi = resolve_phi(raw.get("phi", "uniform"), base, root)
     except (KeyError, TypeError, ValueError, OverflowError, OSError, PipelineError) as exc:
         raise ManifestError(f"{path}: {exc}") from None
-    return Manifest(
-        root=root,
-        thetas=thetas,
-        phi=phi,
-        phi_values=phi_values,
-        mcmc=mcmc,
-        scale_counts=scale,
-        node_files=node_files,
-    )
+    return Manifest(root=root, thetas=thetas, phi=phi, mcmc=mcmc)
 
 
-def write_manifest(path, manifest: Manifest) -> None:
-    """Write the manifest JSON; the referenced data files are not touched."""
-    parent_of = {child.id: node.id for node in manifest.root.walk() for child in node.children}
-    nodes = [
-        {"id": node.id, "parent": parent_of.get(node.id), "level": node.level, "population": node.population,
-         "family": node.family, "data": manifest.node_files[node.id]}
-        for node in manifest.root.walk()
-    ]
-    doc = {
-        "theta": list(manifest.thetas),
-        "phi": manifest.phi,
-        "seed": manifest.mcmc.seed,
-        "scale_counts": manifest.scale_counts,
-        "mcmc": {
-            "iterations": manifest.mcmc.iterations,
-            "burnin": manifest.mcmc.burnin,
-        },
-        "nodes": nodes,
-    }
-    write_json(path, doc)
+def write_hierarchy(out, root: HierarchyNode, thetas, mcmc: McmcConfig) -> None:
+    """Write root's tree in the ``simulate`` layout: out/data/<id>.csv per node, and out/manifest.json.
+
+    The manifest runs the tree at thetas with mcmc's settings, the uniform
+    phi and scale_counts 1, so load_manifest of it gives back the tree.
+    The tree is validated, and every id must be a plain file name, before any write.
+    """
+    out = Path(out)
+    validate_tree(root)
+    nodes = list(root.walk())
+    for node in nodes:
+        if not isinstance(node.id, str) or node.id in ("", ".", "..") or "/" in node.id or "\\" in node.id:
+            raise ValueError(f"node {node.id!r}: an id must be a plain file name, the name of its data/<id>.csv")
+    (out / "data").mkdir(parents=True, exist_ok=True)
+    parent_of = {child.id: node.id for node in nodes for child in node.children}
+    records = []
+    for node in nodes:
+        data = f"data/{node.id}.csv"
+        write_grouped_csv(out / data, node.data)
+        records.append({"id": node.id, "parent": parent_of.get(node.id), "level": node.level,
+                        "population": node.population, "family": node.family, "data": data})
+    doc = {"theta": list(thetas), "phi": "uniform", "seed": mcmc.seed, "scale_counts": 1.0,
+           "mcmc": {"iterations": mcmc.iterations, "burnin": mcmc.burnin}, "nodes": records}
+    write_json(out / "manifest.json", doc)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ __all__ = [
     "DecompositionReport",
     "PipelineError",
     "METHODS",
+    "PHI_POLICIES",
     "fit_hierarchy",
     "assemble",
     "run",
@@ -58,6 +59,9 @@ LEVELS = ("country", "region", "subregion")
 
 #: The estimation methods, each with the levels it fits.
 METHODS = {"proposed": LEVELS, "separate": LEVELS, "mixture": ("subregion",)}
+
+#: The named loss-weight policies of ``proposed`` (see _phi_vector); a phi file's weights are the other kind.
+PHI_POLICIES = ("uniform", "raking")
 
 
 class PipelineError(RuntimeError):

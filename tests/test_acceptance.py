@@ -436,9 +436,13 @@ def test_criterion_9_every_command_writes_the_same_bytes_twice(tmp_path):
     assert runs == {"fit_gb2", "fit_sm", "fit_ln", "fit_default_gb2", "fit_default_sm", "fit_default_ln", "fit_undefined",
                     "decompose_income", "decompose_grouped", "decompose_nested", "decompose_weighted",
                     "simulate", "compare", "compare_gb2", "pipeline_proposed", "pipeline_separate", "pipeline_mixture",
-                    "pipeline_raking", "pipeline_phi_file", "surface"}
+                    "pipeline_raking", "pipeline_phi_file", "pipeline_manifest_phi", "surface"}
     assert "pipeline_raking/report_theta_1em09.json" in trees[0]
     assert '"phi_policy": "custom"' in trees[0]["pipeline_phi_file/report_theta_1.json"].decode()
+    # the same weights from the manifest's own phi file give the same reports as from --phi
+    own = {name.split("/", 1)[1]: data for name, data in trees[0].items() if name.startswith("pipeline_manifest_phi/")}
+    assert own and own == {name.split("/", 1)[1]: data for name, data in trees[0].items()
+                           if name.startswith("pipeline_phi_file/")}
     # the weighted file's labels are read by column name, past its weight column
     assert trees[0]["decompose_weighted/decomposition.json"] == trees[0]["decompose_nested/decomposition.json"]
     identical = trees[0] == trees[1]

@@ -349,6 +349,19 @@ def test_simulate_rejects_duplicate_node_ids(tmp_path, capsys):
     assert not (tmp_path / "sim" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("leaf_id", ["../../escape_leaf", "a/b", "a\\b", "..", ".", ""])
+def test_simulate_rejects_an_id_that_is_not_a_file_name_before_writing(tmp_path, capsys, leaf_id):
+    doc = json.loads(json.dumps(SPEC_DOC))
+    doc["regions"][1]["leaves"][0]["id"] = leaf_id
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code = main(["simulate", "--spec", str(path), "--out", str(tmp_path / "sim2" / "deep")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["message"].startswith(f"node {leaf_id!r}: an id must be a plain file name")
+    assert list(tmp_path.rglob("*")) == [path]  # nothing written, inside --out or outside it
+
+
 @pytest.mark.parametrize(
     "fit_families, message",
     [({"country": "gbb2"}, "unknown family tag 'gbb2'"), ({"country": "gb2", "leaf": "gb2"}, "'leaf'")],
@@ -426,3 +439,28 @@ def test_negative_seed_fails_naming_the_seed(tmp_path, spec_file, capsys):
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError", "message": "seed must be a non-negative integer, got -1"}
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "manifest"])
+def test_pipeline_rejects_a_phi_file_missing_a_node_before_fitting(tmp_path, spec_file, capsys, monkeypatch, source):
+    manifest_path = short_manifest(tmp_path, spec_file, capsys)
+    phi_path = tmp_path / "sim" / "phi.csv"
+    phi_path.write_text("id,phi\nr1,1\nm1,1\nm2,1\nr2,1\n")  # no row for the leaf m3
+    phi_args = ["--phi", f"file:{phi_path}"]
+    if source == "manifest":  # the manifest's own phi file, relative to the manifest
+        doc = json.loads(manifest_path.read_text())
+        doc["phi"] = "file:phi.csv"
+        manifest_path.write_text(json.dumps(doc))
+        phi_args = []
+
+    def no_fit(*_, **__):
+        raise AssertionError("fitted before the phi file was checked")
+
+    monkeypatch.setattr("gedecomp.pipeline.fit_hierarchy", no_fit)
+    out_dir = tmp_path / "run"
+    code = main(["pipeline", "--manifest", str(manifest_path), "--out", str(out_dir), *phi_args])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "ManifestError"
+    assert err["message"].endswith(f"{phi_path}: phi file does not cover node 'm3'")
+    assert not out_dir.exists()

@@ -91,7 +91,8 @@ def test_grouped_csv_round_trip(tmp_path):
 # manifest
 # ---------------------------------------------------------------------------
 
-def write_manifest_tree(tmp_path, phi="uniform", seed=3):
+def write_manifest_tree(tmp_path, seed=3):
+    """Write a simulated three-leaf tree in the simulate layout under tmp_path; return what it runs."""
     spec = SyntheticSpec(
         regions=(
             RegionSpec("east", (LeafSpec("e1", g.SM(2.2, 4.0, 1.8), 2000),
@@ -102,23 +103,9 @@ def write_manifest_tree(tmp_path, phi="uniform", seed=3):
         sampling_fraction=0.4,
         seed=seed,
     )
-    data = generate(spec)
-    (tmp_path / "data").mkdir(exist_ok=True)
-    node_files = {}
-    for node in data.root.walk():
-        rel = f"data/{node.id}.csv"
-        dataio.write_grouped_csv(tmp_path / rel, node.data)
-        node_files[node.id] = rel
-    manifest = dataio.Manifest(
-        root=data.root,
-        thetas=(-1.0, 0.0, 1.0, 2.0),
-        phi=phi,
-        phi_values=None,
-        mcmc=McmcConfig(iterations=400, burnin=100, seed=seed),
-        scale_counts=1.0,
-        node_files=node_files,
-    )
-    dataio.write_manifest(tmp_path / "manifest.json", manifest)
+    manifest = dataio.Manifest(generate(spec).root, (-1.0, 0.0, 1.0, 2.0), "uniform",
+                               McmcConfig(iterations=400, burnin=100, seed=seed))
+    dataio.write_hierarchy(tmp_path, manifest.root, manifest.thetas, manifest.mcmc)
     return manifest
 
 
@@ -128,16 +115,19 @@ def test_manifest_round_trip(tmp_path):
     assert loaded.thetas == original.thetas
     assert loaded.phi == "uniform"
     assert loaded.mcmc == original.mcmc
-    assert loaded.node_files == original.node_files
     assert [n.id for n in loaded.root.walk()] == [n.id for n in original.root.walk()]
     for got, expected in zip(loaded.root.walk(), original.root.walk()):
         assert got.level == expected.level
         assert got.family == expected.family
         assert got.population == expected.population
         assert np.array_equal(got.data.counts, expected.data.counts)
-    # serialize -> parse -> serialize is byte-stable
-    dataio.write_manifest(tmp_path / "again.json", loaded)
-    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "manifest.json").read_bytes()
+    # serialize -> parse -> serialize is byte-stable, for the manifest and for every data CSV
+    again = tmp_path / "again"
+    dataio.write_hierarchy(again, loaded.root, loaded.thetas, loaded.mcmc)
+    names = ["manifest.json", *(f"data/{n.id}.csv" for n in original.root.walk())]
+    assert sorted(str(p.relative_to(again)) for p in again.rglob("*.*")) == sorted(names)
+    for name in names:
+        assert (again / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_manifest_validation_errors(tmp_path):
@@ -256,6 +246,8 @@ def test_manifest_rejects_unknown_mcmc_settings(tmp_path, stale):
         ("phi", 3, "unknown phi policy 3"),
         ("phi", "file:short.csv", "short.csv:2: expected 2 columns"),
         ("phi", "file:none.csv", "No such file or directory: "),
+        ("phi", "file:partial.csv", "partial.csv: phi file does not cover node 'w1'"),
+        ("phi", "file:extra.csv", "extra.csv: phi file names 'zz', which is not a node of the tree"),
         ("scale_counts", 0, "scale_counts must be positive and finite, got 0.0"),
         ("scale_counts", -2.5, "scale_counts must be positive and finite, got -2.5"),
         ("scale_counts", math.nan, "scale_counts must be positive and finite, got nan"),
@@ -268,13 +260,17 @@ def test_manifest_rejects_unknown_mcmc_settings(tmp_path, stale):
     ids=["burnin-too-long", "string", "fraction", "iterations-bool", "burnin-bool", "zero-iterations",
          "mcmc-not-an-object", "mcmc-empty-list", "mcmc-empty-string", "seed-fraction", "seed-bool",
          "theta-string", "theta-empty", "theta-string-item", "theta-bool-item", "theta-number",
-         "phi-not-a-string", "phi-file-short-row", "phi-file-missing",
+         "phi-not-a-string", "phi-file-short-row", "phi-file-missing", "phi-file-missing-a-leaf",
+         "phi-file-unknown-id",
          "scale-zero", "scale-negative", "scale-nan", "scale-inf", "scale-bool", "scale-string",
          "population-bool", "population-string"],
 )
 def test_manifest_rejects_malformed_settings_naming_the_file(tmp_path, field, value, message):
     write_manifest_tree(tmp_path)
     (tmp_path / "short.csv").write_text("id,phi\ncountry\n")
+    partial = "id,phi\neast,1\ne1,1\ne2,1\nwest,1\n"  # every region and subregion but w1
+    (tmp_path / "partial.csv").write_text(partial)
+    (tmp_path / "extra.csv").write_text(partial + "w1,1\nzz,2\n")
     doc = json.loads((tmp_path / "manifest.json").read_text())
     if field == "population":  # a node's setting: the first leaf's
         next(node for node in doc["nodes"] if node["id"] == "e1")[field] = value
@@ -304,10 +300,19 @@ def _node(doc, node_id) -> dict:
          "node 'east': children of the country must be regions"),
         (lambda doc: _node(doc, "e1").update(level="region"), "node 'e1': regions may only contain leaf subregions"),
         (lambda doc: _node(doc, "e1").pop("family"), "node record 'e1' is missing 'family'"),
+        # a number id would be a second leaf beside the string "1", with the same seed and CSV id
+        (lambda doc: [_node(doc, "e1").update(id=1), _node(doc, "e2").update(id="1")],
+         "node record 1: id must be a non-empty string"),
+        (lambda doc: _node(doc, "e1").update(id=""), "node record '': id must be a non-empty string"),
+        (lambda doc: _node(doc, "e1").update(parent=["east"]),
+         "node record 'e1': parent ['east'] must be null or a non-empty string"),
+        (lambda doc: _node(doc, "country").update(parent=""),
+         "node record 'country': parent '' must be null or a non-empty string"),
     ],
     ids=["unknown-level", "population-zero", "unknown-family", "unknown-region-family", "root-not-a-country",
          "country-without-regions",
-         "country-child-not-a-region", "region-child-not-a-leaf", "record-missing-a-key"],
+         "country-child-not-a-region", "region-child-not-a-leaf", "record-missing-a-key",
+         "id-a-number", "id-empty", "parent-a-list", "parent-empty"],
 )
 def test_manifest_rejects_tree_faults_naming_the_file_and_the_node(tmp_path, edit, message):
     write_manifest_tree(tmp_path)
@@ -327,9 +332,8 @@ def test_manifest_custom_phi_file(tmp_path):
     doc["phi"] = "file:phi.csv"
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     loaded = dataio.load_manifest(tmp_path / "manifest.json")
-    assert loaded.phi == "file:phi.csv"
-    assert loaded.phi_values == {i: 1.0 for i in ids}
-    assert isinstance(loaded.phi_policy(), dict)
+    assert loaded.phi == {i: 1.0 for i in ids}
+
 
 
 def test_phi_csv_validation(tmp_path):

@@ -11,9 +11,10 @@ subgroup columns, which the labels are read past by name), ``simulate``, ``compa
 every level, so that all ten nodes are one gb2 batch, most of them on the
 lockstep fallback walk), ``pipeline`` (proposed,
 separate, mixture, and proposed with raking and with a phi file's loss
-weights) and ``surface`` (on a grid with masked cells) on inputs the script
-writes itself, with the code
-of this checkout's ``src/``.  Each run writes its files under
+weights, given by ``--phi`` and, as ``pipeline_manifest_phi``, by the
+manifest's own ``"phi"``, resolved against the manifest's directory) and
+``surface`` (on a grid with masked cells) on inputs the script writes
+itself, with the code of this checkout's ``src/``.  Each run writes its files under
 ``OUT/<run>/`` and its standard output to
 ``OUT/<run>.stdout``; every path is relative to OUT, so the tree does not
 depend on where OUT is.  The outputs of two checkouts are byte-identical
@@ -97,6 +98,17 @@ def write_inputs() -> None:
     Path("inputs/micro_weighted.csv").write_text("\n".join(lines) + "\n")
 
 
+def write_own_phi_manifest() -> None:
+    """simulate's manifest with phi file:phi.csv, a copy of inputs/phi.csv beside it, and data in simulate/."""
+    doc = json.loads(Path("simulate/manifest.json").read_text())
+    doc["phi"] = "file:phi.csv"
+    for node in doc["nodes"]:
+        node["data"] = f"../simulate/{node['data']}"
+    Path("manifest_phi").mkdir()
+    Path("manifest_phi/manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
+    Path("manifest_phi/phi.csv").write_text(Path("inputs/phi.csv").read_text())
+
+
 def runs() -> list[tuple[str, list[str]]]:
     manifest = "simulate/manifest.json"
     return [
@@ -123,6 +135,9 @@ def runs() -> list[tuple[str, list[str]]]:
                              *SHORT_CHAIN]),
         ("pipeline_phi_file", ["pipeline", "--manifest", manifest, "--phi", "file:inputs/phi.csv",
                                "--out", "pipeline_phi_file", *SHORT_CHAIN]),
+        # phi.csv is only in manifest_phi/, so it is found only relative to the manifest
+        ("pipeline_manifest_phi", ["pipeline", "--manifest", "manifest_phi/manifest.json",
+                                   "--out", "pipeline_manifest_phi", *SHORT_CHAIN]),
         # a grid reaching below a * q = 1, where the masked cells are empty fields
         ("surface", ["surface", "--a-min", "0.6", "--a-num", "7", "--q-min", "1.0", "--q-num", "5",
                      "--out", "surface", *THETA_ARGS]),
@@ -134,6 +149,8 @@ def sweep(out: Path) -> None:
     os.chdir(out)
     write_inputs()
     for name, argv in runs():
+        if name == "pipeline_manifest_phi":
+            write_own_phi_manifest()
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
