@@ -181,8 +181,8 @@ def cmd_compare(args) -> int:
     comparison = sim.compare_methods(spec, thetas, _mcmc_from_args(args))
     out = _out_dir(args)
     dataio.write_comparison_csv(out / "comparison.csv", comparison)
-    for theta in thetas:
-        print(dataio.render_comparison(comparison, theta))
+    for truth, reports in comparison:
+        print(dataio.render_comparison(truth, reports))
         print()
     return 0
 

@@ -19,7 +19,6 @@ import numpy as np
 from .distributions import FAMILIES, make_family, theta_kind
 from .grouped import GroupedSample, McmcConfig, _is_integer
 from .pipeline import (
-    METHODS,
     PHI_POLICIES,
     DecompositionReport,
     HierarchyNode,
@@ -28,7 +27,7 @@ from .pipeline import (
     SubregionRow,
     validate_tree,
 )
-from .sim import LeafSpec, MethodComparison, RegionSpec, SyntheticSpec
+from .sim import LeafSpec, MultilevelTruth, RegionSpec, SyntheticSpec
 
 __all__ = [
     "CsvFormatError",
@@ -113,12 +112,6 @@ def _write_csv(path, header, rows) -> None:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _attribute_rows(records, columns: tuple[str, ...]):
-    """Each record's attributes named by columns, a bool written as 0 or 1."""
-    for record in records:
-        yield [int(v) if isinstance(v, bool) else v for v in (getattr(record, name) for name in columns)]
 
 
 def json_text(doc) -> str:
@@ -408,13 +401,31 @@ def load_report(path) -> DecompositionReport:
         raise ManifestError(f"{path}: not a decomposition report ({exc!r})") from None
 
 
-_COMPARISON_COLUMNS = ("theta", "method", "component", "estimate", "truth", "error")
+#: a report's national components, (field, render_table label) in table order; the residuals have no truth
+_COMPONENTS = (
+    ("ge_total", "GE_total"),
+    ("between", "between-region"),
+    ("residual_region", "residual-region"),
+    ("sum_weighted_between_sub", "sum_j w_j * between_sub_j"),
+    ("sum_weighted_within_sub", "sum_j w_j * within_sub_j"),
+    ("residual_subregion", "residual-subregion"),
+)
+
+
+def _shown(report: DecompositionReport, field: str) -> float | None:
+    """The value a table shows for a component: a residual only for separate, whose levels are not reconciled."""
+    return None if field.startswith("residual") and report.method != "separate" else getattr(report, field)
+
+
+def _flag_lines(flags) -> list[str]:
+    return ["flags:", *(f"  - {flag}" for flag in flags)] if flags else []
 
 
 def _write_rows_csv(path, row_type, rows) -> None:
-    """One column per field of row_type, in field order."""
+    """One column per field of row_type, in field order; a bool is written as 0 or 1."""
     columns = tuple(f.name for f in dataclasses.fields(row_type))
-    _write_csv(path, columns, _attribute_rows(rows, columns))
+    _write_csv(path, columns, ([int(v) if isinstance(v, bool) else v for v in (getattr(row, c) for c in columns)]
+                               for row in rows))
 
 
 def write_region_csv(path, report: DecompositionReport) -> None:
@@ -436,28 +447,28 @@ def render_table(report: DecompositionReport) -> str:
         f"method={report.method}  theta={report.theta:g}  phi={report.phi_policy}",
         f"{'component':<34}{'estimate':>12}",
     ]
-    rows = [
-        ("GE_total", report.ge_total),
-        ("between-region", report.between),
-        ("residual-region", report.residual_region if report.method == "separate" else None),
-        ("sum_j w_j * between_sub_j", report.sum_weighted_between_sub),
-        ("sum_j w_j * within_sub_j", report.sum_weighted_within_sub),
-        ("residual-subregion", report.residual_subregion if report.method == "separate" else None),
-    ]
-    for name, value in rows:
-        lines.append(f"{name:<34}{_fmt5(value):>12}")
-    if report.flags:
-        lines.append("flags:")
-        lines.extend(f"  - {flag}" for flag in report.flags)
-    return "\n".join(lines)
+    lines.extend(f"{label:<34}{_fmt5(_shown(report, field)):>12}" for field, label in _COMPONENTS)
+    return "\n".join(lines + _flag_lines(report.flags))
 
 
 # ---------------------------------------------------------------------------
 # Method-comparison output
 # ---------------------------------------------------------------------------
 
-def write_comparison_csv(path, comparison: MethodComparison) -> None:
-    _write_csv(path, _COMPARISON_COLUMNS, _attribute_rows(comparison.rows, _COMPARISON_COLUMNS))
+def write_comparison_csv(path, comparison) -> None:
+    """theta,method,component,estimate,truth,error rows of compare_methods' (truth, reports) pairs.
+
+    Every estimate is written, a residual too; a residual has no truth, so
+    its truth and error cells are empty.
+    """
+    rows = []
+    for truth, reports in comparison:
+        for report in reports.values():
+            for field, _ in _COMPONENTS:
+                estimate, exact = getattr(report, field), getattr(truth, field, None)
+                rows.append([report.theta, report.method, field, estimate, exact,
+                             None if exact is None else estimate - exact])
+    _write_csv(path, ("theta", "method", "component", "estimate", "truth", "error"), rows)
 
 
 def write_surface_csv(path, surfaces) -> None:
@@ -476,19 +487,14 @@ def write_surface_csv(path, surfaces) -> None:
                 handle.write("".join([f"{head}{q},{'' if v == 'nan' else v}\r\n" for head, v in zip(heads, cells)]))
 
 
-def render_comparison(comparison: MethodComparison, theta: float) -> str:
-    """Per-theta table with one column per method, mirroring the report rows."""
-    by_key = {(r.method, r.component): r for r in comparison.rows if r.theta == theta}
-    lines = [f"theta = {theta:g}", f"{'component':<28}" + "".join(f"{m:>12}" for m in METHODS) + f"{'truth':>12}"]
-    for component in MethodComparison.COMPONENTS:
-        rows = [by_key[(m, component)] for m in METHODS]
-        cells = [
-            f"{'--':>12}" if component.startswith("residual") and r.method != "separate" else f"{r.estimate:>12.5f}"
-            for r in rows
-        ]
-        truth_txt = "--" if rows[0].truth is None else f"{rows[0].truth:.5f}"
-        lines.append(f"{component:<28}" + "".join(cells) + f"{truth_txt:>12}")
-    return "\n".join(lines)
+def render_comparison(truth: MultilevelTruth, reports: dict[str, DecompositionReport]) -> str:
+    """One theta's table, a column per method of reports and the truth, then the reports' distinct flags."""
+    lines = [f"theta = {truth.theta:g}", f"{'component':<28}" + "".join(f"{m:>12}" for m in reports) + f"{'truth':>12}"]
+    for field, _ in _COMPONENTS:
+        cells = "".join(f"{_fmt5(_shown(report, field)):>12}" for report in reports.values())
+        lines.append(f"{field:<28}{cells}{_fmt5(getattr(truth, field, None)):>12}")
+    flags = dict.fromkeys(flag for report in reports.values() for flag in report.flags)
+    return "\n".join(lines + _flag_lines(flags))
 
 
 # ---------------------------------------------------------------------------

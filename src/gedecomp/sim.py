@@ -17,7 +17,7 @@ import numpy as np
 from .distributions import FamilyParams, family_class
 from .grouped import GroupedSample, McmcConfig, _check_boundaries, _is_integer, derive_seed
 from .inequality import _decompose_two_levels, ge_finite
-from .pipeline import METHODS, DecompositionReport, HierarchyNode, assemble, fit_hierarchy
+from .pipeline import METHODS, HierarchyNode, assemble, fit_hierarchy
 
 __all__ = [
     "LeafSpec",
@@ -25,11 +25,14 @@ __all__ = [
     "SyntheticSpec",
     "SyntheticData",
     "MultilevelTruth",
-    "ComparisonRow",
-    "MethodComparison",
     "generate",
     "compare_methods",
 ]
+
+
+def _check_id(kind: str, node_id) -> None:
+    if not (isinstance(node_id, str) and node_id):
+        raise ValueError(f"{kind} id {node_id!r} must be a non-empty string")
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,7 @@ class LeafSpec:
     population: int
 
     def __post_init__(self):
+        _check_id("leaf", self.id)
         if not _is_integer(self.population) or self.population < 1:
             raise ValueError(f"leaf {self.id!r}: population must be an integer >= 1, got {self.population!r}")
 
@@ -49,6 +53,7 @@ class RegionSpec:
     leaves: tuple[LeafSpec, ...]
 
     def __post_init__(self):
+        _check_id("region", self.id)
         object.__setattr__(self, "leaves", tuple(self.leaves))
         if not self.leaves:
             raise ValueError(f"region {self.id!r}: needs at least one leaf")
@@ -74,6 +79,7 @@ class SyntheticSpec:
     leaf_family: str = "ln"
 
     def __post_init__(self):
+        _check_id("country", self.country_id)
         object.__setattr__(self, "regions", tuple(self.regions))
         if not self.regions:
             raise ValueError("need at least one region")
@@ -231,58 +237,16 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
     )
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    theta: float
-    method: str
-    component: str
-    estimate: float
-    truth: float | None
-
-    @property
-    def error(self) -> float | None:
-        return None if self.truth is None else self.estimate - self.truth
-
-
-@dataclass(frozen=True)
-class MethodComparison:
-    rows: tuple[ComparisonRow, ...]
-    reports: dict[tuple[str, float], DecompositionReport]
-
-    COMPONENTS = (
-        "ge_total",
-        "between",
-        "residual_region",
-        "sum_weighted_between_sub",
-        "sum_weighted_within_sub",
-        "residual_subregion",
-    )
-
-
-def _report_rows(report: DecompositionReport, truth: MultilevelTruth) -> list[ComparisonRow]:
-    # the residuals have no truth field
-    return [
-        ComparisonRow(
-            theta=report.theta, method=report.method, component=c, estimate=getattr(report, c),
-            truth=getattr(truth, c, None),
-        )
-        for c in MethodComparison.COMPONENTS
-    ]
-
-
-def compare_methods(spec: SyntheticSpec, thetas, mcmc: McmcConfig, phi="uniform") -> MethodComparison:
+def compare_methods(spec: SyntheticSpec, thetas, mcmc: McmcConfig,
+                    phi="uniform") -> list[tuple[MultilevelTruth, dict]]:
     """Run proposed / separate / mixture on one generated dataset.
 
-    All three methods see the same grouped data; the leaf fits are shared
-    between the proposed and mixture assemblies.
+    Gives, for each theta in order, its MultilevelTruth and the three
+    DecompositionReports keyed by method in METHODS order.  All three
+    methods see the same grouped data; the leaf fits are shared between the
+    proposed and mixture assemblies.
     """
     data = generate(spec)
     fitted = fit_hierarchy(data.root, mcmc)
-    rows: list[ComparisonRow] = []
-    reports: dict[tuple[str, float], DecompositionReport] = {}
-    for truth in data.multilevel_truth(thetas):
-        for method in METHODS:
-            report = assemble(fitted, truth.theta, method, phi)
-            reports[(report.method, float(truth.theta))] = report
-            rows.extend(_report_rows(report, truth))
-    return MethodComparison(rows=tuple(rows), reports=reports)
+    return [(truth, {method: assemble(fitted, truth.theta, method, phi) for method in METHODS})
+            for truth in data.multilevel_truth(thetas)]

@@ -1,5 +1,6 @@
 """Command-line surface: every subcommand end to end on small inputs."""
 
+import csv
 import json
 import math
 import os
@@ -238,6 +239,44 @@ def test_simulate_then_pipeline_and_compare(tmp_path, spec_file, capsys):
     assert len(lines) == 1 + 3 * 6  # three methods x six components
 
 
+def test_compare_csv_components_add_up_and_errors_are_estimate_minus_truth(tmp_path, spec_file, capsys):
+    out = tmp_path / "cmp"
+    code = main(["compare", "--spec", str(spec_file), "--out", str(out),
+                 "--theta", "0", "--theta", "2", "--iters", "400", "--burnin", "100"])
+    capsys.readouterr()
+    assert code == 0
+    with (out / "comparison.csv").open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    groups: dict[tuple[str, str], dict[str, dict]] = {}
+    for row in rows:
+        groups.setdefault((row["method"], row["theta"]), {})[row["component"]] = row
+    assert set(groups) == {(m, t) for m in ("proposed", "separate", "mixture") for t in ("0.0", "2.0")}
+    for comp in groups.values():
+        total = float(comp["ge_total"]["estimate"])
+        parts = sum(float(row["estimate"]) for name, row in comp.items() if name != "ge_total")
+        assert len(comp) == 6 and abs(total - parts) <= 1e-12 * max(1.0, abs(total))
+        for name, row in comp.items():
+            if name.startswith("residual"):
+                assert row["truth"] == row["error"] == ""
+            else:
+                assert float(row["error"]) == float(row["estimate"]) - float(row["truth"])
+
+
+def test_compare_rejects_ids_that_are_not_strings_before_fitting(tmp_path, capsys):
+    # leaf ids 1 and "1" would share one seed; a numeric country id is as wrong
+    leaves = [{"id": leaf_id, "population": 500, "params": {"family": "ln", "xi": 1.0, "sigma2": 0.4}}
+              for leaf_id in (1, "1")]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"country_id": 7, "regions": [{"id": "r1", "leaves": leaves}]}))
+    out = tmp_path / "cmp"
+    code = main(["compare", "--spec", str(spec_path), "--out", str(out),
+                 "--theta", "1", "--iters", "400", "--burnin", "100"])
+    doc = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert doc == {"error": "ManifestError", "message": f"{spec_path}: leaf id 1 must be a non-empty string"}
+    assert not (out / "comparison.csv").exists()
+
+
 def test_pipeline_negative_theta_filenames(tmp_path, spec_file, capsys):
     sim_dir = tmp_path / "sim"
     main(["simulate", "--spec", str(spec_file), "--out", str(sim_dir)])
@@ -358,7 +397,10 @@ def test_simulate_rejects_an_id_that_is_not_a_file_name_before_writing(tmp_path,
     code = main(["simulate", "--spec", str(path), "--out", str(tmp_path / "sim2" / "deep")])
     err = json.loads(capsys.readouterr().err)
     assert code == 2
-    assert err["message"].startswith(f"node {leaf_id!r}: an id must be a plain file name")
+    # an empty id is no id at all: the spec rejects it before simulate looks at file names
+    expected = f"{path}: leaf id '' must be a non-empty string" if not leaf_id else (
+        f"node {leaf_id!r}: an id must be a plain file name")
+    assert err["message"].startswith(expected)
     assert list(tmp_path.rglob("*")) == [path]  # nothing written, inside --out or outside it
 
 

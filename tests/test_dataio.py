@@ -14,8 +14,8 @@ from numpy.testing import assert_allclose
 import gedecomp as g
 from gedecomp import dataio
 from gedecomp.grouped import McmcConfig
-from gedecomp.pipeline import DecompositionReport, GeSurface, RegionRow, SubregionRow, ge_surface
-from gedecomp.sim import LeafSpec, RegionSpec, SyntheticSpec, generate
+from gedecomp.pipeline import METHODS, DecompositionReport, GeSurface, RegionRow, SubregionRow, ge_surface
+from gedecomp.sim import LeafSpec, MultilevelTruth, RegionSpec, SyntheticSpec, generate
 
 from conftest import NATIONAL_REL_FREQ
 
@@ -445,6 +445,18 @@ def test_region_and_subregion_csv(tmp_path):
     ]
 
 
+def tiny_truth(theta=1.0) -> MultilevelTruth:
+    return MultilevelTruth(theta=theta, ge_total=0.26, between=0.007, sum_weighted_between_sub=0.004,
+                           sum_weighted_within_sub=0.249, region_ge={}, region_between_sub={},
+                           region_within_sub={}, leaf_ge={})
+
+
+def method_report(method: str, flags=()) -> DecompositionReport:
+    """tiny_report under method, with residuals a table must show only for separate."""
+    return dataclasses.replace(tiny_report(), method=method, residual_region=0.00192, residual_subregion=-0.02862,
+                               flags=flags)
+
+
 def test_render_table_layout():
     text = dataio.render_table(tiny_report())
     assert "GE_total" in text and "0.25000" in text
@@ -457,6 +469,33 @@ def test_render_table_layout():
                                         "residual_subregion": -0.02862})
     sep_text = dataio.render_table(separate)
     assert "0.00192" in sep_text and "-0.02862" in sep_text
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_render_table_and_render_comparison_dash_the_same_residuals(method):
+    text = dataio.render_table(method_report(method))
+    table_dashed = [line.split()[-1] == "--" for line in text.splitlines()[2:8]]
+    if method == "separate":
+        assert table_dashed == [False] * 6
+        assert "0.00192" in text and "-0.02862" in text
+    else:
+        assert table_dashed == [False, False, True, False, False, True]
+        assert "0.00192" not in text and "-0.02862" not in text
+    column = 1 + list(METHODS).index(method)
+    lines = dataio.render_comparison(tiny_truth(), {m: method_report(m) for m in METHODS}).splitlines()
+    assert [line.split()[column] == "--" for line in lines[2:8]] == table_dashed
+
+
+def test_render_comparison_prints_each_flag_once():
+    flags = ("subregion e1: 51/600 draws with GE outside the moment window at theta=2",
+             "subregion e2: 7/600 draws with GE outside the moment window at theta=2")
+    reports = {"proposed": method_report("proposed", flags[1:]), "separate": method_report("separate", flags[::-1]),
+               "mixture": method_report("mixture", flags)}
+    lines = dataio.render_comparison(tiny_truth(2.0), reports).splitlines()
+    assert lines[0] == "theta = 2"
+    assert lines[8:] == ["flags:", f"  - {flags[1]}", f"  - {flags[0]}"]
+    unflagged = {m: method_report(m) for m in METHODS}
+    assert len(dataio.render_comparison(tiny_truth(), unflagged).splitlines()) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +549,22 @@ def test_synthetic_spec_rejects_leaf_params_of_another_family(tmp_path, params, 
     doc = {"regions": [{"id": "r1", "leaves": [{"id": "m1", "population": 10, "params": params}]}]}
     (tmp_path / "spec.json").write_text(json.dumps(doc))
     with pytest.raises(dataio.ManifestError, match=match):
+        dataio.load_synthetic_spec(tmp_path / "spec.json")
+
+
+@pytest.mark.parametrize("bad_id", [1, "", None, ["m"]], ids=["int", "empty", "null", "list"])
+@pytest.mark.parametrize("kind", ["leaf", "region", "country"])
+def test_synthetic_spec_rejects_an_id_that_is_not_a_nonempty_string(tmp_path, kind, bad_id):
+    leaf = {"id": "m1", "population": 10, "params": {"family": "ln", "xi": 1.0, "sigma2": 0.4}}
+    region = {"id": "r1", "leaves": [leaf]}
+    doc = {"regions": [region]}
+    if kind == "country":
+        doc["country_id"] = bad_id
+    else:
+        (leaf if kind == "leaf" else region)["id"] = bad_id
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    message = f"{tmp_path / 'spec.json'}: {kind} id {bad_id!r} must be a non-empty string"
+    with pytest.raises(dataio.ManifestError, match=f"^{re.escape(message)}$"):
         dataio.load_synthetic_spec(tmp_path / "spec.json")
 
 

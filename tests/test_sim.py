@@ -1,6 +1,8 @@
 """Synthetic generation: oracle fidelity, truth identities, method comparison."""
 
 import tracemalloc
+import csv
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,16 +13,19 @@ from gedecomp import dataio
 from gedecomp.distributions import LIMIT_TOL
 from gedecomp.grouped import McmcConfig
 from gedecomp.inequality import decompose_finite, ge_finite
-from gedecomp.pipeline import assemble
+from gedecomp.pipeline import METHODS, assemble
 from gedecomp.sim import (
     LeafSpec,
-    MethodComparison,
     MultilevelTruth,
     RegionSpec,
     SyntheticSpec,
     compare_methods,
     generate,
 )
+
+# a report's national components, in table order
+COMPONENTS = ("ge_total", "between", "residual_region", "sum_weighted_between_sub", "sum_weighted_within_sub",
+              "residual_subregion")
 
 # the benchmark's sensitivity grid, both edges of each limit window, and generic
 # thetas near 0 and 1 (the expm1 forms of _power_mean_excess)
@@ -250,44 +255,63 @@ def test_spec_rejects_duplicate_node_ids(regions, duplicate):
         SyntheticSpec(regions=regions, sampling_fraction=0.5)
 
 
-def test_compare_methods_schema_and_identities():
+@pytest.mark.parametrize("bad_id", [1, "", None, ["x"]], ids=["int", "empty", "null", "list"])
+def test_spec_ids_must_be_nonempty_strings(bad_id):
+    leaf = LeafSpec("x", g.LN(0.0, 1.0), 1000)
+    message = f"id {bad_id!r} must be a non-empty string"
+    with pytest.raises(ValueError, match=f"^leaf {re.escape(message)}$"):
+        LeafSpec(bad_id, g.LN(0.0, 1.0), 1000)
+    with pytest.raises(ValueError, match=f"^region {re.escape(message)}$"):
+        RegionSpec(bad_id, (leaf,))
+    with pytest.raises(ValueError, match=f"^country {re.escape(message)}$"):
+        SyntheticSpec(regions=(RegionSpec("r", (leaf,)),), country_id=bad_id)
+
+
+def test_compare_methods_schema_and_identities(tmp_path):
     comparison = compare_methods(small_spec(seed=9), (0.0, 1.0), McmcConfig(iterations=500, burnin=120, seed=2))
-    methods = {"proposed", "separate", "mixture"}
-    for theta in (0.0, 1.0):
-        for method in methods:
-            rows = {r.component: r for r in comparison.rows if r.theta == theta and r.method == method}
-            assert set(rows) == set(MethodComparison.COMPONENTS)
-            report = comparison.reports[(method, theta)]
-            assert report.method == method
+    assert [truth.theta for truth, _ in comparison] == [0.0, 1.0]
+    path = tmp_path / "comparison.csv"
+    dataio.write_comparison_csv(path, comparison)
+    with path.open(newline="") as handle:
+        written = list(csv.DictReader(handle))
+    for truth, reports in comparison:
+        assert list(reports) == list(METHODS)
+        for method, report in reports.items():
+            rows = {r["component"]: r for r in written if float(r["theta"]) == truth.theta and r["method"] == method}
+            assert list(rows) == list(COMPONENTS)
+            assert report.method == method and report.theta == truth.theta
+            assert [float(rows[c]["estimate"]) for c in COMPONENTS] == [getattr(report, c) for c in COMPONENTS]
             if method != "separate":
-                assert rows["residual_region"].estimate == 0.0
-                assert rows["residual_subregion"].estimate == 0.0
+                assert report.residual_region == 0.0
+                assert report.residual_subregion == 0.0
             assert abs(report.identity_gap) < 1e-10 * max(1.0, abs(report.ge_total))
-            assert rows["residual_region"].truth is None
-            assert rows["ge_total"].truth is not None
+            assert rows["residual_region"]["truth"] == rows["residual_region"]["error"] == ""
+            assert float(rows["ge_total"]["truth"]) == truth.ge_total
     # truth-aligned errors are reported
-    ge_rows = [r for r in comparison.rows if r.component == "ge_total" and r.theta == 1.0]
+    ge_rows = [r for r in written if r["component"] == "ge_total" and float(r["theta"]) == 1.0]
+    assert len(ge_rows) == len(METHODS)
     for row in ge_rows:
-        assert row.error == pytest.approx(row.estimate - row.truth)
+        assert float(row["error"]) == pytest.approx(float(row["estimate"]) - float(row["truth"]))
 
 
 def test_render_comparison_table():
-    comparison = compare_methods(small_spec(seed=9), (1.0,), McmcConfig(iterations=300, burnin=100, seed=2))
-    lines = dataio.render_comparison(comparison, 1.0).splitlines()
+    [(truth, reports)] = compare_methods(small_spec(seed=9), (1.0,), McmcConfig(iterations=300, burnin=100, seed=2))
+    lines = dataio.render_comparison(truth, reports).splitlines()
     assert lines[0] == "theta = 1"
     assert lines[1] == f"{'component':<28}{'proposed':>12}{'separate':>12}{'mixture':>12}{'truth':>12}"
-    assert [line.split()[0] for line in lines[2:]] == list(MethodComparison.COMPONENTS)
-    rows = {(r.method, r.component): r for r in comparison.rows}
-    for line in lines[2:]:
+    assert [line.split()[0] for line in lines[2:8]] == list(COMPONENTS)
+    flags = list(dict.fromkeys(flag for report in reports.values() for flag in report.flags))
+    assert lines[8:] == (["flags:", *(f"  - {flag}" for flag in flags)] if flags else [])
+    for line in lines[2:8]:
         assert len(line) == 28 + 4 * 12
-        component, *cells, truth = line.split()
-        estimates = [f"{rows[m, component].estimate:.5f}" for m in ("proposed", "separate", "mixture")]
+        component, *cells, truth_txt = line.split()
+        estimates = [f"{getattr(reports[m], component):.5f}" for m in ("proposed", "separate", "mixture")]
         if component.startswith("residual"):
             assert cells == ["--", estimates[1], "--"]
-            assert truth == "--"
+            assert truth_txt == "--"
         else:
             assert cells == estimates
-            assert truth == f"{rows['proposed', component].truth:.5f}"
+            assert truth_txt == f"{getattr(truth, component):.5f}"
 
 
 def test_estimator_consistency_over_doubling():
