@@ -147,9 +147,10 @@ def cmd_pipeline(args) -> int:
         phi = dataio.resolve_phi(args.phi, Path(), manifest.root)
 
     fitted = pipeline.fit_hierarchy(manifest.root, mcmc, levels=pipeline.METHODS[args.method])
+    # every theta is assembled before anything is written, so a theta that fails leaves no partial run
+    reports = [pipeline.assemble(fitted, theta, args.method, phi) for theta in thetas]
     out = _out_dir(args)
-    for theta in thetas:
-        report = pipeline.assemble(fitted, theta, args.method, phi)
+    for theta, report in zip(thetas, reports):
         tag = _theta_tag(theta)
         dataio.save_report(out / f"report_theta_{tag}.json", report)
         dataio.write_region_csv(out / f"regions_theta_{tag}.csv", report)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import FAMILIES, make_family, theta_kind
-from .grouped import GroupedSample, McmcConfig, _is_integer
+from .grouped import GroupedSample, McmcConfig
 from .pipeline import (
     PHI_POLICIES,
     DecompositionReport,
@@ -199,11 +199,15 @@ def read_microdata(path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | No
     The CSV header starts with ``income``; the columns named ``group`` and
     ``subgroup`` (case and spaces ignored, as for the header's first names)
     give the labels wherever they stand, and other columns are ignored.  A
-    ``subgroup`` column without a ``group`` column is a CsvFormatError.
+    header that names either twice, or a ``subgroup`` column without a
+    ``group`` column, is a CsvFormatError.
     """
     path = Path(path)
     head, rows = _read_csv(path, ("income",))
     names = [name.strip().lower() for name in head]
+    for name in ("group", "subgroup"):
+        if names.count(name) > 1:
+            raise CsvFormatError(f"{path}: the header names the {name} column more than once")
     if "subgroup" in names and "group" not in names:
         raise CsvFormatError(f"{path}: a subgroup column needs a group column")
     incomes = np.array([_positive(path, lineno, row[0], "income") for lineno, row in rows])
@@ -360,7 +364,7 @@ def write_hierarchy(out, root: HierarchyNode, thetas, mcmc: McmcConfig) -> None:
     validate_tree(root)
     nodes = list(root.walk())
     for node in nodes:
-        if not isinstance(node.id, str) or node.id in ("", ".", "..") or "/" in node.id or "\\" in node.id:
+        if node.id in (".", "..") or "/" in node.id or "\\" in node.id:
             raise ValueError(f"node {node.id!r}: an id must be a plain file name, the name of its data/<id>.csv")
     (out / "data").mkdir(parents=True, exist_ok=True)
     parent_of = {child.id: node.id for node in nodes for child in node.children}
@@ -501,9 +505,6 @@ def render_comparison(truth: MultilevelTruth, reports: dict[str, DecompositionRe
 # Synthetic-spec JSON
 # ---------------------------------------------------------------------------
 
-_FIT_FAMILY_FIELDS = {"country": "country_family", "region": "region_family", "subregion": "leaf_family"}
-
-
 def load_synthetic_spec(path) -> SyntheticSpec:
     """Parse a synthetic-hierarchy spec (truth parameters and shape)."""
     path = Path(path)
@@ -530,19 +531,11 @@ def load_synthetic_spec(path) -> SyntheticSpec:
                     )
                 )
             regions.append(RegionSpec(id=region_raw["id"], leaves=tuple(leaves)))
-        # only the settings the file gives: SyntheticSpec holds the defaults
-        given = {key: raw[key] for key in ("brackets", "sampling_fraction", "seed", "country_id") if key in raw}
+        # the settings the file gives, each field after regions, as written: SyntheticSpec has the defaults and rules
+        given = {f.name: raw[f.name] for f in dataclasses.fields(SyntheticSpec)[1:] if f.name in raw}
         if isinstance(given.get("brackets"), list):
             given["brackets"] = tuple(math.inf if b == "inf" else _json_number(b, "each bracket but \"inf\"")
                                       for b in given["brackets"])
-        elif "brackets" in given and not _is_integer(given["brackets"]):
-            raise ValueError(f"brackets must be an integer or a list of boundaries, got {given['brackets']!r}")
-        if "sampling_fraction" in given:
-            given["sampling_fraction"] = _json_number(given["sampling_fraction"], "sampling_fraction")
-        fit_families = raw.get("fit_families", {})
-        if not isinstance(fit_families, dict) or set(fit_families) - set(_FIT_FAMILY_FIELDS):
-            raise ValueError(f"fit_families takes only the keys country, region and subregion, got {fit_families!r}")
-        given.update((_FIT_FAMILY_FIELDS[level], tag) for level, tag in fit_families.items())
         return SyntheticSpec(regions=tuple(regions), **given)
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"{path}: {exc}") from None

@@ -19,6 +19,7 @@ down the tree applies that step at the country and at each region:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,8 +81,12 @@ class HierarchyNode:
     children: tuple["HierarchyNode", ...] = ()
 
     def __post_init__(self):
+        if not (isinstance(self.id, str) and self.id):  # ids seed the chains: 1 and "1" would share one
+            raise PipelineError(f"node {self.id!r}: id must be a non-empty string")
         if self.level not in LEVELS:
             raise PipelineError(f"node {self.id!r}: unknown level {self.level!r}")
+        if isinstance(self.population, bool) or not isinstance(self.population, numbers.Real):
+            raise PipelineError(f"node {self.id!r}: population must be a number, got {self.population!r}")
         if not (self.population > 0 and math.isfinite(self.population)):
             raise PipelineError(f"node {self.id!r}: population must be positive")
         if self.data is None:

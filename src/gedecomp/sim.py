@@ -10,14 +10,16 @@ identities hold exactly, in one ratio pass per node for all thetas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import FamilyParams, family_class
 from .grouped import GroupedSample, McmcConfig, _check_boundaries, _is_integer, derive_seed
 from .inequality import _decompose_two_levels, ge_finite
-from .pipeline import METHODS, HierarchyNode, assemble, fit_hierarchy
+from .pipeline import LEVELS, METHODS, HierarchyNode, assemble, fit_hierarchy
 
 __all__ = [
     "LeafSpec",
@@ -59,14 +61,19 @@ class RegionSpec:
             raise ValueError(f"region {self.id!r}: needs at least one leaf")
 
 
+#: the family each level is fitted with when a spec's fit_families leaves it out
+DEFAULT_FIT_FAMILIES = {"country": "gb2", "region": "sm", "subregion": "ln"}
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Shape, truth parameters, bracket scheme, and fit-family assignment.
 
     brackets is either an explicit boundary tuple (0 ... inf) or an int G,
     meaning G brackets whose interior boundaries are the pooled sample's
-    equally spaced quantiles.  The fit families are what the estimation
-    methods assume; they may deliberately differ from the truth parameters.
+    equally spaced quantiles.  fit_families maps levels of pipeline.LEVELS to
+    the families the methods fit, which may differ from the truth's; a level it
+    leaves out takes DEFAULT_FIT_FAMILIES's, under replace(spec, fit_families=...) too.
     """
 
     regions: tuple[RegionSpec, ...]
@@ -74,22 +81,24 @@ class SyntheticSpec:
     sampling_fraction: float = 0.1
     seed: int = 0
     country_id: str = "country"
-    country_family: str = "gb2"
-    region_family: str = "sm"
-    leaf_family: str = "ln"
+    fit_families: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         _check_id("country", self.country_id)
         object.__setattr__(self, "regions", tuple(self.regions))
         if not self.regions:
             raise ValueError("need at least one region")
+        if isinstance(self.sampling_fraction, bool) or not isinstance(self.sampling_fraction, numbers.Real):
+            raise ValueError(f"sampling_fraction must be a number, got {self.sampling_fraction!r}")
         if not 0.0 < self.sampling_fraction <= 1.0:
             raise ValueError("sampling fraction must be in (0, 1]")
         if not _is_integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not _is_integer(self.brackets):
+        if isinstance(self.brackets, (tuple, list, np.ndarray)):
             object.__setattr__(self, "brackets", tuple(float(c) for c in self.brackets))
             _check_boundaries(np.array(self.brackets))
+        elif not _is_integer(self.brackets):
+            raise ValueError(f"brackets must be an integer or a list of boundaries, got {self.brackets!r}")
         elif self.brackets < 2:
             raise ValueError("need at least two brackets")
         seen = set()
@@ -98,7 +107,11 @@ class SyntheticSpec:
             if node_id in seen:
                 raise ValueError(f"node id {node_id!r} is used more than once")
             seen.add(node_id)
-        for tag in (self.country_family, self.region_family, self.leaf_family):
+        families = self.fit_families
+        if not isinstance(families, Mapping) or set(families) - set(LEVELS):
+            raise ValueError(f"fit_families takes only the keys country, region and subregion, got {families!r}")
+        object.__setattr__(self, "fit_families", {**DEFAULT_FIT_FAMILIES, **families})
+        for tag in self.fit_families.values():
             family_class(tag)  # rejects an unknown fit family
 
 
@@ -209,7 +222,7 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
 
     boundaries = _resolve_brackets(spec, incomes[sampled])
 
-    def node(node_id: str, level: str, family: str, children=()) -> HierarchyNode:
+    def node(node_id: str, level: str, children=()) -> HierarchyNode:
         part = node_slices[node_id]
         counts = np.histogram(incomes[part][sampled[part]], bins=boundaries)[0].astype(float)
         if not children and counts.sum() <= 0:
@@ -218,16 +231,13 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
             id=node_id,
             level=level,
             population=float(part.stop - part.start),
-            family=family,
+            family=spec.fit_families[level],
             data=GroupedSample(boundaries, counts, node_id),
             children=tuple(children),
         )
 
-    regions = [
-        node(r.id, "region", spec.region_family, [node(l.id, "subregion", spec.leaf_family) for l in r.leaves])
-        for r in spec.regions
-    ]
-    root = node(spec.country_id, "country", spec.country_family, regions)
+    regions = [node(r.id, "region", [node(l.id, "subregion") for l in r.leaves]) for r in spec.regions]
+    root = node(spec.country_id, "country", regions)
     return SyntheticData(
         spec=spec,
         incomes=incomes,

@@ -435,7 +435,8 @@ def test_criterion_9_every_command_writes_the_same_bytes_twice(tmp_path):
     runs = {name.removesuffix(".stdout") for name in trees[0] if name.endswith(".stdout")}
     assert runs == {"fit_gb2", "fit_sm", "fit_ln", "fit_default_gb2", "fit_default_sm", "fit_default_ln", "fit_undefined",
                     "decompose_income", "decompose_grouped", "decompose_nested", "decompose_weighted",
-                    "simulate", "compare", "compare_gb2", "pipeline_proposed", "pipeline_separate", "pipeline_mixture",
+                    "simulate", "compare", "compare_gb2", "compare_region_gb2",
+                    "pipeline_proposed", "pipeline_separate", "pipeline_mixture",
                     "pipeline_raking", "pipeline_phi_file", "pipeline_manifest_phi", "surface"}
     assert "pipeline_raking/report_theta_1em09.json" in trees[0]
     assert '"phi_policy": "custom"' in trees[0]["pipeline_phi_file/report_theta_1.json"].decode()

@@ -171,6 +171,17 @@ def test_decompose_rejects_a_subgroup_column_without_a_group_column(tmp_path, ca
     assert doc == {"error": "CsvFormatError", "message": f"{path}: a subgroup column needs a group column"}
 
 
+@pytest.mark.parametrize("header, name", [("income,group,Group", "group"),
+                                          ("income,group,subgroup, SubGroup ", "subgroup")],
+                         ids=["group-twice", "subgroup-twice"])
+def test_decompose_rejects_a_header_naming_a_label_column_twice(tmp_path, capsys, header, name):
+    path = tmp_path / "micro.csv"
+    path.write_text(f"{header}\n1.5,a,b,c\n2.0,a,b,c\n")
+    assert main(["decompose", "--data", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc == {"error": "CsvFormatError", "message": f"{path}: the header names the {name} column more than once"}
+
+
 @pytest.mark.parametrize(
     "bad_row, message",
     [("2.5,a", "expected 3 columns"), ("abc,a,a1", "expected a number, got 'abc'"), ("-1,a,a1", "income must be positive")],
@@ -288,6 +299,34 @@ def test_pipeline_negative_theta_filenames(tmp_path, spec_file, capsys):
     capsys.readouterr()
     assert code == 0
     assert (out_dir / "report_theta_m1.json").exists()
+
+
+def test_pipeline_that_fails_at_a_later_theta_writes_nothing(tmp_path, capsys):
+    # leaf a's draws mostly have no second moment: theta = 1 assembles, theta = 2 fails
+    doc = {"seed": 3, "sampling_fraction": 0.1, "brackets": 8,
+           "fit_families": {"country": "gb2", "region": "sm", "subregion": "sm"},
+           "regions": [
+               {"id": "r1", "leaves": [
+                   {"id": "a", "population": 3000, "params": {"family": "sm", "a": 1.4, "b": 3.0, "q": 1.4}},
+                   {"id": "b", "population": 2000, "params": {"family": "ln", "xi": 1.0, "sigma2": 0.3}}]},
+               {"id": "r2", "leaves": [
+                   {"id": "c", "population": 2000, "params": {"family": "ln", "xi": 1.2, "sigma2": 0.4}},
+                   {"id": "d", "population": 2000, "params": {"family": "ln", "xi": 0.9, "sigma2": 0.2}}]}]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    assert main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "sim"),
+                 "--theta", "1", "--theta", "2"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    code = main(["pipeline", "--manifest", str(tmp_path / "sim" / "manifest.json"), "--method", "mixture",
+                 "--iters", "1000", "--burnin", "200", "--theta", "1", "--theta", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.err) == {
+        "error": "PipelineError",
+        "message": "subregion a: undefined, 794/800 draws with GE outside the moment window at theta=2"}
+    assert captured.out == ""  # no table of theta = 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("source", ["flag", "manifest"])

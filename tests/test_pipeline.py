@@ -1,6 +1,7 @@
 """Multilevel pipeline: nested exactness, residual accounting, diagnostics."""
 
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -85,6 +86,20 @@ def test_population_mismatch_rejected():
     leaf = HierarchyNode("s", "subregion", 400.0, "ln", toy_sample("s"))
     with pytest.raises(PipelineError):
         HierarchyNode("g", "region", 1000.0, "sm", toy_sample("g"), (leaf,))
+
+
+@pytest.mark.parametrize("node_id, population, message", [
+    (1, 100.0, "node 1: id must be a non-empty string"),
+    ("", 100.0, "node '': id must be a non-empty string"),
+    (None, 100.0, "node None: id must be a non-empty string"),
+    (["s"], 100.0, "node ['s']: id must be a non-empty string"),
+    ("s", True, "node 's': population must be a number, got True"),
+    ("s", "2", "node 's': population must be a number, got '2'"),
+], ids=["id-int", "id-empty", "id-none", "id-list", "population-bool", "population-string"])
+def test_node_id_is_a_nonempty_string_and_population_a_number(node_id, population, message):
+    # ids seed the chains (derive_seed(s, 1) == derive_seed(s, "1")), and True would load as a population of 1
+    with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
+        HierarchyNode(node_id, "subregion", population, "ln", toy_sample("s"))
 
 
 def test_tree_shape_validation():

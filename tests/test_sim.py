@@ -2,6 +2,7 @@
 
 import tracemalloc
 import csv
+import math
 import re
 from dataclasses import replace
 
@@ -63,7 +64,8 @@ def test_generate_deterministic():
 
 
 def test_generated_tree_follows_the_spec():
-    spec = replace(small_spec(), country_id="nation", country_family="sm", region_family="ln", leaf_family="gb2")
+    spec = replace(small_spec(), country_id="nation",
+                   fit_families={"country": "sm", "region": "ln", "subregion": "gb2"})
     data = generate(spec)
     nodes = list(data.root.walk())
     assert [(n.id, n.level, n.family) for n in nodes] == [
@@ -243,6 +245,46 @@ def test_spec_validation():
         SyntheticSpec(regions=small_spec().regions, sampling_fraction=0.0)
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"sampling_fraction": True}, "sampling_fraction must be a number, got True"),
+        ({"sampling_fraction": "0.5"}, "sampling_fraction must be a number, got '0.5'"),
+        ({"brackets": "12"}, "brackets must be an integer or a list of boundaries, got '12'"),
+        ({"brackets": True}, "brackets must be an integer or a list of boundaries, got True"),
+        ({"brackets": 2.0}, "brackets must be an integer or a list of boundaries, got 2.0"),
+        ({"brackets": 1}, "need at least two brackets"),
+        ({"brackets": (1, 2, math.inf)}, "first boundary must be 0, got 1.0"),
+        ({"brackets": [0, 1, 2]}, "last boundary must be +inf (open top bracket)"),
+        ({"brackets": (0, math.inf)}, "need at least two brackets"),
+        ({"brackets": (0, 2, 1, math.inf)}, "boundaries must be strictly increasing"),
+        ({"fit_families": {"country": "gb2", "leaf": "gb2"}},
+         "fit_families takes only the keys country, region and subregion, got {'country': 'gb2', 'leaf': 'gb2'}"),
+        ({"fit_families": ["country"]},
+         "fit_families takes only the keys country, region and subregion, got ['country']"),
+        ({"fit_families": {"region": "gbb2"}}, "unknown family tag 'gbb2'"),
+    ],
+    ids=["fraction-bool", "fraction-string", "brackets-string", "brackets-bool", "brackets-float", "one-bracket",
+         "first-not-zero", "closed-top", "one-boundary-pair", "not-increasing", "unknown-level",
+         "families-not-a-mapping", "unknown-tag"],
+)
+def test_spec_checks_its_own_settings_with_the_loaders_messages(settings, message):
+    # the same rules and texts as a spec file gets from load_synthetic_spec
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        SyntheticSpec(regions=small_spec().regions, **settings)
+
+
+def test_fit_families_fill_left_out_levels_from_the_defaults():
+    assert small_spec().fit_families == {"country": "gb2", "region": "sm", "subregion": "ln"}
+    spec = replace(small_spec(), fit_families={"country": "ln", "region": "ln", "subregion": "ln"})
+    spec = replace(spec, fit_families={"region": "gb2"})  # from the defaults, not from the replaced spec
+    assert spec.fit_families == {"country": "gb2", "region": "gb2", "subregion": "ln"}
+    families = {}
+    for node in generate(spec).root.walk():
+        families.setdefault(node.level, set()).add(node.family)
+    assert families == {"country": {"gb2"}, "region": {"gb2"}, "subregion": {"ln"}}
+
+
 @pytest.mark.parametrize("regions, duplicate", [
     ((RegionSpec("r", (LeafSpec("x", g.LN(0.0, 1.0), 1000), LeafSpec("x", g.LN(0.0, 1.0), 2000))),), "x"),
     ((RegionSpec("r", (LeafSpec("x", g.LN(0.0, 1.0), 1000),)),
@@ -332,9 +374,7 @@ def test_estimator_consistency_over_doubling():
                 brackets=10,
                 sampling_fraction=0.5,
                 seed=100 + seed,
-                country_family="ln",
-                region_family="ln",
-                leaf_family="ln",
+                fit_families={"country": "ln", "region": "ln", "subregion": "ln"},
             )
             data = generate(spec)
             fitted = g.fit_hierarchy(data.root, McmcConfig(iterations=1200, burnin=300, seed=seed))

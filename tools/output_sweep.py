@@ -9,7 +9,8 @@ on a table where no draw has a mean, so every summary is written as null),
 groups and subgroups, and with a weight column before the group and
 subgroup columns, which the labels are read past by name), ``simulate``, ``compare`` (and ``compare`` with gb2 at
 every level, so that all ten nodes are one gb2 batch, most of them on the
-lockstep fallback walk), ``pipeline`` (proposed,
+lockstep fallback walk, and with a spec whose ``fit_families`` gives only
+the regions', gb2, so the other levels take the defaults), ``pipeline`` (proposed,
 separate, mixture, and proposed with raking and with a phi file's loss
 weights, given by ``--phi`` and, as ``pipeline_manifest_phi``, by the
 manifest's own ``"phi"``, resolved against the manifest's directory) and
@@ -75,6 +76,8 @@ def write_inputs() -> None:
     Path("inputs/spec.json").write_text(json.dumps(SPEC, indent=2) + "\n")
     all_gb2 = {**SPEC, "fit_families": {level: "gb2" for level in SPEC["fit_families"]}}
     Path("inputs/spec_gb2.json").write_text(json.dumps(all_gb2, indent=2) + "\n")
+    region_gb2 = {**SPEC, "fit_families": {"region": "gb2"}}
+    Path("inputs/spec_region_gb2.json").write_text(json.dumps(region_gb2, indent=2) + "\n")
     rows = ["lower,upper,count"]
     rows += [f"{lo},{hi},{n}" for lo, hi, n in zip(NATIONAL_BOUNDARIES, NATIONAL_BOUNDARIES[1:], NATIONAL_COUNTS)]
     Path("inputs/national.csv").write_text("\n".join(rows) + "\n")
@@ -128,6 +131,8 @@ def runs() -> list[tuple[str, list[str]]]:
                      *THETA_ARGS]),
         ("compare_gb2", ["compare", "--spec", "inputs/spec_gb2.json", "--out", "compare_gb2", *SHORT_CHAIN,
                          "--seed", "7", *THETA_ARGS]),
+        ("compare_region_gb2", ["compare", "--spec", "inputs/spec_region_gb2.json", "--out", "compare_region_gb2",
+                                *SHORT_CHAIN, "--seed", "5", *THETA_ARGS]),
         *[(f"pipeline_{method}", ["pipeline", "--manifest", manifest, "--method", method, "--out", f"pipeline_{method}",
                                   *SHORT_CHAIN])
           for method in ("proposed", "separate", "mixture")],
