@@ -41,38 +41,39 @@ def _check_incomes(incomes) -> np.ndarray:
     return x
 
 
-def _power_mean_excess(average, r: np.ndarray, theta: float):
-    """average(r**theta) - 1 for ratios whose average is exactly 1 in real arithmetic.
+def _ge(theta: float, r: np.ndarray, average, income_average) -> float:
+    """GE at theta of the ratios r to their mean, which average to exactly 1 in real arithmetic.
 
-    Within _NEAR_LIMIT of 0 or 1 the difference would cancel, so there it is
-    averaged from expm1 terms.
+    average(v) weights v by population share, income_average(v) by income
+    share: it is average(r * v), and may overwrite v.  Within _NEAR_LIMIT of 0
+    or 1 the generic form would cancel, so there it is averaged from expm1 terms.
     """
+    kind = theta_kind(theta)
+    if kind == "mld":
+        return float(-average(np.log(r)))
+    if kind == "theil":
+        return float(income_average(np.log(r)))
     if abs(theta) < _NEAR_LIMIT:
-        return average(np.expm1(theta * np.log(r)))
-    if abs(theta - 1.0) < _NEAR_LIMIT:
-        # r**theta - 1 = r * expm1((theta - 1) log r) + (r - 1), and r - 1 averages to 0
-        return average(r * np.expm1((theta - 1.0) * np.log(r)))
-    return average(r**theta) - 1.0
+        excess = average(np.expm1(theta * np.log(r)))
+    elif abs(theta - 1.0) < _NEAR_LIMIT:
+        # r**theta - 1 = r * expm1((theta - 1) log r) + (r - 1), and r - 1 averages to 0; the between
+        # term's sum(lam * (r * v)) rounds apart from its income_average sum(s * v), and reports hold the former
+        excess = average(r * np.expm1((theta - 1.0) * np.log(r)))
+    else:
+        excess = average(r**theta) - 1.0
+    return float(excess / (theta * (theta - 1.0)))
 
 
 def _node_ge(x: np.ndarray, thetas) -> tuple[int, float, list[float]]:
     """Size, mean and GE at every theta of the positive incomes x, all from one ratio array r = x / mean.
 
-    Each theta that needs log r recomputes it, so a caller going node by
-    node holds at most one node's ratios and one temporary at a time.
+    Each theta that needs log r recomputes it, and the income-share mean
+    multiplies into that temporary, so a caller going node by node holds at
+    most one node's ratios and one temporary at a time.
     """
     mu = x.mean()
     r = x / mu
-    ge = []
-    for theta in thetas:
-        kind = theta_kind(theta)
-        if kind == "mld":
-            ge.append(float(-np.mean(np.log(r))))
-        elif kind == "theil":
-            ge.append(float(np.mean(r * np.log(r))))
-        else:
-            ge.append(float(_power_mean_excess(np.mean, r, theta) / (theta * (theta - 1.0))))
-    return x.size, mu, ge
+    return x.size, mu, [_ge(theta, r, np.mean, lambda v: np.mean(np.multiply(r, v, out=v))) for theta in thetas]
 
 
 def ge_finite(incomes, theta: float) -> float:
@@ -187,17 +188,12 @@ def _shares_weights_between(lam: np.ndarray, mu_j: np.ndarray, mu: float, theta:
     """Income shares, within-term weights and between term of groups with shares lam and means mu_j.
 
     mu is the overall mean: sum(lam * mu_j) for estimated means, the
-    population's own mean for a finite population.
+    population's own mean for a finite population.  The between term is the
+    GE of the distribution that puts share lam_j on mean mu_j.
     """
     s = lam * mu_j / mu
     w = decomposition_weights(lam, s, theta)
-    t = mu_j / mu
-    kind = theta_kind(theta)
-    if kind == "mld":
-        return s, w, float(-np.sum(lam * np.log(t)))
-    if kind == "theil":
-        return s, w, float(np.sum(s * np.log(t)))
-    return s, w, float(_power_mean_excess(lambda v: np.sum(lam * v), t, theta) / (theta * (theta - 1.0)))
+    return s, w, _ge(theta, mu_j / mu, lambda v: np.sum(lam * v), lambda v: np.sum(s * v))
 
 
 @dataclass(frozen=True)
@@ -217,8 +213,8 @@ def between_from_means(shares, means, theta: float) -> BetweenEstimate:
     mu_j = np.asarray(means, dtype=float)
     if lam.shape != mu_j.shape or lam.ndim != 1 or lam.size == 0:
         raise DomainError("shares and means must be aligned non-empty vectors")
-    if np.any(lam <= 0.0) or np.any(mu_j <= 0.0):
-        raise DomainError("shares and means must be positive")
+    if not all(np.all((v > 0.0) & np.isfinite(v)) for v in (lam, mu_j)):  # NaN fails v > 0
+        raise DomainError("shares and means must be positive and finite")
     if abs(lam.sum() - 1.0) > 1e-9:
         raise DomainError(f"population shares must sum to 1, got {lam.sum()!r}")
     mu = float(np.sum(lam * mu_j))

@@ -89,8 +89,8 @@ class HierarchyNode:
             raise PipelineError(f"node {self.id!r}: population must be a number, got {self.population!r}")
         if not (self.population > 0 and math.isfinite(self.population)):
             raise PipelineError(f"node {self.id!r}: population must be positive")
-        if self.data is None:
-            raise PipelineError(f"node {self.id!r}: missing grouped data")
+        if not isinstance(self.data, GroupedSample):
+            raise PipelineError(f"node {self.id!r}: data must be a GroupedSample, got {type(self.data).__name__}")
         try:
             family_class(self.family)
         except (TypeError, ValueError) as exc:

@@ -45,6 +45,8 @@ class LeafSpec:
 
     def __post_init__(self):
         _check_id("leaf", self.id)
+        if not isinstance(self.params, FamilyParams):
+            raise ValueError(f"leaf {self.id!r}: params must be GB2, SM or LN parameters, got {self.params!r}")
         if not _is_integer(self.population) or self.population < 1:
             raise ValueError(f"leaf {self.id!r}: population must be an integer >= 1, got {self.population!r}")
 
@@ -59,6 +61,9 @@ class RegionSpec:
         object.__setattr__(self, "leaves", tuple(self.leaves))
         if not self.leaves:
             raise ValueError(f"region {self.id!r}: needs at least one leaf")
+        for leaf in self.leaves:
+            if not isinstance(leaf, LeafSpec):
+                raise ValueError(f"region {self.id!r}: each leaf must be a LeafSpec, got {leaf!r}")
 
 
 #: the family each level is fitted with when a spec's fit_families leaves it out
@@ -88,12 +93,17 @@ class SyntheticSpec:
         object.__setattr__(self, "regions", tuple(self.regions))
         if not self.regions:
             raise ValueError("need at least one region")
+        for region in self.regions:
+            if not isinstance(region, RegionSpec):
+                raise ValueError(f"each region must be a RegionSpec, got {region!r}")
         if isinstance(self.sampling_fraction, bool) or not isinstance(self.sampling_fraction, numbers.Real):
             raise ValueError(f"sampling_fraction must be a number, got {self.sampling_fraction!r}")
         if not 0.0 < self.sampling_fraction <= 1.0:
             raise ValueError("sampling fraction must be in (0, 1]")
         if not _is_integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:  # McmcConfig's rule: simulate fits with this seed
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if isinstance(self.brackets, (tuple, list, np.ndarray)):
             object.__setattr__(self, "brackets", tuple(float(c) for c in self.brackets))
             _check_boundaries(np.array(self.brackets))

@@ -460,6 +460,17 @@ def test_simulate_rejects_bad_fit_families_before_writing(tmp_path, capsys, fit_
     assert not (tmp_path / "sim").exists()
 
 
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_spec_with_a_negative_seed_fails_naming_the_file_before_writing(tmp_path, capsys, command):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**SPEC_DOC, "seed": -5}))
+    code = main([command, "--spec", str(path), "--out", str(tmp_path / "out")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err == {"error": "ManifestError", "message": f"{path}: seed must be a non-negative integer, got -5"}
+    assert list(tmp_path.rglob("*")) == [path]
+
 def short_manifest(tmp_path, spec_file, capsys) -> Path:
     """A simulated manifest with a 400-iteration chain and burn-in 100."""
     main(["simulate", "--spec", str(spec_file), "--out", str(tmp_path / "sim"), "--theta", "1"])

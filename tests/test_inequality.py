@@ -207,6 +207,27 @@ def test_between_share_sum_validated():
         between_from_means([0.5, 0.5], [2.0, -6.0], 1.0)
 
 
+@pytest.mark.parametrize("shares, means", [
+    ([math.nan, 1.0], [1.0, 2.0]),
+    ([0.5, math.inf], [1.0, 2.0]),
+    ([0.5, 0.5], [math.nan, 2.0]),
+    ([0.5, 0.5], [1.0, math.inf]),
+], ids=["nan-share", "inf-share", "nan-mean", "inf-mean"])
+def test_between_rejects_values_that_are_not_finite(shares, means):
+    with pytest.raises(DomainError, match="positive and finite"):
+        between_from_means(shares, means, 1.0)
+
+
+@pytest.mark.parametrize("theta", THETA_GRID + (1e-9, 0.05, 0.95))
+def test_between_is_the_ge_of_the_group_means(theta):
+    # the distribution that puts each group's size on its mean: MLD and Theil
+    # limits, both near-limit forms and the generic form
+    sizes = np.array([3, 7, 2, 5])
+    means = np.array([1.5, 4.0, 9.0, 2.5])
+    est = between_from_means(sizes / sizes.sum(), means, theta)
+    assert_allclose(est.between, ge_finite(np.repeat(means, sizes), theta), rtol=1e-12)
+
+
 def test_between_matches_finite_population_between():
     rng = np.random.default_rng(9)
     x = random_population(rng)

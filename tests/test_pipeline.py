@@ -102,6 +102,13 @@ def test_node_id_is_a_nonempty_string_and_population_a_number(node_id, populatio
         HierarchyNode(node_id, "subregion", population, "ln", toy_sample("s"))
 
 
+
+@pytest.mark.parametrize("data", [None, (1, 2), "s"], ids=["none", "tuple", "string"])
+def test_node_data_is_a_grouped_sample(data):
+    message = f"node 's': data must be a GroupedSample, got {type(data).__name__}"
+    with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
+        HierarchyNode("s", "subregion", 100.0, "ln", data)
+
 def test_tree_shape_validation():
     leaf = HierarchyNode("s", "subregion", 100.0, "ln", toy_sample("s"))
     region = HierarchyNode("g", "region", 100.0, "sm", toy_sample("g"), (leaf,))

@@ -29,7 +29,7 @@ COMPONENTS = ("ge_total", "between", "residual_region", "sum_weighted_between_su
               "residual_subregion")
 
 # the benchmark's sensitivity grid, both edges of each limit window, and generic
-# thetas near 0 and 1 (the expm1 forms of _power_mean_excess)
+# thetas near 0 and 1 (the expm1 forms of inequality._ge)
 ORACLE_THETAS = tuple(-1.0 + 0.25 * k for k in range(13)) + (
     -LIMIT_TOL, LIMIT_TOL, 1.0 - LIMIT_TOL, 1.0 + LIMIT_TOL, -0.05, 0.05, 0.95, 1.05)
 
@@ -263,10 +263,11 @@ def test_spec_validation():
         ({"fit_families": ["country"]},
          "fit_families takes only the keys country, region and subregion, got ['country']"),
         ({"fit_families": {"region": "gbb2"}}, "unknown family tag 'gbb2'"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),  # McmcConfig's rule: simulate fits with it
     ],
     ids=["fraction-bool", "fraction-string", "brackets-string", "brackets-bool", "brackets-float", "one-bracket",
          "first-not-zero", "closed-top", "one-boundary-pair", "not-increasing", "unknown-level",
-         "families-not-a-mapping", "unknown-tag"],
+         "families-not-a-mapping", "unknown-tag", "negative-seed"],
 )
 def test_spec_checks_its_own_settings_with_the_loaders_messages(settings, message):
     # the same rules and texts as a spec file gets from load_synthetic_spec
@@ -284,6 +285,16 @@ def test_fit_families_fill_left_out_levels_from_the_defaults():
         families.setdefault(node.level, set()).add(node.family)
     assert families == {"country": {"gb2"}, "region": {"gb2"}, "subregion": {"ln"}}
 
+
+
+def test_spec_types_check_what_they_hold():
+    leaf = LeafSpec("a", g.LN(1.0, 0.4), 100)
+    with pytest.raises(ValueError, match=r"^leaf 'a': params must be GB2, SM or LN parameters, got 'ln'$"):
+        LeafSpec("a", "ln", 100)
+    with pytest.raises(ValueError, match=r"^region 'r': each leaf must be a LeafSpec, got 'a'$"):
+        RegionSpec("r", (leaf, "a"))
+    with pytest.raises(ValueError, match=r"^each region must be a RegionSpec, got 'r'$"):
+        SyntheticSpec(regions=(RegionSpec("r", (leaf,)), "r"))
 
 @pytest.mark.parametrize("regions, duplicate", [
     ((RegionSpec("r", (LeafSpec("x", g.LN(0.0, 1.0), 1000), LeafSpec("x", g.LN(0.0, 1.0), 2000))),), "x"),
