@@ -115,18 +115,23 @@ def _write_csv(path, header, rows) -> None:
 
 
 def json_text(doc) -> str:
-    """Indented JSON with a stable key order and a final newline; a NaN or infinite float is null."""
+    """Indented JSON with a stable key order and a final newline; a NaN or infinite float is null,
+    and a dataclass the object of its fields."""
     return json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _finite_or_null(doc):
-    """doc with each NaN or infinite float as None: JSON (RFC 8259) has no such numbers."""
+    """doc as plain JSON values in one walk: each NaN or infinite float as None (JSON, RFC 8259,
+    has no such numbers) and each dataclass as the dict of its fields, as ``dataclasses.asdict``
+    gives it."""
     if isinstance(doc, float):  # the commonest leaf, tested first
         return doc if math.isfinite(doc) else None
     if isinstance(doc, dict):
         return {key: _finite_or_null(value) for key, value in doc.items()}
     if isinstance(doc, (list, tuple)):
         return [_finite_or_null(value) for value in doc]
+    if dataclasses.is_dataclass(doc):
+        return {f.name: _finite_or_null(getattr(doc, f.name)) for f in dataclasses.fields(doc)}
     return doc
 
 
@@ -394,7 +399,7 @@ def report_from_dict(doc: dict) -> DecompositionReport:
 
 def save_report(path, report: DecompositionReport) -> None:
     """Full-precision machine JSON with a stable key order."""
-    write_json(path, dataclasses.asdict(report))
+    write_json(path, report)
 
 
 def load_report(path) -> DecompositionReport:

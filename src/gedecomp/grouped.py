@@ -45,15 +45,18 @@ take the same sampler, and the walk's draws at one burn-in are a slice of
 its draws at a shorter one.  The gate reads all of a unit's proposals, so a
 unit can pass it at one length and fall back at another.
 
-``posterior_ge`` and ``posterior_mean_income`` keep each summary they make
-on the unit's ``PosteriorDraws``, beside the theta-invariant terms they read.
+A fit batch is also what is summarised: its units share one ``_Batch``,
+which builds the theta-invariant GE terms of its draws once and makes the
+K summaries of a theta (or of the mean income) on the first request for
+that key, in one vectorised pass per block of whole units, and keeps them.
+``posterior_ge`` and ``posterior_mean_income`` return the unit's row of
+those summaries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -178,9 +181,9 @@ class PosteriorDraws:
     its Laplace proposals; its acceptance_rate is the random walk's over its
     retained iterations.
 
-    ``terms``, built on first use and kept, holds the draws' theta-invariant
-    GE terms: for GB2 and SM, gammaln(p), gammaln(q) and log E[X/b] of each
-    draw with a mean (about three floats per draw); LN holds none.
+    The unit's summaries are row _row of its fit batch's (see ``_Batch``); a
+    PosteriorDraws built by hand, or copied with ``dataclasses.replace``, is
+    its own batch of one, made on first use.
     """
 
     family: str
@@ -190,8 +193,8 @@ class PosteriorDraws:
     config: McmcConfig
     sampler: str = "random-walk"
     pareto_k: float = math.nan
-    # posterior_ge's summaries by float(theta), posterior_mean_income's under None; a copy starts empty
-    _summaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _batch: _Batch | None = field(default=None, init=False, repr=False, compare=False)
+    _row: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -206,10 +209,6 @@ class PosteriorDraws:
 
     def param_sds(self) -> np.ndarray:
         return self.draws.std(axis=0, ddof=1)
-
-    @cached_property
-    def terms(self):
-        return ge_terms(self.family, self.draws)
 
 
 @dataclass(frozen=True)
@@ -628,11 +627,11 @@ def fit_batch(family: str, samples, config: McmcConfig, seeds) -> list[Posterior
     # to natural parameters in place, so the batch never holds its draws twice
     positive = draws[..., real:]
     np.exp(positive, out=positive)
+    batch = _Batch(family, draws)
     return [
-        PosteriorDraws(
-            family=family,
+        batch.unit(
+            k,
             unit=data.unit,
-            draws=draws[k],
             acceptance_rate=float(acc_rates[k]),
             config=unit_config,
             sampler="laplace" if passed[k] else "random-walk",
@@ -665,11 +664,77 @@ def _summarize(values: np.ndarray, ok: np.ndarray) -> PosteriorSummary:
     )
 
 
-def _kept_summary(draws: PosteriorDraws, key, evaluate) -> PosteriorSummary:
-    """The summary kept on draws under key, made on first use from the (values, mask) of evaluate()."""
-    if key not in draws._summaries:
-        draws._summaries[key] = _summarize(*evaluate())
-    return draws._summaries[key]
+#: draws per summary pass: a batch's units are summarised in blocks of whole units
+_SUMMARY_ROWS = 1 << 18
+
+
+class _Batch:
+    """The (K, n, d) draws of a fit batch and the summaries made from them.
+
+    The draws are read in blocks of whole units, at most 2^18 draws a block
+    unless one unit has more.  Each block's theta-invariant GE terms are
+    built on the first request and kept: for GB2 and SM, gammaln(p),
+    gammaln(q) and log E[X/b] of each draw with a mean (about three floats
+    per draw); LN holds none.  The K summaries of a key, float(theta) or
+    None for the mean income, are made on its first request, in one
+    vectorised pass per block, and kept.  A pass holds one block's values
+    and mask beyond the draws: one (K, n) array of the paper-sized tree's
+    1,739 LN leaves at 8,000 draws would take 111 MB.
+    """
+
+    def __init__(self, family: str, draws: np.ndarray):
+        self.family, self.draws = family, draws
+        self._terms = None
+        self._summaries: dict = {}
+
+    def unit(self, row: int, **fields) -> PosteriorDraws:
+        """The PosteriorDraws of draws[row], with the other fields given, reading its summaries here."""
+        draws = PosteriorDraws(family=self.family, draws=self.draws[row], **fields)
+        object.__setattr__(draws, "_batch", self)
+        object.__setattr__(draws, "_row", row)
+        return draws
+
+    def summaries(self, key) -> list[PosteriorSummary]:
+        if key not in self._summaries:
+            n, d = self.draws.shape[1:]
+            if self._terms is None:
+                step = max(1, _SUMMARY_ROWS // n)
+                self._terms = [ge_terms(self.family, self.draws[k : k + step].reshape(-1, d))
+                               for k in range(0, len(self.draws), step)]
+            rows = []
+            for terms in self._terms:
+                values, ok = terms.mean() if key is None else terms.ge(key)
+                rows += _summarize_rows(values.reshape(-1, n), ok.reshape(-1, n))
+            self._summaries[key] = rows
+        return self._summaries[key]
+
+
+def _summarize_rows(values: np.ndarray, ok: np.ndarray) -> list[PosteriorSummary]:
+    """The summary of each row of values (K, n), reducing values in place.
+
+    A row with an excluded draw goes through ``_summarize`` first; every
+    other row's mean is sum / n and its sd sqrt(sum((v - mean)^2) / (n - 1)),
+    bitwise numpy's mean() and std(ddof=1) of the row.
+    """
+    n = values.shape[1]
+    clean = ok.all(axis=1)
+    rows = [None if whole else _summarize(row, row_ok) for row, row_ok, whole in zip(values, ok, clean)]
+    mean = values.sum(axis=1) / n
+    sd = np.zeros(len(values))
+    if n > 1:
+        # rows with exclusions, summarised above, hold NaN and go unread
+        values -= mean[:, None]
+        sd = np.sqrt(np.multiply(values, values, out=values).sum(axis=1) / (n - 1))
+    for k in np.flatnonzero(clean):
+        rows[k] = PosteriorSummary(value=float(mean[k]), sd=float(sd[k]), n_draws=n, n_excluded=0)
+    return rows
+
+
+def _summary(draws: PosteriorDraws, key) -> PosteriorSummary:
+    """draws' row of its batch's summaries under key; draws outside a fit batch become a batch of one."""
+    if draws._batch is None:
+        object.__setattr__(draws, "_batch", _Batch(draws.family, draws.draws[None]))
+    return draws._batch.summaries(key)[draws._row]
 
 
 def posterior_ge(draws: PosteriorDraws, theta: float) -> PosteriorSummary:
@@ -677,18 +742,17 @@ def posterior_ge(draws: PosteriorDraws, theta: float) -> PosteriorSummary:
 
     Draws whose moment window excludes theta are dropped and counted;
     crossing the 1% exclusion fraction marks the summary unreliable, and
-    crossing one half undefined.  Reads ``draws.terms``, built on first use:
-    gammaln(p), gammaln(q) and log E[X/b] of each GB2/SM draw (about three
-    floats per draw); LN caches none.  The summary is made once per
-    float(theta), so -0.0 and 0.0 share it, and kept on draws.
+    crossing one half undefined.  The summaries of the unit's whole fit
+    batch are made once per float(theta), so -0.0 and 0.0 share them, and
+    kept on the batch (see ``_Batch``).
     """
-    return _kept_summary(draws, float(theta), lambda: draws.terms.ge(theta))
+    return _summary(draws, float(theta))
 
 
 def posterior_mean_income(draws: PosteriorDraws) -> PosteriorSummary:
     """Posterior mean (and sd) of the distribution mean over retained draws,
-    from ``draws.terms``, made once and kept on draws (see ``posterior_ge``)."""
-    return _kept_summary(draws, None, lambda: draws.terms.mean())
+    made for the unit's whole fit batch once and kept (see ``posterior_ge``)."""
+    return _summary(draws, None)
 
 
 def derive_seed(master_seed: int, name: str) -> int:

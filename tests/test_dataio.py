@@ -406,6 +406,21 @@ def test_report_round_trip(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+def test_save_report_writes_the_bytes_of_the_reports_asdict_document(tmp_path):
+    # the report is walked once, each dataclass read as the dict of its
+    # fields and each non-finite float written as null as it is read
+    report = tiny_report()
+    report = dataclasses.replace(
+        report, ge_total_sd=math.nan, between=math.inf,
+        regions=(dataclasses.replace(report.regions[0], ge_bayes=np.float64(-math.inf), bw_ratio=None),),
+    )
+    path = tmp_path / "report.json"
+    dataio.save_report(path, report)
+    assert path.read_text() == dataio.json_text(dataclasses.asdict(report))
+    doc = json.loads(path.read_text())
+    assert doc["ge_total_sd"] is doc["between"] is doc["regions"][0]["ge_bayes"] is None
+
+
 @pytest.mark.parametrize(
     "text, message",
     [('{"method": "proposed",', "invalid JSON"), ('{"method": "proposed"}', "not a decomposition report")],

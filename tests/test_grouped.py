@@ -514,6 +514,10 @@ def test_a_batch_fits_each_unit_bitwise_as_that_unit_alone(shape, monkeypatch):
         assert fitted.sampler == alone.sampler == "laplace"
         assert np.array_equal(fitted.draws, alone.draws)
         assert (fitted.acceptance_rate, fitted.pareto_k) == (alone.acceptance_rate, alone.pareto_k)
+        # the batch's one summary pass gives each unit the summaries of its fit alone
+        for theta in (-1.0, 0.0, 1.0, 2.0):
+            assert posterior_ge(fitted, theta) == posterior_ge(alone, theta), theta
+        assert posterior_mean_income(fitted) == posterior_mean_income(alone)
 
 
 def test_a_laplace_batch_holds_its_chains_in_its_draws_alone():
@@ -822,6 +826,8 @@ def per_row_values(rows, value_of) -> np.ndarray:
 
 def summary_of(values) -> PosteriorSummary:
     used = values[~np.isnan(values)]
+    if used.size == 0:
+        return PosteriorSummary(value=math.nan, sd=math.nan, n_draws=len(values), n_excluded=len(values))
     sd = float(used.std(ddof=1)) if used.size > 1 else 0.0
     return PosteriorSummary(value=float(used.mean()), sd=sd, n_draws=len(values), n_excluded=len(values) - used.size)
 
@@ -832,15 +838,15 @@ def test_posterior_summaries_equal_the_per_row_closed_forms_exactly(family):
     rng = np.random.default_rng(17)
     random_rows = np.exp(rng.normal(0.4, 0.6, (200, len(cls.param_names))))
     rows = np.vstack([np.tile(MIXED_ROWS[family], (3, 1)), random_rows])
-    draws = make_draws(family, rows)
+    draws, terms = make_draws(family, rows), ge_terms(family, rows)
     values = per_row_values(rows, lambda row: cls(*row).mean())
-    np.testing.assert_array_equal(draws.terms.mean()[0], values)
+    np.testing.assert_array_equal(terms.mean()[0], values)
     mean = summary_of(values)
     assert posterior_mean_income(draws) == mean
     assert mean.n_excluded > 0
     for theta in MIXED_THETAS:
         values = per_row_values(rows, lambda row: cls(*row).ge(theta))
-        np.testing.assert_array_equal(draws.terms.ge(theta)[0], values, err_msg=f"theta={theta}")
+        np.testing.assert_array_equal(terms.ge(theta)[0], values, err_msg=f"theta={theta}")
         expected = summary_of(values)
         assert posterior_ge(draws, theta) == expected, theta
         # rows without a mean are always out; at the extreme thetas, rows with a mean too
@@ -851,22 +857,89 @@ def test_posterior_summaries_build_the_terms_once(monkeypatch):
     built = []
 
     def counting(family, rows):
-        built.append(family)
+        built.append((family, len(rows)))
         return ge_terms(family, rows)
 
     monkeypatch.setattr(grouped, "ge_terms", counting)
-    draws = make_draws("sm", MIXED_ROWS["sm"])
-    first = [posterior_ge(draws, theta) for theta in (-1.0, 0.0, 1.0, 2.0)] + [posterior_mean_income(draws)]
-    assert built == ["sm"]
-    assert [posterior_ge(draws, theta) for theta in (-1.0, 0.0, 1.0, 2.0)] + [posterior_mean_income(draws)] == first
-    assert built == ["sm"]
-    # a copy with other draws gets its own terms, not the original's
-    other = replace(draws, draws=np.tile(SM(2.2, 4.0, 1.8).to_vector(), (4, 1)))
+    samples = [binned_sample(SM(2.2 + 0.3 * k, 4.0, 1.5), k, f"s{k}") for k in range(3)]
+    batch = fit_batch("sm", samples, McmcConfig(400, 100), [1, 2, 3])
+    thetas = (-1.0, 0.0, 1.0, 2.0)
+
+    def summaries(draws):
+        return [posterior_ge(draws, theta) for theta in thetas] + [posterior_mean_income(draws)]
+
+    first = [summaries(draws) for draws in batch]
+    # one build over the batch's 3 * 300 draws serves every unit, theta and the mean
+    assert built == [("sm", 900)]
+    assert [summaries(draws) for draws in batch] == first
+    assert built == [("sm", 900)]
+    # a copy with other draws is its own batch of one: it gets its own terms, not the batch's
+    other = replace(batch[0], draws=np.tile(SM(2.2, 4.0, 1.8).to_vector(), (4, 1)))
     assert_allclose(posterior_ge(other, 1.0).value, SM(2.2, 4.0, 1.8).ge(1.0), rtol=1e-14)
     assert_allclose(posterior_mean_income(other).value, SM(2.2, 4.0, 1.8).mean(), rtol=1e-14)
     assert posterior_ge(other, 1.0).n_excluded == 0
-    assert built == ["sm", "sm"]
-    assert posterior_ge(draws, 1.0) == first[2]
+    assert built == [("sm", 900), ("sm", 4)]
+    assert posterior_ge(batch[0], 1.0) == first[0][2]
+
+
+def same_summary(got: PosteriorSummary, expected: PosteriorSummary) -> bool:
+    """got == expected; with every draw excluded, both have NaN value and sd."""
+    if expected.n_excluded == expected.n_draws:
+        return (math.isnan(got.value) and math.isnan(got.sd)
+                and (got.n_draws, got.n_excluded) == (expected.n_draws, expected.n_excluded))
+    return got == expected
+
+
+# units of MIXED_ROWS["gb2"] rows: one never excluded, two excluded at some
+# thetas only, one whose rows have no mean, so every draw is always excluded
+MIXED_UNITS = [[0, 1, 2, 3, 9, 0], [0, 6, 1, 7, 2, 8], [4, 5, 4, 5, 4, 5], [9, 7, 3, 3, 1, 2]]
+
+
+@pytest.mark.parametrize("rows", [MIXED_UNITS, [[0], [6], [4]]], ids=["n=6", "n=1"])
+def test_a_mixed_batch_summarises_each_unit_as_its_per_row_closed_forms(rows):
+    # one pass over the batch reduces the clean rows together and the rows
+    # with exclusions one by one; each unit must read its own closed forms.
+    # p moves each draw's GE but neither its mean's existence (a*q > 1) nor the window's top, a*q
+    draws = np.array(MIXED_ROWS["gb2"])[rows]
+    draws[..., 2] *= np.exp(np.random.default_rng(5).normal(0.0, 0.02, draws.shape[:2]))
+    n = draws.shape[1]
+    batch = grouped._Batch("gb2", draws)
+    units = [batch.unit(k, unit=f"u{k}", acceptance_rate=0.3, config=McmcConfig(n + 1, 1)) for k in range(len(rows))]
+    seen = set()
+    for unit_rows, unit in zip(draws, units):
+        alone = make_draws("gb2", unit_rows)
+        expected = summary_of(per_row_values(unit_rows, lambda row: GB2(*row).mean()))
+        assert same_summary(posterior_mean_income(unit), expected)
+        assert same_summary(posterior_mean_income(alone), expected)
+        for theta in MIXED_THETAS:
+            expected = summary_of(per_row_values(unit_rows, lambda row: GB2(*row).ge(theta)))
+            assert same_summary(posterior_ge(unit, theta), expected), (unit.unit, theta)
+            assert same_summary(posterior_ge(alone, theta), expected), (unit.unit, theta)
+            seen.add("none" if expected.n_excluded == 0 else "all" if expected.n_excluded == n else "some")
+    assert seen == ({"none", "all"} if n == 1 else {"none", "some", "all"})
+
+
+def test_a_large_batch_is_summarised_in_blocks_of_whole_units():
+    # 256 units of 4,096 draws are four blocks of 2^18 draws: a summary pass
+    # peaks below one (K, n) array of the batch's values, which alone would
+    # take it past that bound
+    rng = np.random.default_rng(3)
+    draws = np.stack([rng.normal(1.0, 0.1, (256, 4_096)), rng.uniform(0.2, 0.6, (256, 4_096))], axis=-1)
+    batch = grouped._Batch("ln", draws)
+    units = [batch.unit(k, unit=f"u{k}", acceptance_rate=0.3, config=McmcConfig(4_097, 1)) for k in range(256)]
+    values_bytes = 256 * 4_096 * 8
+    for summarise in (lambda unit: posterior_ge(unit, 2.0), posterior_mean_income):
+        tracemalloc.start()
+        try:
+            summarise(units[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values_bytes, peak / values_bytes
+    for k in (0, 63, 64, 255):  # the first and last unit of a block, and of the batch
+        alone = make_draws("ln", draws[k])
+        assert posterior_ge(units[k], 2.0) == posterior_ge(alone, 2.0)
+        assert posterior_mean_income(units[k]) == posterior_mean_income(alone)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
