@@ -47,6 +47,8 @@ def solve(bayes, weights, target: float, between: float, loss_weights) -> np.nda
         raise ValueError("loss weights must align with bayes estimates")
     if not np.all(np.isfinite(phi)) or np.any(phi <= 0.0):
         raise ValueError("loss weights must be positive and finite")
+    if not (np.isfinite(target) and np.isfinite(between)):
+        raise ValueError("target and between term must be finite")
     r = w / phi
     q = float(np.sum(w * w / phi))
     if not np.isfinite(q) or q <= 0.0:

@@ -241,11 +241,11 @@ def log_likelihood(params: FamilyParams, data: GroupedSample) -> float | np.ndar
     one row that every unit shares; the result is then one log likelihood
     per unit.
     """
-    cdf_vals = params.cdf(data.boundaries[..., 1:-1])
-    cum = np.zeros(cdf_vals.shape[:-1] + (cdf_vals.shape[-1] + 2,))
-    cum[..., 1:-1] = cdf_vals
-    cum[..., -1] = 1.0
-    terms = cum[..., 1:] - cum[..., :-1]
+    cdf = params.cdf(data.boundaries[..., 1:-1])  # F(c_1) .. F(c_{G-1})
+    terms = np.empty(cdf.shape[:-1] + (cdf.shape[-1] + 1,))
+    terms[..., 0] = cdf[..., 0]
+    np.subtract(cdf[..., 1:], cdf[..., :-1], out=terms[..., 1:-1])
+    np.subtract(1.0, cdf[..., -1], out=terms[..., -1])
     y = data.counts
     with np.errstate(divide="ignore", invalid="ignore"):
         # a (rounded) negative probability counts as zero: its term is -inf
@@ -517,13 +517,14 @@ def _independence_chains(log_density, units, seeds, modes, lp_modes, scales, dra
     chi-square(nu).  Each unit reads its n normals (n, d) into its rows of
     draws, its n chi-square draws and its n uniforms in one call to each of
     the three streams spawned from its seed, and its proposals are formed in
-    place of its normals.  The log densities are evaluated in blocks of at
-    most 2,048 rows of the units' proposals in turn; a row's log density
-    does not depend on its batch-mates, so the block size moves no bit.  The
-    chain starts at the mode, where the log density is lp_modes[k], and
-    accepts on the log importance weights, one unit at a time, each reading
-    its uniforms in its own accept loop; each rejected proposal's row then
-    takes the state the chain holds, in place.
+    place of its normals, one coordinate at a time from a contiguous (d, n)
+    copy of them, as are its squared norms.  The log densities are
+    evaluated in blocks of at most 2,048 rows of the units' proposals in
+    turn; a row's log density does not depend on its batch-mates, so the
+    block size moves no bit.  The chain starts at the mode, where the log
+    density is lp_modes[k], and accepts on the log importance weights, one
+    unit at a time, each reading its uniforms in its own accept loop; each
+    rejected proposal's row then takes the state the chain holds, in place.
 
     Returns (acceptance rate, Pareto k-hat of the log importance weights),
     one per unit; the (K, n) weights do not outlive the call.
@@ -536,12 +537,21 @@ def _independence_chains(log_density, units, seeds, modes, lp_modes, scales, dra
         z = draws[unit]
         normals.standard_normal(out=z)
         chi2 = chi_squares.chisquare(_T_DOF, n)
-        log_w[k] = -0.5 * (_T_DOF + dim) * np.log1p((z * z).sum(axis=1) / chi2)  # log q up to a constant, 0 at the mode
-        # scales @ z as column products added in order, never BLAS, so no row depends on n (a shorter chain is a prefix)
-        step = z[:, :1] * scales[k][:, 0]
+        by_coordinate = z.T.copy()  # (d, n), each coordinate's normals contiguous
+        # sums over the coordinates in order, never BLAS, so no row depends on n (a shorter chain is a
+        # prefix): each squared norm in (z*z).sum(axis=1)'s order, and scales @ z column by column
+        norm2 = by_coordinate[0] * by_coordinate[0]
         for c in range(1, dim):
-            step += z[:, c : c + 1] * scales[k][:, c]
-        z[:] = modes[k] + np.sqrt(_T_DOF / chi2)[:, None] * step
+            norm2 += by_coordinate[c] * by_coordinate[c]
+        log_w[k] = -0.5 * (_T_DOF + dim) * np.log1p(norm2 / chi2)  # log q up to a constant, 0 at the mode
+        radius = np.sqrt(_T_DOF / chi2)
+        for r, (centre, row) in enumerate(zip(modes[k], scales[k])):
+            step = by_coordinate[0] * row[0]
+            for c in range(1, dim):
+                step += by_coordinate[c] * row[c]
+            step *= radius
+            step += centre
+            z[:, r] = step
     flat_w = log_w.reshape(-1)
     for first in range(0, len(flat_w), _BLOCK_ROWS):
         block = slice(first, min(first + _BLOCK_ROWS, len(flat_w)))
@@ -673,13 +683,14 @@ class _Batch:
 
     The draws are read in blocks of whole units, at most 2^18 draws a block
     unless one unit has more.  Each block's theta-invariant GE terms are
-    built on the first request and kept: for GB2 and SM, gammaln(p),
-    gammaln(q) and log E[X/b] of each draw with a mean (about three floats
-    per draw); LN holds none.  The K summaries of a key, float(theta) or
-    None for the mean income, are made on its first request, in one
-    vectorised pass per block, and kept.  A pass holds one block's values
-    and mask beyond the draws: one (K, n) array of the paper-sized tree's
-    1,739 LN leaves at 8,000 draws would take 111 MB.
+    built on the first request and kept: for GB2, gammaln(p), gammaln(q)
+    and log E[X/b] of each draw with a mean (about three floats per draw);
+    for SM, whose p = 1 is one constant, about two; LN holds none.  The K
+    summaries of a key, float(theta) or None for the mean income, are made
+    on its first request, in one vectorised pass per block, and kept.  A
+    pass holds one block's values and mask beyond the draws: one (K, n)
+    array of the paper-sized tree's 1,739 LN leaves at 8,000 draws would
+    take 111 MB.
     """
 
     def __init__(self, family: str, draws: np.ndarray):

@@ -1,5 +1,6 @@
 """Constrained Bayes solver: closed form vs a dense QP oracle, KKT, the uniform and raking policies."""
 
+import math
 import warnings
 
 import numpy as np
@@ -182,6 +183,9 @@ def test_problem_validation():
         solve(np.array([np.nan]), np.array([0.5]), 0.3, 0.0, np.array([0.5]))
     with pytest.raises(ValueError, match="^loss weights must align with bayes estimates$"):
         solve(np.array([0.1, 0.2]), np.array([0.5, 0.5]), 0.3, 0.0, np.array([0.5]))
+    for target, between in ((math.nan, 0.1), (0.3, math.inf)):
+        with pytest.raises(ValueError, match="^target and between term must be finite$"):
+            solve([1.0, 2.0], [0.5, 0.5], target, between, [0.5, 0.5])
 
 
 def test_degenerate_guard_unreachable_by_valid_problems():

@@ -1,6 +1,7 @@
 """Distribution families: closed forms vs independent oracles and identities."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -40,6 +41,32 @@ def test_gb2_cdf_matches_independent_incomplete_beta():
     # continued-fraction oracle for the regularized incomplete beta at 1/2
     oracle = float(mpmath.betainc(0.840, 1.904, 0, 0.5, regularized=True))
     assert_allclose(PAPER_GB2.cdf(6.192), oracle, rtol=1e-12)
+
+
+def test_sm_cdf_matches_50_digit_oracle_from_underflow_to_overflow():
+    # z = a log(x/b) from -745 (exp(z) underflows) to 800 (exp(z) overflows), with b = 1 and x a normal
+    # double: a = 0.5 reaches only |z| <= 354, so the larger a cover the tails
+    z = np.unique(np.concatenate([np.linspace(-745.0, 800.0, 310), np.linspace(705.0, 712.0, 29),
+                                  np.linspace(-40.0, 40.0, 81)]))
+    reached = []
+    for a in (0.5, 3.0, 40.0):
+        with np.errstate(over="ignore", under="ignore"):
+            x = np.exp(z / a)
+        x = x[(x >= np.finfo(float).tiny) & np.isfinite(x)]
+        reached += [a * math.log(x[0]), a * math.log(x[-1])]
+        for q in (0.3, 1.0, 4.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = SM(a, 1.0, q).cdf(x)
+            # 1 - exp(-q log1p(e^z)) would cancel in the lower tail
+            with mpmath.workdps(50):
+                exact = np.array([float(-mpmath.expm1(-q * mpmath.log1p(mpmath.mpf(v) ** a))) for v in x])
+            tail = exact >= 1e-300
+            assert np.all(np.abs(values[tail] - exact[tail]) <= 1e-13 * exact[tail])
+            assert np.all(np.diff(values) >= 0.0) and values.min() >= 0.0 and values.max() <= 1.0
+            overflow = a * np.log(x) > math.log(np.finfo(float).max)
+            assert np.all(values[overflow] == 1.0)
+    assert min(reached) <= -745.0 + 1e-9 and max(reached) >= 800.0 - 1e-9
 
 
 def test_cdf_monotone_and_boundary_values():
@@ -345,7 +372,10 @@ def test_sm_is_gb2_with_unit_first_shape(a, b, q):
             assert _outcome(getattr(sm, method), theta) == _outcome(getattr(gb2, method), theta)
     draws = np.array([[a, b, q], [a, b, 0.3], [1.5, 2.0, 2.5], [0.9, 3.0, 1.05]])
     gb2_draws = np.insert(draws, 2, 1.0, axis=1)
-    pairs = [(ge_terms("sm", draws).ge(t), ge_terms("gb2", gb2_draws).ge(t)) for t in (-1.0, 0.0, 1.0, 2.0)]
+    # SM passes p = 1 as one scalar: the limits, the increments near them (theta within 0.1 of 0 or 1), and
+    # 0.95, outside the last row's window (-0.9, 0.945), take every mask and branch with it
+    thetas = (-1.0, 0.0, 1e-10, -0.05, 0.05, 0.95, 1.0, 1.05, 2.0)
+    pairs = [(ge_terms("sm", draws).ge(t), ge_terms("gb2", gb2_draws).ge(t)) for t in thetas]
     pairs.append((ge_terms("sm", draws).mean(), ge_terms("gb2", gb2_draws).mean()))
     for (sm_values, sm_ok), (gb2_values, gb2_ok) in pairs:
         assert np.array_equal(sm_values, gb2_values, equal_nan=True)

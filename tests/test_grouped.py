@@ -142,6 +142,48 @@ def test_loglik_batch_matches_each_unit():
         assert batched[2] == -math.inf
 
 
+def _padded_log_likelihood(params, data):
+    """The log likelihood with its bracket probabilities differenced from a zero-padded (..., G+1) cdf row."""
+    cdf_vals = params.cdf(data.boundaries[..., 1:-1])
+    cum = np.zeros(cdf_vals.shape[:-1] + (cdf_vals.shape[-1] + 2,))
+    cum[..., 1:-1] = cdf_vals
+    cum[..., -1] = 1.0
+    terms = cum[..., 1:] - cum[..., :-1]
+    y = data.counts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = y * np.log(np.maximum(terms, 0.0))
+    ll = np.where(y > 0.0, terms, 0.0).sum(axis=-1)
+    return ll if ll.ndim else float(ll)
+
+
+def test_loglik_is_bitwise_the_padded_cumulative_formula():
+    inf = np.inf
+    tables = [
+        [GroupedSample([0, 1, 2, 3, 5, 8, inf], [2.0, 4.0, 6.0, 5.0, 2.0, 1.0]),
+         GroupedSample([0, 0.5, 2, 4, 6, 9, inf], [0.0, 4.0, 0.0, 5.0, 2.0, 3.0]),  # zero-count brackets
+         GroupedSample([0, 1, 2, 3, 5, 1e17, inf], [5.0, 0.0, 0.0, 0.0, 0.0, 5.0])],  # -inf at the third rows
+        [GroupedSample([0, 2.5, inf], [3.0, 4.0]), GroupedSample([0, 0.7, inf], [0.0, 2.0]),
+         GroupedSample([0, 1e17, inf], [1.0, 1.0])],  # G = 2
+    ]
+    families = (("gb2", [[2.0, 3.0, 0.8, 1.5], [1.5, 4.0, 1.2, 2.0], [1.0, 1.0, 1.0, 1.0]]),
+                ("sm", [[2.0, 3.0, 1.5], [1.5, 4.0, 2.0], [1.0, 1.0, 1.0]]),
+                ("ln", [[1.0, 0.5], [0.2, 0.3], [0.0, 1.0]]))
+    for samples in tables:
+        counts = np.array([x.counts for x in samples])
+        per_unit = SimpleNamespace(boundaries=np.array([x.boundaries for x in samples]), counts=counts)
+        shared = SimpleNamespace(boundaries=samples[0].boundaries[None], counts=counts)
+        for tag, rows in families:
+            matrix = np.array(rows)
+            for data in (per_unit, shared):
+                batched = log_likelihood(make_batch(tag, matrix), data)
+                assert np.array_equal(batched, _padded_log_likelihood(make_batch(tag, matrix), data))
+            assert batched[1] != -math.inf
+            for row, x in zip(matrix, samples):
+                single = log_likelihood(make_family(tag, row), x)
+                assert single == _padded_log_likelihood(make_family(tag, row), x)
+            assert single == -math.inf
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
 def test_chain_log_density_rejects_rows_off_the_domain():
     inf = np.inf
