@@ -28,8 +28,11 @@ def _theta_key(theta: float) -> str:
 
 
 def _theta_list(args, default=dataio.DEFAULT_THETAS) -> tuple[float, ...]:
-    """The thetas to run, each finite and each with its own key, so no output replaces another."""
-    thetas = tuple(args.theta) if args.theta else default
+    """The thetas to run, each finite and each with its own key, so no output replaces another.
+
+    Each theta is taken plus 0.0, so -0.0 is 0.0 and shares its key.
+    """
+    thetas = tuple(theta + 0.0 for theta in (args.theta or default))
     seen: dict[str, float] = {}
     for theta in thetas:
         theta_kind(theta)  # rejects a non-finite theta

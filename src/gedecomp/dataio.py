@@ -146,6 +146,16 @@ def _read_json(path: Path):
         raise ManifestError(f"{path}: invalid JSON ({exc})") from None
 
 
+def _check_keys(record, keys: tuple[str, ...], what: str) -> None:
+    """Refuse a record that is not a JSON object, or that has a key outside keys: a misspelt setting must not
+    run as its default."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(record).__name__}")
+    unknown = sorted(set(record) - set(keys))
+    if unknown:
+        raise ValueError(f"{what}: unknown keys {unknown}; expected {', '.join(keys)}")
+
+
 def _json_number(value, name: str) -> float:
     """A JSON number as a float: an int or a float, not a bool (json reads true as True) or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -277,12 +287,14 @@ def load_manifest(path) -> Manifest:
     """Parse and validate a hierarchy manifest JSON file.
 
     Data paths are resolved relative to the manifest's directory.  Every
-    node record must be reachable from the one root.
+    node record must be reachable from the one root, and a key that names
+    no setting or node field is an error, as in an mcmc object.
     """
     path = Path(path)
     raw = _read_json(path)
     base = path.parent
     try:
+        _check_keys(raw, ("nodes", "theta", "phi", "seed", "scale_counts", "mcmc"), "manifest")
         node_specs = raw["nodes"]
         thetas = raw.get("theta", list(DEFAULT_THETAS))
         if not (isinstance(thetas, list) and thetas):
@@ -309,6 +321,8 @@ def load_manifest(path) -> Manifest:
         for spec in node_specs:
             if not isinstance(spec, dict):
                 raise ValueError(f"node record {spec!r} is not a JSON object")
+            _check_keys(spec, ("id", "parent", "level", "population", "family", "data"),
+                        f"node record {spec.get('id', '?')!r}")
             for key in ("id", "level", "population", "family", "data"):
                 if key not in spec:
                     raise ValueError(f"node record {spec.get('id', '?')!r} is missing {key!r}")
@@ -510,18 +524,25 @@ def render_comparison(truth: MultilevelTruth, reports: dict[str, DecompositionRe
 # Synthetic-spec JSON
 # ---------------------------------------------------------------------------
 
+#: a spec's keys: its regions, then SyntheticSpec's settings
+_SPEC_KEYS = ("regions", *(f.name for f in dataclasses.fields(SyntheticSpec)[1:]))
+
+
 def load_synthetic_spec(path) -> SyntheticSpec:
-    """Parse a synthetic-hierarchy spec (truth parameters and shape)."""
+    """Parse a synthetic-hierarchy spec (truth parameters and shape); a key that names no field is an error."""
     path = Path(path)
     raw = _read_json(path)
     try:
+        _check_keys(raw, _SPEC_KEYS, "spec")
         regions = []
         for region_raw in raw["regions"]:
+            _check_keys(region_raw, ("id", "leaves"), f"region {region_raw['id']!r}")
             leaves = []
             for leaf_raw in region_raw["leaves"]:
+                leaf = f"leaf {leaf_raw['id']!r}"
+                _check_keys(leaf_raw, ("id", "population", "params"), leaf)
                 params_raw = dict(leaf_raw["params"])
                 family = params_raw.pop("family")
-                leaf = f"leaf {leaf_raw['id']!r}"
                 if family not in FAMILIES:
                     raise ValueError(f"{leaf}: field 'family' is {family!r}, expected one of {list(FAMILIES)}")
                 names = FAMILIES[family].param_names
@@ -537,7 +558,7 @@ def load_synthetic_spec(path) -> SyntheticSpec:
                 )
             regions.append(RegionSpec(id=region_raw["id"], leaves=tuple(leaves)))
         # the settings the file gives, each field after regions, as written: SyntheticSpec has the defaults and rules
-        given = {f.name: raw[f.name] for f in dataclasses.fields(SyntheticSpec)[1:] if f.name in raw}
+        given = {name: raw[name] for name in _SPEC_KEYS[1:] if name in raw}
         if isinstance(given.get("brackets"), list):
             given["brackets"] = tuple(math.inf if b == "inf" else _json_number(b, "each bracket but \"inf\"")
                                       for b in given["brackets"])

@@ -48,7 +48,7 @@ unit can pass it at one length and fall back at another.
 A fit batch is also what is summarised: its units share one ``_Batch``,
 which builds the theta-invariant GE terms of its draws once and makes the
 K summaries of a theta (or of the mean income) on the first request for
-that key, in one vectorised pass per block of whole units, and keeps them.
+that key, in one masked reduction per block of whole units, and keeps them.
 ``posterior_ge`` and ``posterior_mean_income`` return the unit's row of
 those summaries.
 """
@@ -660,20 +660,6 @@ def fit(family: str, data: GroupedSample, config: McmcConfig) -> PosteriorDraws:
     return fit_batch(family, [data], config, [config.seed])[0]
 
 
-def _summarize(values: np.ndarray, ok: np.ndarray) -> PosteriorSummary:
-    n = len(values)
-    used = values[ok]
-    if used.size == 0:
-        return PosteriorSummary(value=math.nan, sd=math.nan, n_draws=n, n_excluded=n)
-    sd = float(used.std(ddof=1)) if used.size > 1 else 0.0
-    return PosteriorSummary(
-        value=float(used.mean()),
-        sd=sd,
-        n_draws=n,
-        n_excluded=int(n - used.size),
-    )
-
-
 #: draws per summary pass: a batch's units are summarised in blocks of whole units
 _SUMMARY_ROWS = 1 << 18
 
@@ -687,8 +673,9 @@ class _Batch:
     and log E[X/b] of each draw with a mean (about three floats per draw);
     for SM, whose p = 1 is one constant, about two; LN holds none.  The K
     summaries of a key, float(theta) or None for the mean income, are made
-    on its first request, in one vectorised pass per block, and kept.  A
-    pass holds one block's values and mask beyond the draws: one (K, n)
+    on its first request, in one ``_summarize_rows`` pass per block (one
+    masked reduction for rows with and without excluded draws), and kept.
+    A pass holds one block's values and mask beyond the draws: one (K, n)
     array of the paper-sized tree's 1,739 LN leaves at 8,000 draws would
     take 111 MB.
     """
@@ -721,24 +708,29 @@ class _Batch:
 
 
 def _summarize_rows(values: np.ndarray, ok: np.ndarray) -> list[PosteriorSummary]:
-    """The summary of each row of values (K, n), reducing values in place.
+    """The summary of each row of values (K, n) over its used draws, ok, reducing values in place.
 
-    A row with an excluded draw goes through ``_summarize`` first; every
-    other row's mean is sum / n and its sd sqrt(sum((v - mean)^2) / (n - 1)),
-    bitwise numpy's mean() and std(ddof=1) of the row.
+    The mask acts as 0/1 weights: a row's m used draws give mean sum / m
+    and sd sqrt(sum((v - mean)^2) / (m - 1)), with its excluded entries
+    zeroed before each sum (so sd is 0 at m = 1); both are NaN at m = 0.
+    Only a block with an excluded draw counts and zeroes, so a clean block's
+    rows are bitwise numpy's mean() and std(ddof=1).  A row with exclusions
+    sums its n entries in numpy's pairwise order, not its m draws, so it can
+    differ from numpy's summary of its used draws in the last bit.
     """
     n = values.shape[1]
-    clean = ok.all(axis=1)
-    rows = [None if whole else _summarize(row, row_ok) for row, row_ok, whole in zip(values, ok, clean)]
-    mean = values.sum(axis=1) / n
-    sd = np.zeros(len(values))
-    if n > 1:
-        # rows with exclusions, summarised above, hold NaN and go unread
-        values -= mean[:, None]
-        sd = np.sqrt(np.multiply(values, values, out=values).sum(axis=1) / (n - 1))
-    for k in np.flatnonzero(clean):
-        rows[k] = PosteriorSummary(value=float(mean[k]), sd=float(sd[k]), n_draws=n, n_excluded=0)
-    return rows
+    excluded = None if ok.all() else ~ok
+    used = np.full(len(values), n) if excluded is None else np.count_nonzero(ok, axis=1)
+    if excluded is not None:
+        np.copyto(values, 0.0, where=excluded)
+    mean = values.sum(axis=1) / np.maximum(used, 1)
+    values -= mean[:, None]
+    if excluded is not None:
+        np.copyto(values, 0.0, where=excluded)
+    sd = np.sqrt(np.multiply(values, values, out=values).sum(axis=1) / np.maximum(used - 1, 1))
+    mean[used == 0] = sd[used == 0] = math.nan
+    return [PosteriorSummary(value=value, sd=s, n_draws=n, n_excluded=n - m)
+            for value, s, m in zip(mean.tolist(), sd.tolist(), used.tolist())]
 
 
 def _summary(draws: PosteriorDraws, key) -> PosteriorSummary:

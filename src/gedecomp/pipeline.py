@@ -95,6 +95,10 @@ class HierarchyNode:
             family_class(self.family)
         except (TypeError, ValueError) as exc:
             raise PipelineError(f"node {self.id!r}: {exc}") from None
+        object.__setattr__(self, "children", tuple(self.children))
+        for child in self.children:
+            if not isinstance(child, HierarchyNode):
+                raise PipelineError(f"node {self.id!r}: each child must be a HierarchyNode, got {child!r}")
         if self.children:
             child_sum = sum(c.population for c in self.children)
             if abs(child_sum - self.population) > 1e-9 * self.population:

@@ -437,8 +437,11 @@ def test_criterion_9_every_command_writes_the_same_bytes_twice(tmp_path):
                     "decompose_income", "decompose_grouped", "decompose_nested", "decompose_weighted",
                     "simulate", "compare", "compare_gb2", "compare_region_gb2",
                     "pipeline_proposed", "pipeline_separate", "pipeline_mixture",
-                    "pipeline_raking", "pipeline_phi_file", "pipeline_manifest_phi", "surface"}
+                    "pipeline_raking", "pipeline_phi_file", "pipeline_manifest_phi", "pipeline_flagged", "surface"}
     assert "pipeline_raking/report_theta_1em09.json" in trees[0]
+    # the flagged tree's summaries at theta = 2 leave out some draws
+    flagged = trees[0]["pipeline_flagged/report_theta_2.json"].decode()
+    assert "draws with GE outside the moment window at theta=2" in flagged
     assert '"phi_policy": "custom"' in trees[0]["pipeline_phi_file/report_theta_1.json"].decode()
     # the same weights from the manifest's own phi file give the same reports as from --phi
     own = {name.split("/", 1)[1]: data for name, data in trees[0].items() if name.startswith("pipeline_manifest_phi/")}

@@ -376,6 +376,25 @@ def test_thetas_sharing_an_output_key_fail_before_any_work(tmp_path, spec_file, 
     assert not out_dir.exists()
 
 
+def test_negative_zero_theta_is_theta_zero(tmp_path, spec_file, capsys):
+    # -0.0 formats as "-0": it would be a second key, and file name, for theta = 0
+    data = tmp_path / "micro.csv"
+    data.write_text("income,group\n1.5,a\n2.5,a\n3.0,b\n")
+    assert main(["decompose", "--data", str(data), "--theta", "0", "--theta", "-0"]) == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc == {"error": "ValueError", "message": "thetas 0.0 and 0.0 share the output key '0'"}
+    main(["simulate", "--spec", str(spec_file), "--out", str(tmp_path / "sim"), "--theta", "-0"])
+    (theta,) = json.loads((tmp_path / "sim" / "manifest.json").read_text())["theta"]
+    assert theta == 0.0 and math.copysign(1.0, theta) == 1.0
+    out_dir = tmp_path / "out"
+    code = main(["pipeline", "--manifest", str(tmp_path / "sim" / "manifest.json"), "--iters", "400", "--burnin", "100",
+                 "--theta", "-0", "--out", str(out_dir)])
+    assert code == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "regions_theta_0.csv", "report_theta_0.json", "subregions_theta_0.csv"]
+    assert math.copysign(1.0, json.loads((out_dir / "report_theta_0.json").read_text())["theta"]) == 1.0
+
+
 def test_surface_command(tmp_path, capsys):
     out_dir = tmp_path / "surf"
     code = main([

@@ -256,6 +256,9 @@ def test_manifest_rejects_unknown_mcmc_settings(tmp_path, stale):
         ("scale_counts", "2", "scale_counts must be a number, got '2'"),
         ("population", True, "node 'e1': population must be a number, got True"),
         ("population", "2000", "node 'e1': population must be a number, got '2000'"),
+        # a misspelt theta list would run DEFAULT_THETAS, and a misspelt seed the default seed
+        ("thetas", [1.0], "manifest: unknown keys ['thetas']; expected nodes, theta, phi, seed, scale_counts, mcmc"),
+        ("seeed", 9, "manifest: unknown keys ['seeed']"),
     ],
     ids=["burnin-too-long", "string", "fraction", "iterations-bool", "burnin-bool", "zero-iterations",
          "mcmc-not-an-object", "mcmc-empty-list", "mcmc-empty-string", "seed-fraction", "seed-bool",
@@ -263,7 +266,7 @@ def test_manifest_rejects_unknown_mcmc_settings(tmp_path, stale):
          "phi-not-a-string", "phi-file-short-row", "phi-file-missing", "phi-file-missing-a-leaf",
          "phi-file-unknown-id",
          "scale-zero", "scale-negative", "scale-nan", "scale-inf", "scale-bool", "scale-string",
-         "population-bool", "population-string"],
+         "population-bool", "population-string", "unknown-key-thetas", "unknown-key-seed"],
 )
 def test_manifest_rejects_malformed_settings_naming_the_file(tmp_path, field, value, message):
     write_manifest_tree(tmp_path)
@@ -308,11 +311,13 @@ def _node(doc, node_id) -> dict:
          "node record 'e1': parent ['east'] must be null or a non-empty string"),
         (lambda doc: _node(doc, "country").update(parent=""),
          "node record 'country': parent '' must be null or a non-empty string"),
+        (lambda doc: _node(doc, "e1").update(weight=2.0),
+         "node record 'e1': unknown keys ['weight']; expected id, parent, level, population, family, data"),
     ],
     ids=["unknown-level", "population-zero", "unknown-family", "unknown-region-family", "root-not-a-country",
          "country-without-regions",
          "country-child-not-a-region", "region-child-not-a-leaf", "record-missing-a-key",
-         "id-a-number", "id-empty", "parent-a-list", "parent-empty"],
+         "id-a-number", "id-empty", "parent-a-list", "parent-empty", "unknown-key"],
 )
 def test_manifest_rejects_tree_faults_naming_the_file_and_the_node(tmp_path, edit, message):
     write_manifest_tree(tmp_path)
@@ -599,6 +604,39 @@ def test_synthetic_spec_rejects_bad_fit_families_naming_the_file(tmp_path, fit_f
     (tmp_path / "spec.json").write_text(json.dumps(doc))
     with pytest.raises(dataio.ManifestError, match=re.escape(f"{tmp_path / 'spec.json'}: {message}")):
         dataio.load_synthetic_spec(tmp_path / "spec.json")
+
+
+@pytest.mark.parametrize(
+    "level, message",
+    [
+        # a misspelt sampling fraction would run the default 0.1
+        ("spec", "spec: unknown keys ['sampling_fractoin']; "
+                 "expected regions, brackets, sampling_fraction, seed, country_id, fit_families"),
+        ("region", "region 'r1': unknown keys ['sampling_fractoin']; expected id, leaves"),
+        ("leaf", "leaf 'm1': unknown keys ['sampling_fractoin']; expected id, population, params"),
+    ],
+    ids=["spec", "region", "leaf"],
+)
+def test_synthetic_spec_rejects_unknown_keys_naming_the_file(tmp_path, level, message):
+    leaf = {"id": "m1", "population": 10, "params": {"family": "ln", "xi": 1.0, "sigma2": 0.4}}
+    region = {"id": "r1", "leaves": [leaf]}
+    doc = {"sampling_fraction": 0.5, "regions": [region]}
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    assert dataio.load_synthetic_spec(tmp_path / "spec.json").sampling_fraction == 0.5
+    {"spec": doc, "region": region, "leaf": leaf}[level]["sampling_fractoin"] = 0.5
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    with pytest.raises(dataio.ManifestError, match="^" + re.escape(f"{tmp_path / 'spec.json'}: {message}") + "$"):
+        dataio.load_synthetic_spec(tmp_path / "spec.json")
+
+
+@pytest.mark.parametrize("load, what", [(dataio.load_manifest, "manifest"), (dataio.load_synthetic_spec, "spec")],
+                         ids=["manifest", "spec"])
+def test_a_file_that_is_not_a_json_object_is_refused_naming_the_file(tmp_path, load, what):
+    path = tmp_path / "list.json"
+    path.write_text('[{"id": "a"}]')
+    message = f"{path}: {what} must be a JSON object, got list"
+    with pytest.raises(dataio.ManifestError, match=f"^{re.escape(message)}$"):
+        load(path)
 
 
 def test_synthetic_spec_defaults_come_from_the_dataclass(tmp_path):

@@ -867,11 +867,28 @@ def per_row_values(rows, value_of) -> np.ndarray:
 
 
 def summary_of(values) -> PosteriorSummary:
-    used = values[~np.isnan(values)]
+    """The summary of one unit's draw values, NaN where a draw is excluded.
+
+    Without exclusions it is numpy's mean() and std(ddof=1).  With m of the
+    n draws used it is the masked formula: the excluded entries count as
+    zero in sums over all n entries, mean = sum / m and sd =
+    sqrt(sum((v - mean)^2) / (m - 1)), 0 at m = 1; that must lie within
+    1e-13 relative of numpy's mean and sd of the m used draws.
+    """
+    n, ok = len(values), ~np.isnan(values)
+    used = values[ok]
     if used.size == 0:
-        return PosteriorSummary(value=math.nan, sd=math.nan, n_draws=len(values), n_excluded=len(values))
-    sd = float(used.std(ddof=1)) if used.size > 1 else 0.0
-    return PosteriorSummary(value=float(used.mean()), sd=sd, n_draws=len(values), n_excluded=len(values) - used.size)
+        return PosteriorSummary(value=math.nan, sd=math.nan, n_draws=n, n_excluded=n)
+    if used.size == n:
+        sd = float(values.std(ddof=1)) if n > 1 else 0.0
+        return PosteriorSummary(value=float(values.mean()), sd=sd, n_draws=n, n_excluded=0)
+    masked = np.where(ok, values, 0.0)
+    mean = masked.sum() / used.size
+    deviations = np.where(ok, masked - mean, 0.0)
+    sd = math.sqrt((deviations * deviations).sum() / (used.size - 1)) if used.size > 1 else 0.0
+    assert_allclose(mean, used.mean(), rtol=1e-13)
+    assert_allclose(sd, used.std(ddof=1) if used.size > 1 else 0.0, rtol=1e-13)
+    return PosteriorSummary(value=float(mean), sd=sd, n_draws=n, n_excluded=n - used.size)
 
 
 @pytest.mark.parametrize("family", ["gb2", "sm"])
@@ -937,10 +954,30 @@ def same_summary(got: PosteriorSummary, expected: PosteriorSummary) -> bool:
 MIXED_UNITS = [[0, 1, 2, 3, 9, 0], [0, 6, 1, 7, 2, 8], [4, 5, 4, 5, 4, 5], [9, 7, 3, 3, 1, 2]]
 
 
-@pytest.mark.parametrize("rows", [MIXED_UNITS, [[0], [6], [4]]], ids=["n=6", "n=1"])
+def units_with_used_draws(n: int, seed: int) -> list[list[int]]:
+    """Units of n MIXED_ROWS["gb2"] rows, m of them with a mean, for m = 0, 1, 2, n - 1 and n, in random order.
+
+    A row with a mean has theta in its moment window for every theta in
+    [0, 1], so there, as for the mean income, each unit uses m draws.
+    """
+    rng = np.random.default_rng(seed)
+    with_mean, without_mean = [0, 1, 2, 3, 6, 7, 8, 9], [4, 5]
+    units = []
+    for m in (0, 1, 2, n - 1, n):
+        rows = np.concatenate([rng.choice(with_mean, m), rng.choice(without_mean, n - m)])
+        units.append(rng.permutation(rows).tolist())
+    return units
+
+
+@pytest.mark.parametrize(
+    "rows", [MIXED_UNITS, [[0], [6], [4]], units_with_used_draws(9, 11), units_with_used_draws(300, 12)],
+    ids=["n=6", "n=1", "n=9", "n=300"],
+)
 def test_a_mixed_batch_summarises_each_unit_as_its_per_row_closed_forms(rows):
-    # one pass over the batch reduces the clean rows together and the rows
-    # with exclusions one by one; each unit must read its own closed forms.
+    # one masked pass over the batch reduces every unit, clean or with
+    # exclusions; each unit must read its own closed forms.  Beyond 8 draws
+    # numpy sums pairwise, so the masked sum over n entries and a sum over
+    # the m used draws can differ in the last bit, and the test tells them apart.
     # p moves each draw's GE but neither its mean's existence (a*q > 1) nor the window's top, a*q
     draws = np.array(MIXED_ROWS["gb2"])[rows]
     draws[..., 2] *= np.exp(np.random.default_rng(5).normal(0.0, 0.02, draws.shape[:2]))
@@ -959,6 +996,9 @@ def test_a_mixed_batch_summarises_each_unit_as_its_per_row_closed_forms(rows):
             assert same_summary(posterior_ge(alone, theta), expected), (unit.unit, theta)
             seen.add("none" if expected.n_excluded == 0 else "all" if expected.n_excluded == n else "some")
     assert seen == ({"none", "all"} if n == 1 else {"none", "some", "all"})
+    if n > 6:
+        used = [n - posterior_mean_income(unit).n_excluded for unit in units]
+        assert used == [0, 1, 2, n - 1, n]
 
 
 def test_a_large_batch_is_summarised_in_blocks_of_whole_units():

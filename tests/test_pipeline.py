@@ -109,6 +109,17 @@ def test_node_data_is_a_grouped_sample(data):
     with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
         HierarchyNode("s", "subregion", 100.0, "ln", data)
 
+
+@pytest.mark.parametrize("child", ["x", None, 3.0], ids=["string", "none", "number"])
+def test_node_children_are_hierarchy_nodes_kept_as_a_tuple(child):
+    message = f"node 'g': each child must be a HierarchyNode, got {child!r}"
+    with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
+        HierarchyNode("g", "region", 100.0, "sm", toy_sample("g"), (child,))
+    leaf = HierarchyNode("s", "subregion", 100.0, "ln", toy_sample("s"))
+    region = HierarchyNode("g", "region", 100.0, "sm", toy_sample("g"), [leaf])
+    assert type(region.children) is tuple and region.children[0] is leaf
+
+
 def test_tree_shape_validation():
     leaf = HierarchyNode("s", "subregion", 100.0, "ln", toy_sample("s"))
     region = HierarchyNode("g", "region", 100.0, "sm", toy_sample("g"), (leaf,))

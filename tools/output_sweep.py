@@ -13,7 +13,10 @@ lockstep fallback walk, and with a spec whose ``fit_families`` gives only
 the regions', gb2, so the other levels take the defaults), ``pipeline`` (proposed,
 separate, mixture, and proposed with raking and with a phi file's loss
 weights, given by ``--phi`` and, as ``pipeline_manifest_phi``, by the
-manifest's own ``"phi"``, resolved against the manifest's directory) and
+manifest's own ``"phi"``, resolved against the manifest's directory; and,
+as ``pipeline_flagged``, on a tree simulated into ``flagged/`` whose leaves
+lose part of their draws at theta = 2, so its reports carry flags and
+summaries over only the draws left) and
 ``surface`` (on a grid with masked cells) on inputs the script writes
 itself, with the code of this checkout's ``src/``.  Each run writes its files under
 ``OUT/<run>/`` and its standard output to
@@ -71,6 +74,27 @@ SPEC = {
 }
 
 
+# SM truths with a*q between 2.6 and 2.75, fitted SM at every level but the country's: at theta = 2,
+# at 800/200, each leaf loses between 2% and 20% of its draws, so the reports carry flags and
+# summaries over only part of a unit's draws
+FLAGGED_SPEC = {
+    "seed": 7,
+    "sampling_fraction": 0.2,
+    "brackets": 8,
+    "fit_families": {"country": "gb2", "region": "sm", "subregion": "sm"},
+    "regions": [
+        {"id": "n", "leaves": [
+            {"id": "n1", "population": 1000, "params": {"family": "sm", "a": 2.0, "b": 4.0, "q": 1.35}},
+            {"id": "n2", "population": 1000, "params": {"family": "sm", "a": 1.8, "b": 4.0, "q": 1.45}},
+        ]},
+        {"id": "s", "leaves": [
+            {"id": "s1", "population": 1000, "params": {"family": "sm", "a": 2.2, "b": 4.0, "q": 1.25}},
+            {"id": "s2", "population": 1000, "params": {"family": "sm", "a": 1.9, "b": 4.0, "q": 1.4}},
+        ]},
+    ],
+}
+
+
 def write_inputs() -> None:
     Path("inputs").mkdir()
     Path("inputs/spec.json").write_text(json.dumps(SPEC, indent=2) + "\n")
@@ -78,6 +102,7 @@ def write_inputs() -> None:
     Path("inputs/spec_gb2.json").write_text(json.dumps(all_gb2, indent=2) + "\n")
     region_gb2 = {**SPEC, "fit_families": {"region": "gb2"}}
     Path("inputs/spec_region_gb2.json").write_text(json.dumps(region_gb2, indent=2) + "\n")
+    Path("inputs/spec_flagged.json").write_text(json.dumps(FLAGGED_SPEC, indent=2) + "\n")
     rows = ["lower,upper,count"]
     rows += [f"{lo},{hi},{n}" for lo, hi, n in zip(NATIONAL_BOUNDARIES, NATIONAL_BOUNDARIES[1:], NATIONAL_COUNTS)]
     Path("inputs/national.csv").write_text("\n".join(rows) + "\n")
@@ -112,6 +137,13 @@ def write_own_phi_manifest() -> None:
     Path("manifest_phi/phi.csv").write_text(Path("inputs/phi.csv").read_text())
 
 
+def write_flagged_tree() -> None:
+    """FLAGGED_SPEC's tree under flagged/, as ``simulate`` writes it: data/<id>.csv, manifest.json and truth.json."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main(["simulate", "--spec", "inputs/spec_flagged.json", "--out", "flagged"]) != 0:
+            raise SystemExit("simulate of inputs/spec_flagged.json failed")
+
+
 def runs() -> list[tuple[str, list[str]]]:
     manifest = "simulate/manifest.json"
     return [
@@ -143,6 +175,8 @@ def runs() -> list[tuple[str, list[str]]]:
         # phi.csv is only in manifest_phi/, so it is found only relative to the manifest
         ("pipeline_manifest_phi", ["pipeline", "--manifest", "manifest_phi/manifest.json",
                                    "--out", "pipeline_manifest_phi", *SHORT_CHAIN]),
+        ("pipeline_flagged", ["pipeline", "--manifest", "flagged/manifest.json", "--out", "pipeline_flagged",
+                              *SHORT_CHAIN, *THETA_ARGS]),
         # a grid reaching below a * q = 1, where the masked cells are empty fields
         ("surface", ["surface", "--a-min", "0.6", "--a-num", "7", "--q-min", "1.0", "--q-num", "5",
                      "--out", "surface", *THETA_ARGS]),
@@ -156,6 +190,8 @@ def sweep(out: Path) -> None:
     for name, argv in runs():
         if name == "pipeline_manifest_phi":
             write_own_phi_manifest()
+        if name == "pipeline_flagged":
+            write_flagged_tree()
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
